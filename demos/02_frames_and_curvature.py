@@ -1,9 +1,9 @@
 """Adapted frames, mean curvature and the normal-connection torsion.
 
 The frame at a point is two orthonormal tangents plus two orthonormal
-normals with determinant +1.  The mixed connection coefficients come out
-of the exact jets; the torsion comes from sign-aligned differences of
-the normal frame field.  The invariant sqrt(trace3^2 + trace4^2) is the
+normals with determinant +1.  The mixed connection coefficients and the
+torsion n3 . d n4 of the normal pair come out of the exact jets.  The
+invariant sqrt(trace3^2 + trace4^2) is the
 mean-curvature magnitude: it is 2 everywhere on the unit sphere and on
 the flat torus of two radius-1/sqrt(2) circles.
 """
@@ -19,7 +19,7 @@ for name, pt in (("sphere", (1.0, 0.7)), ("clifford", (0.4, 0.9))):
     spec = load_corpus(name)
     fr = frame_at(spec, pt)
     conn = connection_at(spec, pt)
-    gd = gauge_at(conn)
+    gd = gauge_at(spec, conn)
     print(f"--- {name} at {pt} ---")
     print("metric        :", np.round(fr.g, 12).tolist())
     print("traces        : %.12f, %.12f" % (conn.trace3, conn.trace4))

@@ -3,7 +3,7 @@
 ::
 
     dirac-surface <frame|verify|spectrum|tube|parse-check> <file>
-                  [--at U V | --grid NxM] [--gauged] [--step H]
+                  [--at U V | --grid NxM] [--gauged]
                   [--json | --csv] [--out PATH] [--threads K]
 
 Exit codes: 0 every check passed, 1 an invariant failed (or a numeric
@@ -23,6 +23,7 @@ import concurrent.futures
 import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .dirac import (
 from .expr import ExprError, ImmersionSpec, load_immersion, unparse
 from .geometry import (
     GeometryError,
-    connection_at,
+    connection_from_frame,
     frame_at,
     gauge_at,
     tube_metric_at,
@@ -256,8 +257,8 @@ def _cmd_frame(args) -> int:
 
     def worker(pt):
         frame = frame_at(spec, pt)
-        conn = connection_at(spec, pt, h=args.step)
-        gd = gauge_at(conn)
+        conn = connection_from_frame(frame)
+        gd = gauge_at(spec, conn)
         R = frame.rotation()
         gram = R.T @ R
         record = {
@@ -317,7 +318,7 @@ def _cmd_frame(args) -> int:
         "command": "frame",
         "spec": spec.name,
         "file": args.file,
-        "config": {"step": args.step, "points": len(records)},
+        "config": {"points": len(records)},
         "records": records,
         "summary": {
             "max_trace_invariant": max(r["trace_invariant"] for r in records),
@@ -334,9 +335,7 @@ def _cmd_verify(args) -> int:
     steps = _DEFAULT_RESIDUAL_STEPS
 
     def worker(pt):
-        rep = reconstruct(spec, pt, gauged=args.gauged, h=args.step, steps=steps)
-        conn = connection_at(spec, pt, h=args.step)
-        gd = gauge_at(conn)
+        rep = reconstruct(spec, pt, gauged=args.gauged, steps=steps)
         # residuals at the floating-point floor count as converged; the
         # reported ratio is capped so every numeric field stays finite
         ratios = [
@@ -350,8 +349,8 @@ def _cmd_verify(args) -> int:
             "orthonormality": rep.orthonormality,
             "residual_dirac": list(rep.residual_dirac),
             "convergence_ratio": min(ratios),
-            "torsion": conn.torsion.tolist(),
-            "hat_torsion": gd.hat_torsion.tolist(),
+            "torsion": rep.torsion.tolist(),
+            "hat_torsion": rep.hat_torsion.tolist(),
             "W": rep.W.tolist(),
             "T": rep.T.tolist(),
         }
@@ -384,7 +383,6 @@ def _cmd_verify(args) -> int:
         "file": args.file,
         "config": {
             "gauged": args.gauged,
-            "step": args.step,
             "residual_steps": list(steps),
             "points": len(records),
         },
@@ -407,7 +405,7 @@ def _cmd_spectrum(args) -> int:
         raise DimensionCapError(
             f"operator dimension {dim} exceeds the cap {DEFAULT_EIG_CAP}"
         )
-    op = assemble_grid_operator(spec, n1, n2, gauged=args.gauged, h=args.step)
+    op = assemble_grid_operator(spec, n1, n2, gauged=args.gauged)
     vals = eigenvalues(op)
     # the mode oracle describes the plain central-difference assembly; the
     # gauged matrix carries link factors in its hoppings, so skip it there
@@ -429,7 +427,6 @@ def _cmd_spectrum(args) -> int:
         "config": {
             "grid": [n1, n2],
             "gauged": args.gauged,
-            "step": args.step,
             "dimension": dim,
         },
         "records": records,
@@ -458,7 +455,7 @@ def _cmd_tube(args) -> int:
         "mixed": np.array([1.0, 1.0]) / math.sqrt(2.0),
     }
 
-    zero = tube_metric_at(spec, pt, (0.0, 0.0), h=args.step)
+    zero = tube_metric_at(spec, pt, (0.0, 0.0))
     frame = frame_at(spec, pt)
     records = [
         {
@@ -485,7 +482,7 @@ def _cmd_tube(args) -> int:
     for label, direction in directions.items():
         diffs = []
         for e in eps:
-            ts = tube_metric_at(spec, pt, e * direction, h=args.step)
+            ts = tube_metric_at(spec, pt, e * direction)
             diffs.append(abs(ts.rho_exact - ts.rho_leading))
             records.append(
                 {
@@ -513,7 +510,7 @@ def _cmd_tube(args) -> int:
         "command": "tube",
         "spec": spec.name,
         "file": args.file,
-        "config": {"at": list(pt), "step": args.step, "eps": list(eps)},
+        "config": {"at": list(pt), "eps": list(eps)},
         "records": records,
         "summary": {"slopes": slopes},
         "checks": checks,
@@ -590,7 +587,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="evaluate on an interior lattice (or the operator grid)",
         )
         p.add_argument("--gauged", action="store_true", help="use the gauge-fixed operator")
-        p.add_argument("--step", type=float, default=1e-3, help="geometry FD step")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument(
             "--json", dest="format", action="store_const", const="json",
@@ -618,8 +614,31 @@ _COMMANDS = {
 }
 
 
+def _positional_at(argv):
+    """Rewrite the two values after each ``--at`` in positional notation.
+
+    argparse takes a token such as ``-1e-05`` for an option, since its
+    negative-number pattern has no exponent; ``-0.00001`` is the same
+    float and parses as a value.
+    """
+    argv = list(argv)
+    for i, token in enumerate(argv):
+        if token != "--at":
+            continue
+        for j in range(i + 1, min(i + 3, len(argv))):
+            try:
+                value = Decimal(argv[j])
+            except InvalidOperation:
+                continue
+            # beyond the float range the long positional form buys nothing
+            if argv[j].startswith("-") and value.is_finite() and abs(value.adjusted()) < 400:
+                argv[j] = format(value, "f")
+    return argv
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_positional_at(argv))
     try:
         return _COMMANDS[args.command](args)
     except DimensionCapError as exc:

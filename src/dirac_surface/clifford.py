@@ -7,9 +7,12 @@ gamma matrices are
     gamma^4 = tau_2 (x) I,
 
 which are Hermitian, square to the identity and pairwise anticommute.
-``spin_lift`` maps a special orthogonal 4x4 matrix R to a unitary U with
-U gamma^i U^{-1} = sum_mu R^i_mu gamma^mu; U is unique up to a global
-sign, which is fixed here by the principal logarithm of R and is
+In this chiral representation every gamma^mu is block off-diagonal,
+[[0, a_mu], [a_mu^dag, 0]] with a_mu = (tau_1, tau_2, tau_3, -i I), so
+Spin(4) acts block-diagonally as SU(2) x SU(2).  ``spin_lift`` maps a
+special orthogonal 4x4 matrix R to the unitary U = diag(P, Q) with
+U gamma^i U^{-1} = sum_mu R^i_mu gamma^mu, in closed form (no matrix
+logarithm or exponential).  U is unique up to a global sign, which is
 irrelevant to every bilinear quantity downstream.
 """
 
@@ -18,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 __all__ = [
-    "GammaSet",
     "SpinMatrix",
     "GAMMA",
     "SIGMA34",
@@ -64,23 +65,14 @@ TANGENT_SPIN_GENERATOR = np.kron(_I2, TAU[0] @ TAU[1])
 
 
 @dataclass(frozen=True)
-class GammaSet:
-    """The four constant gamma matrices as one bundle."""
-
-    matrices: tuple = GAMMA
-
-
-@dataclass(frozen=True)
 class SpinMatrix:
-    """A unitary spin transformation U = exp(-Omega) with its generator.
+    """A unitary spin transformation.
 
-    ``flagged`` marks lifts of rotations with a pi-angle invariant plane,
-    where the principal logarithm is branch-ambiguous and the angle was
-    nudged by 1e-9 to pick a branch.
+    ``flagged`` is always False: the closed-form lift has no branch to
+    pick.  The field stays so that code reading it keeps working.
     """
 
     matrix: np.ndarray
-    generator: np.ndarray
     flagged: bool = False
 
 
@@ -122,48 +114,26 @@ def so4_pairing(psi_bar, psi) -> np.ndarray:
     return np.array([psi_bar @ g @ psi for g in GAMMA])
 
 
-def _principal_antisymmetric_log(R, tol):
-    """Principal real logarithm of special orthogonal R via real Schur form.
-
-    Returns (A, flagged); flagged is set when an invariant plane rotates by
-    an angle within 1e-6 of pi.  There the branch is fixed by shrinking
-    the angle by 1e-12: enough to make the selection deterministic, small
-    enough that the noise it injects into lifted frame fields stays far
-    below second-order finite-difference tolerances.
-    """
-    T, Q = scipy.linalg.schur(R, output="real")
-    n = R.shape[0]
-    S = np.zeros((n, n))
-    flagged = False
-    minus_ones = []
-    j = 0
-    while j < n:
-        if j + 1 < n and abs(T[j + 1, j]) > tol:
-            phi = float(np.arctan2(T[j + 1, j], T[j, j]))
-            if abs(phi) > np.pi - 1e-6:
-                phi = np.sign(phi) * (np.pi - 1e-12)
-                flagged = True
-            S[j, j + 1] = -phi
-            S[j + 1, j] = phi
-            j += 2
-        else:
-            if T[j, j] < 0.0:
-                minus_ones.append(j)
-            j += 1
-    # pairs of -1 eigenvalues form a pi-rotation plane (det is +1)
-    for a, b in zip(minus_ones[::2], minus_ones[1::2]):
-        phi = np.pi - 1e-12
-        S[a, b] = -phi
-        S[b, a] = phi
-        flagged = True
-    return Q @ S @ Q.T, flagged
+# upper-right 2x2 blocks a_mu of gamma^mu = [[0, a_mu], [a_mu^dag, 0]], and
+# the unit quaternions (I, i tau_1, i tau_2, i tau_3) used to read off the
+# left factor of a lift
+_BLOCKS = np.array([g[:2, 2:] for g in GAMMA])
+_QUATERNIONS = np.array([_I2] + [1j * t for t in TAU[:3]])
 
 
 def spin_lift(rotation, tol: float = 1e-10) -> SpinMatrix:
     """Lift a special orthogonal 4x4 matrix to the spin group.
 
-    The generator is Omega = (1/4) sum_ij A_ij gamma^i gamma^j with A the
-    principal real logarithm of the rotation, and U = exp(-Omega).
+    The lift is block-diagonal, U = diag(P, Q) with P, Q in SU(2), and
+    U gamma^i U^dag = sum_mu R_i^mu gamma^mu reads P a_i Q^dag = c_i
+    with c_i = sum_mu R_i^mu a_mu.  Since sum_i a_i X a_i^dag =
+    2 tr(X) I for every 2x2 X, the sum S_Y = sum_i c_i Y a_i^dag equals
+    2 tr(Q^dag Y) P for each unit quaternion Y in (I, i tau_1, i tau_2,
+    i tau_3), and det S_Y = 4 tr(Q^dag Y)^2.  Y = I is used unless
+    |tr Q| < 1/2; then the Y with the largest det S_Y is, for which
+    |tr(Q^dag Y)| > 1/2.  P = S_Y / sqrt(det S_Y) and
+    Q = (1/4) sum_i c_i^dag P a_i.  Of the two lifts +-U this picks the
+    one with tr(Q^dag Y) > 0, so R = I lifts to U = I.
     """
     R = np.asarray(rotation, dtype=float)
     if R.shape != (4, 4):
@@ -177,21 +147,23 @@ def spin_lift(rotation, tol: float = 1e-10) -> SpinMatrix:
     if abs(det - 1.0) > tol:
         raise ValueError(f"matrix is not special orthogonal (det {det:.12f})")
 
-    A, flagged = _principal_antisymmetric_log(R, tol=1e-12)
-    omega = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            if A[i, j] != 0.0:
-                omega += 0.25 * A[i, j] * (GAMMA[i] @ GAMMA[j])
-    U = scipy.linalg.expm(-omega)
-    return SpinMatrix(matrix=U, generator=omega, flagged=flagged)
+    c = np.einsum("im,mab->iab", R, _BLOCKS)
+    S = np.einsum("iab,ybc,idc->yad", c, _QUATERNIONS, _BLOCKS.conj())
+    dets = (S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]).real
+    y = 0 if dets[0] >= 1.0 else 1 + int(np.argmax(dets[1:]))
+    P = S[y] / np.sqrt(dets[y])
+    Q = 0.25 * np.einsum("iba,bc,icd->ad", c.conj(), P, _BLOCKS)
+    U = np.zeros((4, 4), dtype=complex)
+    U[:2, :2] = P
+    U[2:, 2:] = Q
+    return SpinMatrix(matrix=U)
 
 
 def gauge_rotation(theta: float) -> SpinMatrix:
     """exp(sigma34 * theta) = cos(theta) I + sin(theta) sigma34 (unitary)."""
     theta = float(theta)
     U = np.cos(theta) * np.eye(4, dtype=complex) + np.sin(theta) * SIGMA34
-    return SpinMatrix(matrix=U, generator=-theta * SIGMA34, flagged=False)
+    return SpinMatrix(matrix=U)
 
 
 def iota_g(a) -> np.ndarray:

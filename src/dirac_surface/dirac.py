@@ -6,7 +6,9 @@ order: D = A^alpha d_alpha + B with
 * A^alpha = iota_g(sigma^alpha), the coordinate tangent gammas built
   from the inverse zweibein of the induced metric,
 * B collecting the tangent spin connection, the normal-bundle (torsion)
-  connection and the mean-curvature mass terms,
+  connection and the mean-curvature mass terms, all read from the exact
+  2-jet of the immersion (the gauged variant also from the differenced
+  gauge angle, see ``geometry.gauge_at``),
 
       B = sum_alpha A^alpha ( 1/2 omega_alpha iota_r(tau1 tau2)
                             + 1/2 Gamma^3_{alpha 4} sigma34 )
@@ -42,9 +44,11 @@ from .expr import ImmersionSpec
 from .geometry import (
     ConnectionData,
     FrameData,
+    GaugeData,
     align_frame,
     connection_from_frame,
     frame_at,
+    gauge_angle,
     gauge_at,
 )
 
@@ -86,7 +90,7 @@ class SpinConnection2D:
 
     ``f[a, alpha]`` satisfies g = f^T f (upper-triangular Cholesky factor,
     matching the Gram-Schmidt tangent frame); ``omega[alpha]`` is the
-    single independent component omega_alpha^{12}.
+    single independent component omega_alpha^{12} = ehat1 . d_alpha ehat2.
     """
 
     f: np.ndarray
@@ -142,58 +146,21 @@ class DiscreteOperator:
 # ---------------------------------------------------------------------------
 
 
-def _zweibein(g):
-    L = np.linalg.cholesky(g)
-    f = L.T
-    return f, np.linalg.inv(f)
+def spin_connection_from_frame(frame: FrameData) -> SpinConnection2D:
+    """Zweibein and spin connection of a frame, exact from its 2-jet.
+
+    The orthonormal tangents are ehat1 = d_1 x / |d_1 x| and its
+    Gram-Schmidt partner ehat2, so the connection one-form is
+    omega_alpha = ehat1 . d_alpha ehat2 = -ehat2 . d_alpha d_1 x / |d_1 x|.
+    """
+    f = np.linalg.cholesky(frame.g).T
+    omega = -(frame.d2x[:, 0, :] @ frame.ehat[1]) / np.linalg.norm(frame.e[0])
+    return SpinConnection2D(f=f, f_inv=np.linalg.inv(f), omega=omega)
 
 
-def _christoffel(frame: FrameData) -> np.ndarray:
-    """Levi-Civita symbols Gamma^beta_{alpha gamma} from exact metric jets."""
-    dg = np.einsum("cai,bi->cab", frame.d2x, frame.e)
-    dg = dg + dg.transpose(0, 2, 1)  # dg[c, a, b] = d_c g_{ab}
-    lowered = np.empty((2, 2, 2))
-    for d in range(2):
-        for a in range(2):
-            for c in range(2):
-                lowered[d, a, c] = dg[a, d, c] + dg[c, d, a] - dg[d, a, c]
-    # chris[beta, alpha, gamma] = Gamma^beta_{alpha gamma}
-    return 0.5 * np.einsum("bd,dag->bag", frame.g_inv, lowered)
-
-
-def spin_connection_from_frame(
-    spec: ImmersionSpec, frame: FrameData, h: float = 1e-3
-) -> SpinConnection2D:
-    """Zweibein and spin connection, reusing an existing frame."""
-    f, f_inv = _zweibein(frame.g)
-    chris = _christoffel(frame)
-
-    # d_alpha (f^{-1}) by central differences of the zweibein field
-    dfinv = np.zeros((2, 2, 2))
-    for alpha in range(2):
-        step = np.zeros(2)
-        step[alpha] = 1.0
-        estimates = []
-        for hh in (h, 0.5 * h):
-            fp = _zweibein(frame_at(spec, frame.s + hh * step).g)[1]
-            fm = _zweibein(frame_at(spec, frame.s - hh * step).g)[1]
-            estimates.append((fp - fm) / (2.0 * hh))
-        dfinv[alpha] = (4.0 * estimates[1] - estimates[0]) / 3.0
-
-    def tetrad(a, b):
-        out = np.zeros(2)
-        for alpha in range(2):
-            cov = dfinv[alpha][:, b] + chris[:, alpha, :] @ f_inv[:, b]
-            out[alpha] = f[a, :] @ cov
-        return out
-
-    omega = 0.5 * (tetrad(0, 1) - tetrad(1, 0))
-    return SpinConnection2D(f=f, f_inv=f_inv, omega=omega)
-
-
-def spin_connection_at(spec: ImmersionSpec, s, h: float = 1e-3) -> SpinConnection2D:
+def spin_connection_at(spec: ImmersionSpec, s) -> SpinConnection2D:
     """Zweibein and Levi-Civita spin connection of the induced metric."""
-    return spin_connection_from_frame(spec, frame_at(spec, s), h=h)
+    return spin_connection_from_frame(frame_at(spec, s))
 
 
 # ---------------------------------------------------------------------------
@@ -209,45 +176,40 @@ def _coordinate_gammas(f_inv) -> np.ndarray:
     return A
 
 
-def _symbol_from_frame(
-    spec: ImmersionSpec,
-    conn: ConnectionData,
-    sc: SpinConnection2D,
-    gauged: bool,
+def _symbol(
+    conn: ConnectionData, sc: SpinConnection2D, gauge: GaugeData | None = None
 ) -> OperatorSymbol:
+    """The plain symbol, or the gauged one when ``gauge`` is given."""
     A = _coordinate_gammas(sc.f_inv)
-    degenerate = False
-    if gauged:
-        gd = gauge_at(conn)
-        degenerate = gd.degenerate
-        connection = 0.5 * sc.omega[:, None, None] * TANGENT_SPIN_GENERATOR \
-            + 0.5 * gd.hat_torsion[:, None, None] * SIGMA34
-        mass = 0.5 * gd.hat_trace3 * GAMMA[2]
-    else:
+    if gauge is None:
         torsion = conn.torsion
-        connection = 0.5 * sc.omega[:, None, None] * TANGENT_SPIN_GENERATOR \
-            + 0.5 * torsion[:, None, None] * SIGMA34
         mass = 0.5 * conn.trace3 * GAMMA[2] + 0.5 * conn.trace4 * GAMMA[3]
+    else:
+        torsion = gauge.hat_torsion
+        mass = 0.5 * gauge.hat_trace3 * GAMMA[2]
+    connection = 0.5 * sc.omega[:, None, None] * TANGENT_SPIN_GENERATOR \
+        + 0.5 * torsion[:, None, None] * SIGMA34
     B = np.einsum("aij,ajk->ik", A, connection) + mass
     return OperatorSymbol(
-        A=A, B=B, mass=mass, gauged=gauged, degenerate_gauge=degenerate
+        A=A,
+        B=B,
+        mass=mass,
+        gauged=gauge is not None,
+        degenerate_gauge=gauge is not None and gauge.degenerate,
     )
 
 
-def dirac_symbol(spec: ImmersionSpec, s, h: float = 1e-3) -> OperatorSymbol:
+def dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
     """Pointwise surface Dirac symbol in the working normal frame."""
     frame = frame_at(spec, s)
-    conn = connection_from_frame(spec, frame, h=h)
-    sc = spin_connection_from_frame(spec, frame, h=h)
-    return _symbol_from_frame(spec, conn, sc, gauged=False)
+    return _symbol(connection_from_frame(frame), spin_connection_from_frame(frame))
 
 
-def gauged_dirac_symbol(spec: ImmersionSpec, s, h: float = 1e-3) -> OperatorSymbol:
+def gauged_dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
     """Pointwise symbol in the gauge-fixed frame (torsion as gauge field)."""
     frame = frame_at(spec, s)
-    conn = connection_from_frame(spec, frame, h=h)
-    sc = spin_connection_from_frame(spec, frame, h=h)
-    return _symbol_from_frame(spec, conn, sc, gauged=True)
+    conn = connection_from_frame(frame)
+    return _symbol(conn, spin_connection_from_frame(frame), gauge_at(spec, conn))
 
 
 def apply_pointwise(symbol: OperatorSymbol, psi_field, s, h: float) -> np.ndarray:
@@ -303,7 +265,6 @@ def assemble_grid_operator(
     n1: int,
     n2: int,
     gauged: bool = False,
-    h: float = 1e-3,
     cap: int = DEFAULT_EIG_CAP,
 ) -> DiscreteOperator:
     """Assemble the dense periodic central-difference operator.
@@ -340,15 +301,13 @@ def assemble_grid_operator(
         return j * n2 + k
 
     for (j, k), fr in frames.items():
-        conn = connection_from_frame(spec, fr, h=h)
-        sc = spin_connection_from_frame(spec, fr, h=h)
-        sym = _symbol_from_frame(spec, conn, sc, gauged=False)
+        sym = _symbol(connection_from_frame(fr), spin_connection_from_frame(fr))
         p = site(j, k)
         A_site[p] = sym.A
         B_site[p] = sym.B
         mass_site[p] = sym.mass
         if gauged:
-            V_site[p] = gauge_rotation(gauge_at(conn).theta / 2.0).matrix
+            V_site[p] = gauge_rotation(gauge_angle(fr)[0] / 2.0).matrix
         weight[4 * p : 4 * p + 4] = np.sqrt(fr.det_g)
 
     M = np.zeros((dim, dim), dtype=complex)

@@ -523,11 +523,6 @@ class ImmersionSpec:
     periodic: tuple  # (bool, bool)
     frame_rotation: ExprAst | None = None  # None means the constant 0
 
-    def rotation_angle(self, s) -> float:
-        if self.frame_rotation is None:
-            return 0.0
-        return eval_jet2(self.frame_rotation, s).value
-
 
 _REQUIRED_KEYS = ("name", "params", "x1", "x2", "x3", "x4", "domain", "periodic")
 

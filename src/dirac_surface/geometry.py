@@ -7,20 +7,29 @@ From an immersion x(s1, s2) in E^4 this module computes, pointwise:
   corrected to det +1),
 * the induced metric and the mixed second-fundamental-form coefficients
   Gamma^beta_{a. alpha} = -g^{beta gamma} (n_a . d2x/ds^alpha ds^gamma),
-  exact from the 2-jets of the coordinate maps,
-* the normal connection (torsion) by sign-aligned central differences of
-  the normal frame field with Richardson extrapolation,
+* the normal connection (torsion) n3 . d_alpha n4, in closed form: the
+  first normal is the normalised projection P_N E_p of an ambient pivot
+  vector, whose derivative follows from the second partials, and a
+  declared frame rotation adds the gradient of its angle,
 * the gauge angle that rotates the normal pair so the second
-  mean-curvature trace vanishes, and
+  mean-curvature trace vanishes, and the torsion of that gauge-fixed
+  frame, and
 * the first-order tube metric and volume density of the normal
   exponential chart, together with an independent finite-difference
   density for cross-checking.
 
+Everything but two quantities is exact from the 2-jets of the coordinate
+maps.  The gauge-fixed torsion needs third derivatives; it is central-
+differenced (with Richardson extrapolation) over the gauge-fixed normals,
+which are canonical wherever the mean curvature is non-zero.  The tube
+density cross-check differences the offset map by definition.  Both use
+the step ``_FD_STEP``.
+
 The pivoted normal construction is canonical only up to discrete jumps
 (joint sign flips, occasional pivot trades) along curves where an
-ambient pivot vector grazes the tangent plane.  All stencil-based
-quantities therefore align stencil frames to the center frame before
-differencing; ``align_frame`` implements that resolution.
+ambient pivot vector grazes the tangent plane.  ``align_frame`` resolves
+that ambiguity against a reference frame; none of the four candidates
+changes the torsion.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ __all__ = [
 
 _GS_TOL = 1e-10
 
+# step of the two finite differences kept here: the gauge-angle gradient
+# and the tube density cross-check
+_FD_STEP = 1e-3
+
 
 class GeometryError(RuntimeError):
     """Base class for geometric failures."""
@@ -63,7 +76,11 @@ class DegenerateImmersionError(GeometryError):
 
 
 class FrameBranchError(GeometryError):
-    """Normal frames at stencil points cannot be aligned with the center."""
+    """Normal frames near a point cannot be aligned with the frame there."""
+
+
+def _point(s) -> str:
+    return "(" + ", ".join(repr(float(c)) for c in s) + ")"
 
 
 @dataclass(frozen=True)
@@ -79,6 +96,7 @@ class FrameData:
     g: np.ndarray        # induced metric (2, 2)
     g_inv: np.ndarray    # inverse metric (2, 2)
     det_g: float
+    torsion: np.ndarray  # n3 . d_alpha n4, alpha = 1, 2
 
     def rotation(self) -> np.ndarray:
         """Frame matrix with columns (ehat1, ehat2, n3, n4); det = +1."""
@@ -99,8 +117,6 @@ class ConnectionData:
     trace3: float
     trace4: float
     frame: FrameData
-    h: float
-    stencil_traces: np.ndarray  # (2 alpha, 2 level, 2 side, 2 comp)
 
     @property
     def torsion(self) -> np.ndarray:
@@ -122,7 +138,6 @@ class GaugeData:
     hat_trace3: float
     hat_trace4: float
     hat_torsion: np.ndarray   # (2,)
-    dtheta: np.ndarray        # (2,) gradient of the gauge angle field
     degenerate: bool
 
 
@@ -132,9 +147,8 @@ class TubeSample:
 
     q: np.ndarray
     g_tube: np.ndarray
-    rho: float            # the finite-difference (exact-map) density
     rho_leading: float    # (1 + trace_a q^a)^2
-    rho_exact: float      # same as rho
+    rho_exact: float      # the finite-difference (exact-map) density
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +166,14 @@ def _project_out(v, basis):
     return r
 
 
+def _rotate(n, theta):
+    """Turn the normal pair by theta: (c n3 - s n4, s n3 + c n4)."""
+    c, si = math.cos(theta), math.sin(theta)
+    return np.vstack([c * n[0] - si * n[1], si * n[0] + c * n[1]])
+
+
 def frame_at(spec: ImmersionSpec, s) -> FrameData:
-    """Compute position, jets, orthonormal frame and induced metric at s."""
+    """Compute position, jets, orthonormal frame, metric and torsion at s."""
     s = np.asarray(s, dtype=float)
     jets = [eval_jet2(expr, s) for expr in spec.coord_exprs]
     x = np.array([j.value for j in jets])
@@ -169,15 +189,13 @@ def frame_at(spec: ImmersionSpec, s) -> FrameData:
     scale = max(np.linalg.norm(e[0]), np.linalg.norm(e[1]), 1e-30)
     n1 = np.linalg.norm(e[0])
     if n1 <= _GS_TOL * scale:
-        raise DegenerateImmersionError(
-            f"tangent d1 x vanishes at s = {tuple(s)}"
-        )
+        raise DegenerateImmersionError(f"tangent d1 x vanishes at s = {_point(s)}")
     ehat1 = e[0] / n1
     r = _project_out(e[1], [ehat1])
     n2 = np.linalg.norm(r)
     if n2 <= _GS_TOL * scale:
         raise DegenerateImmersionError(
-            f"tangents are linearly dependent at s = {tuple(s)} "
+            f"tangents are linearly dependent at s = {_point(s)} "
             f"(Gram residual {n2:.3e})"
         )
     ehat2 = r / n2
@@ -189,6 +207,8 @@ def frame_at(spec: ImmersionSpec, s) -> FrameData:
         cand = _project_out(np.eye(4)[i], built)
         nn = np.linalg.norm(cand)
         if nn > _GS_TOL:
+            if not normals:
+                pivot, pivot_norm = i, nn
             cand = cand / nn
             normals.append(cand)
             built.append(cand)
@@ -199,16 +219,26 @@ def frame_at(spec: ImmersionSpec, s) -> FrameData:
     if np.linalg.det(R) < 0.0:
         n = np.vstack([n[0], -n[1]])
 
-    theta = spec.rotation_angle(s)
-    if theta != 0.0:
-        c, si = math.cos(theta), math.sin(theta)
-        n = np.vstack([c * n[0] - si * n[1], si * n[0] + c * n[1]])
-
     g = e @ e.T
     det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det_g
+
+    # n3 = P_N E_p / |P_N E_p| and n4 is normal, so
+    # n3 . d_alpha n4 = -n4 . d_alpha(P_N E_p) / |P_N E_p|
+    #                 = K4_{alpha beta} g^{beta gamma} (d_gamma x . E_p) / |P_N E_p|
+    # with K4_{alpha beta} = n4 . d_alpha d_beta x
+    k4 = d2x @ n[1]
+    torsion = k4 @ g_inv @ e[:, pivot] / pivot_norm
+
+    if spec.frame_rotation is not None:
+        angle = eval_jet2(spec.frame_rotation, s)
+        if angle.value != 0.0:
+            n = _rotate(n, angle.value)
+        torsion = torsion + np.asarray(angle.grad)
+
     return FrameData(
-        s=s, x=x, e=e, d2x=d2x, ehat=ehat, n=n, g=g, g_inv=g_inv, det_g=det_g
+        s=s, x=x, e=e, d2x=d2x, ehat=ehat, n=n, g=g, g_inv=g_inv, det_g=det_g,
+        torsion=torsion,
     )
 
 
@@ -225,10 +255,11 @@ def align_frame(frame: FrameData, ref: FrameData, limit: float = 0.5) -> FrameDa
 
     The pivoted construction is unique up to joint sign flips and
     quarter-turn pivot trades of the normal pair (the four candidates all
-    preserve orientation).  The candidate nearest to ``ref`` is selected;
-    if every candidate still differs from the reference by more than
-    ``limit`` in some component, the frame field has a genuine branch
-    jump between the two points and ``FrameBranchError`` is raised.
+    preserve orientation and the torsion).  The candidate nearest to
+    ``ref`` is selected; if every candidate still differs from the
+    reference by more than ``limit`` in some component, the frame field
+    has a genuine branch jump between the two points and
+    ``FrameBranchError`` is raised, naming the reference point.
     """
     best = None
     best_dev = np.inf
@@ -240,8 +271,8 @@ def align_frame(frame: FrameData, ref: FrameData, limit: float = 0.5) -> FrameDa
             best = (n3, n4)
     if best_dev > limit:
         raise FrameBranchError(
-            f"normal frame at s = {tuple(frame.s)} differs from the "
-            f"reference by {best_dev:.3f} after sign alignment"
+            f"normal frame next to s = {_point(ref.s)} differs from the frame "
+            f"there by {best_dev:.3f} after sign alignment"
         )
     if best[0] is frame.n[0]:
         return frame
@@ -264,46 +295,44 @@ def _traces(frame: FrameData) -> tuple:
     return float(np.trace(gt[0])), float(np.trace(gt[1]))
 
 
-def connection_from_frame(
-    spec: ImmersionSpec, frame: FrameData, h: float = 1e-3
-) -> ConnectionData:
-    """Connection data with stencil frames aligned to a given center frame."""
-    s = frame.s
+def connection_from_frame(frame: FrameData) -> ConnectionData:
+    """Connection data of a frame: exact mixed coefficients and torsion."""
     gamma_tan = _mixed_coefficients(frame)
-    trace3 = float(np.trace(gamma_tan[0]))
-    trace4 = float(np.trace(gamma_tan[1]))
-
     gamma_nor = np.zeros((2, 2, 2))
-    stencil_traces = np.zeros((2, 2, 2, 2))
+    gamma_nor[:, 0, 1] = frame.torsion
+    gamma_nor[:, 1, 0] = -frame.torsion
+    return ConnectionData(
+        gamma_tan=gamma_tan,
+        gamma_nor=gamma_nor,
+        trace3=float(np.trace(gamma_tan[0])),
+        trace4=float(np.trace(gamma_tan[1])),
+        frame=frame,
+    )
+
+
+def connection_at(spec: ImmersionSpec, s) -> ConnectionData:
+    """Second-fundamental-form and torsion coefficients at a point."""
+    return connection_from_frame(frame_at(spec, s))
+
+
+# ---------------------------------------------------------------------------
+# Finite differences
+# ---------------------------------------------------------------------------
+
+
+def _gradient(field, s) -> np.ndarray:
+    """d_alpha field(s), alpha = 1, 2, by central differences at _FD_STEP
+    and _FD_STEP/2 with Richardson extrapolation."""
+    grad = []
     for alpha in range(2):
         step = np.zeros(2)
         step[alpha] = 1.0
         estimates = []
-        for level, hh in enumerate((h, 0.5 * h)):
-            frames = []
-            for side, sign in enumerate((-1.0, 1.0)):
-                fr = align_frame(frame_at(spec, s + sign * hh * step), frame)
-                frames.append(fr)
-                t3, t4 = _traces(fr)
-                stencil_traces[alpha, level, side] = (t3, t4)
-            dn = (frames[1].n - frames[0].n) / (2.0 * hh)
-            estimates.append(np.einsum("ai,bi->ab", frame.n, dn))
-        gamma_nor[alpha] = (4.0 * estimates[1] - estimates[0]) / 3.0
-
-    return ConnectionData(
-        gamma_tan=gamma_tan,
-        gamma_nor=gamma_nor,
-        trace3=trace3,
-        trace4=trace4,
-        frame=frame,
-        h=h,
-        stencil_traces=stencil_traces,
-    )
-
-
-def connection_at(spec: ImmersionSpec, s, h: float = 1e-3) -> ConnectionData:
-    """Second-fundamental-form and torsion coefficients at a point."""
-    return connection_from_frame(spec, frame_at(spec, s), h=h)
+        for hh in (_FD_STEP, 0.5 * _FD_STEP):
+            diff = field(s + hh * step) - field(s - hh * step)
+            estimates.append(diff / (2.0 * hh))
+        grad.append((4.0 * estimates[1] - estimates[0]) / 3.0)
+    return np.array(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -318,60 +347,62 @@ def _wrap_angle(a: float) -> float:
 _GAUGE_TOL = 1e-12
 
 
-def gauge_angle(frame: FrameData) -> tuple:
-    """Gauge angle of a frame from its exact mean-curvature traces.
-
-    Returns ``(theta, degenerate)``; cheaper than ``gauge_at`` when the
-    hatted torsion is not needed, e.g. for stencil evaluation of the
-    gauge-angle field.
-    """
-    t3, t4 = _traces(frame)
+def _angle_from_traces(t3: float, t4: float) -> tuple:
     if math.hypot(t3, t4) < _GAUGE_TOL:
         return 0.0, True
     return math.atan2(-t4, t3), False
 
 
-def gauge_at(conn: ConnectionData) -> GaugeData:
+def gauge_angle(frame: FrameData) -> tuple:
+    """Gauge angle of a frame from its exact mean-curvature traces.
+
+    Returns ``(theta, degenerate)``; cheaper than ``gauge_at`` when the
+    hatted torsion is not needed, e.g. for the gauge rotations of grid
+    assembly.
+    """
+    return _angle_from_traces(*_traces(frame))
+
+
+def _gauge_fixed_normals(spec: ImmersionSpec, s) -> np.ndarray:
+    """Normals turned by the gauge angle, NaN where the angle is undefined.
+
+    They do not depend on the working normal frame (sign flips, pivot
+    trades and declared rotations all shift the angle to compensate), so
+    neighbouring points need no alignment.
+    """
+    frame = frame_at(spec, s)
+    theta, degenerate = gauge_angle(frame)
+    if degenerate:
+        return np.full((2, 4), np.nan)
+    return _rotate(frame.n, theta)
+
+
+def gauge_at(spec: ImmersionSpec, conn: ConnectionData) -> GaugeData:
     """Solve trace3 sin(theta) + trace4 cos(theta) = 0 and build hatted data.
 
     theta = atan2(-trace4, trace3), so trace3 = hat_trace3 cos(theta) and
-    trace4 = -hat_trace3 sin(theta) with hat_trace3 >= 0.  The gradient of
-    the gauge-angle field is measured on the same stencil used for the
-    torsion (branch-unwrapped, Richardson extrapolated); at a minimal
-    point (both traces zero) the constraint is vacuous and the data is
-    flagged degenerate with theta = 0.
+    trace4 = -hat_trace3 sin(theta) with hat_trace3 >= 0.  The hatted
+    torsion n3_hat . d_alpha n4_hat of the gauge-fixed normals is
+    differenced around the point.  Where the constraint is vacuous (both
+    traces zero at the point or at a stencil point) the data is flagged
+    degenerate, theta falls back to 0 at a degenerate point, and the
+    hatted torsion to the working-frame torsion.
     """
     t3, t4 = conn.trace3, conn.trace4
-    hat3 = math.hypot(t3, t4)
-    degenerate = hat3 < _GAUGE_TOL
-    theta = 0.0 if degenerate else math.atan2(-t4, t3)
-
-    dtheta = np.zeros(2)
+    theta, degenerate = _angle_from_traces(t3, t4)
+    hat_torsion = conn.torsion
     if not degenerate:
-        for alpha in range(2):
-            estimates = []
-            for level, hh in enumerate((conn.h, 0.5 * conn.h)):
-                angles = []
-                for side in range(2):
-                    st3, st4 = conn.stencil_traces[alpha, level, side]
-                    if math.hypot(st3, st4) < _GAUGE_TOL:
-                        degenerate = True
-                        angles.append(theta)
-                    else:
-                        raw = math.atan2(-st4, st3)
-                        angles.append(theta + _wrap_angle(raw - theta))
-                estimates.append((angles[1] - angles[0]) / (2.0 * hh))
-            dtheta[alpha] = (4.0 * estimates[1] - estimates[0]) / 3.0
-        if degenerate:
-            dtheta[:] = 0.0
-
-    hat_torsion = conn.torsion + dtheta
+        dn = _gradient(lambda sp: _gauge_fixed_normals(spec, sp), conn.frame.s)
+        if np.all(np.isfinite(dn)):
+            hat_n3 = _rotate(conn.frame.n, theta)[0]
+            hat_torsion = dn[:, 1, :] @ hat_n3
+        else:
+            degenerate = True
     return GaugeData(
         theta=theta,
-        hat_trace3=hat3,
+        hat_trace3=math.hypot(t3, t4),
         hat_trace4=0.0,
         hat_torsion=hat_torsion,
-        dtheta=dtheta,
         degenerate=degenerate,
     )
 
@@ -381,7 +412,7 @@ def gauge_at(conn: ConnectionData) -> GaugeData:
 # ---------------------------------------------------------------------------
 
 
-def tube_metric_at(spec: ImmersionSpec, s, q, h: float = 1e-3) -> TubeSample:
+def tube_metric_at(spec: ImmersionSpec, s, q) -> TubeSample:
     """First-order tube metric at normal offset q, with a density cross-check.
 
     ``g_tube`` follows the expansion of the pulled-back metric in the
@@ -392,7 +423,7 @@ def tube_metric_at(spec: ImmersionSpec, s, q, h: float = 1e-3) -> TubeSample:
     differenced with Richardson extrapolation and frame alignment.
     """
     q = np.asarray(q, dtype=float)
-    conn = connection_at(spec, s, h=h)
+    conn = connection_at(spec, s)
     frame = conn.frame
     g = frame.g
 
@@ -406,26 +437,12 @@ def tube_metric_at(spec: ImmersionSpec, s, q, h: float = 1e-3) -> TubeSample:
     if not np.any(q):
         rho_exact = 1.0
     else:
-        estimates = []
-        for hh in (h, 0.5 * h):
-            tangents = np.zeros((2, 4))
-            for alpha in range(2):
-                step = np.zeros(2)
-                step[alpha] = hh
-                f_plus = align_frame(frame_at(spec, frame.s + step), frame)
-                f_minus = align_frame(frame_at(spec, frame.s - step), frame)
-                p_plus = f_plus.x + q @ f_plus.n
-                p_minus = f_minus.x + q @ f_minus.n
-                tangents[alpha] = (p_plus - p_minus) / (2.0 * hh)
-            estimates.append(tangents)
-        tangents = (4.0 * estimates[1] - estimates[0]) / 3.0
-        g_num = tangents @ tangents.T
-        rho_exact = float(np.linalg.det(g_num) / frame.det_g)
 
-    return TubeSample(
-        q=q,
-        g_tube=g_tube,
-        rho=rho_exact,
-        rho_leading=rho_leading,
-        rho_exact=rho_exact,
-    )
+        def offset(sp):
+            fr = align_frame(frame_at(spec, sp), frame)
+            return fr.x + q @ fr.n
+
+        tangents = _gradient(offset, frame.s)
+        rho_exact = float(np.linalg.det(tangents @ tangents.T) / frame.det_g)
+
+    return TubeSample(q=q, g_tube=g_tube, rho_leading=rho_leading, rho_exact=rho_exact)

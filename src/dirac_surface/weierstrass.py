@@ -22,7 +22,7 @@ unchanged by gauging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,13 +34,16 @@ from .dirac import (
     gauged_dirac_symbol,
     spin_connection_from_frame,
     _coordinate_gammas,
+    _symbol,
 )
 from .expr import ImmersionSpec
 from .geometry import (
     FrameData,
     align_frame,
+    connection_from_frame,
     frame_at,
     gauge_angle,
+    gauge_at,
     _wrap_angle,
 )
 
@@ -66,9 +69,7 @@ class KernelBasis:
     """Frame-derived spinor basis at a point.
 
     ``psi_square`` and ``psi_round`` hold the four spinors as columns;
-    cospinors are their Hermitian conjugates.  ``weights`` are optional
-    linear-combination coefficients for forming kernel elements
-    sum_a b_a psi^[a].
+    cospinors are their Hermitian conjugates.
     """
 
     s: np.ndarray
@@ -77,21 +78,18 @@ class KernelBasis:
     psi_square: np.ndarray  # (4, 4), column a is U Psi^[a]
     psi_round: np.ndarray   # (4, 4), column i is U Psi^(i)
     theta: float | None = None
-    flagged: bool = False
-    weights: np.ndarray | None = None
 
     def cospinor_square(self) -> np.ndarray:
         return self.psi_square.conj()
 
-    def combination(self) -> np.ndarray:
-        if self.weights is None:
-            raise ValueError("no combination weights set")
-        return self.psi_square @ np.asarray(self.weights, dtype=complex)
-
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    """Tangent reconstruction and Dirac-residual diagnostics at a point."""
+    """Tangent reconstruction and Dirac-residual diagnostics at a point.
+
+    With the residual, the report also carries the torsion of the working
+    normal frame and of the gauge-fixed one.
+    """
 
     s: np.ndarray
     W: np.ndarray | None = None              # (2, 4) reconstructed tangents
@@ -102,6 +100,8 @@ class ReconstructionReport:
     residual_dirac: tuple | None = None      # per-step residuals
     steps: tuple | None = None
     convergence_ratio: float | None = None   # worst consecutive ratio
+    torsion: np.ndarray | None = None        # (2,) Gamma^3_{alpha 4}
+    hat_torsion: np.ndarray | None = None    # (2,) gauge-fixed torsion
     gauged: bool = False
 
 
@@ -112,21 +112,13 @@ def safe_ratio(coarse: float, fine: float, floor: float = RESIDUAL_FLOOR) -> flo
     return coarse / fine
 
 
-def kernel_basis_at(
-    spec: ImmersionSpec,
-    s,
-    gauged: bool = False,
-    h: float = 1e-3,
-    weights=None,
-) -> KernelBasis:
+def kernel_basis_at(spec: ImmersionSpec, s, gauged: bool = False) -> KernelBasis:
     """Spin-lift the adapted frame (gauge-fixed if ``gauged``) at s."""
-    frame = frame_at(spec, s)
-    return _basis_from_frame(spec, frame, gauged, h, weights)
+    return _basis_from_frame(frame_at(spec, s), gauged)
 
 
-def _basis_from_frame(spec, frame, gauged, h, weights=None) -> KernelBasis:
-    lift = spin_lift(frame.rotation())
-    U = lift.matrix
+def _basis_from_frame(frame: FrameData, gauged: bool) -> KernelBasis:
+    U = spin_lift(frame.rotation()).matrix
     theta = None
     if gauged:
         theta, _ = gauge_angle(frame)
@@ -138,12 +130,10 @@ def _basis_from_frame(spec, frame, gauged, h, weights=None) -> KernelBasis:
         psi_square=U.copy(),
         psi_round=U @ _ROUND,
         theta=theta,
-        flagged=lift.flagged,
-        weights=None if weights is None else np.asarray(weights, dtype=complex),
     )
 
 
-def _basis_field(spec: ImmersionSpec, center: KernelBasis, gauged: bool, h: float):
+def _basis_field(spec: ImmersionSpec, center: KernelBasis, gauged: bool):
     """Aligned spinor-basis field around a center point.
 
     Stencil frames are aligned to the center frame, the gauge angle is
@@ -168,12 +158,29 @@ def _basis_field(spec: ImmersionSpec, center: KernelBasis, gauged: bool, h: floa
     return field
 
 
+def _residual(spec, center: KernelBasis, symbol: OperatorSymbol, steps, gauged):
+    field = _basis_field(spec, center, gauged)
+    residuals = []
+    for step in steps:
+        out = apply_pointwise(symbol, field, center.s, step)
+        residuals.append(float(np.max(np.linalg.norm(out, axis=0))))
+    ratios = [
+        safe_ratio(residuals[i], residuals[i + 1]) for i in range(len(residuals) - 1)
+    ]
+    return ReconstructionReport(
+        s=center.s,
+        residual_dirac=tuple(residuals),
+        steps=tuple(steps),
+        convergence_ratio=min(ratios) if ratios else None,
+        gauged=gauged,
+    )
+
+
 def dirac_residual(
     spec: ImmersionSpec,
     s,
     steps=(1e-2, 5e-3, 2.5e-3),
     gauged: bool = False,
-    h: float = 1e-3,
     symbol: OperatorSymbol | None = None,
 ) -> ReconstructionReport:
     """Residual of the assembled symbol on the frame-derived basis.
@@ -185,42 +192,26 @@ def dirac_residual(
     """
     s = np.asarray(s, dtype=float)
     if symbol is None:
-        symbol = (gauged_dirac_symbol if gauged else dirac_symbol)(spec, s, h=h)
-    center = kernel_basis_at(spec, s, gauged=gauged, h=h)
-    field = _basis_field(spec, center, gauged, h)
-
-    residuals = []
-    for step in steps:
-        out = apply_pointwise(symbol, field, s, step)
-        residuals.append(float(np.max(np.linalg.norm(out, axis=0))))
-    ratios = [
-        safe_ratio(residuals[i], residuals[i + 1]) for i in range(len(residuals) - 1)
-    ]
-    return ReconstructionReport(
-        s=s,
-        residual_dirac=tuple(residuals),
-        steps=tuple(steps),
-        convergence_ratio=min(ratios) if ratios else None,
-        gauged=gauged,
-    )
+        symbol = (gauged_dirac_symbol if gauged else dirac_symbol)(spec, s)
+    return _residual(spec, kernel_basis_at(spec, s, gauged), symbol, steps, gauged)
 
 
 def reconstruct(
     spec: ImmersionSpec,
     s,
     gauged: bool = False,
-    h: float = 1e-3,
     steps=None,
 ) -> ReconstructionReport:
     """Recover the tangents from spinor bilinears and compare with jets.
 
-    With ``steps`` given, the Dirac residual diagnostics are filled in as
-    well; otherwise only the bilinear part of the report is populated.
+    With ``steps`` given, the Dirac residual diagnostics and both torsions
+    are filled in as well, from the same frame and basis; otherwise only
+    the bilinear part of the report is populated.
     """
     s = np.asarray(s, dtype=float)
     frame = frame_at(spec, s)
-    basis = _basis_from_frame(spec, frame, gauged, h)
-    sc = spin_connection_from_frame(spec, frame, h=h)
+    basis = _basis_from_frame(frame, gauged)
+    sc = spin_connection_from_frame(frame)
     A = _coordinate_gammas(sc.f_inv)
 
     bil = np.zeros((2, 4), dtype=complex)  # [beta, i]
@@ -246,17 +237,16 @@ def reconstruct(
         gauged=gauged,
     )
     if steps is not None:
-        res = dirac_residual(spec, s, steps=steps, gauged=gauged, h=h)
-        report = ReconstructionReport(
-            s=s,
-            W=report.W,
-            T=report.T,
-            residual_bilinear=report.residual_bilinear,
-            max_imag=report.max_imag,
-            orthonormality=report.orthonormality,
+        conn = connection_from_frame(frame)
+        gauge = gauge_at(spec, conn)
+        symbol = _symbol(conn, sc, gauge if gauged else None)
+        res = _residual(spec, basis, symbol, steps, gauged)
+        report = replace(
+            report,
             residual_dirac=res.residual_dirac,
             steps=res.steps,
             convergence_ratio=res.convergence_ratio,
-            gauged=gauged,
+            torsion=conn.torsion,
+            hat_torsion=gauge.hat_torsion,
         )
     return report

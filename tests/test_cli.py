@@ -153,3 +153,35 @@ def test_float_formatting_17_digits(tmp_path):
     # 17 significant digits keeps shortest round-trip values intact
     rec = json.loads(text)["records"][0]
     assert rec["x"][0] == pytest.approx(math.cos(0.5) / math.sqrt(2), abs=1e-15)
+
+
+def test_at_accepts_exponent_notation(tmp_path):
+    code, text = run(tmp_path, "frame", PLANE, "--at", "-1e-05", "0.3")
+    assert code == 0
+    assert json.loads(text)["records"][0]["s"] == [-1e-05, 0.3]
+
+
+@pytest.mark.parametrize(
+    "u,v",
+    [("-0.026161526351038633", "-0.03572538676274539"), ("-0.00013", "0.00061")],
+)
+def test_frame_graph_near_origin(tmp_path, u, v):
+    # the closed-form torsion is antisymmetric by construction, and the
+    # frame query aligns no frames, however fast the pivoted frame turns
+    code, text = run(tmp_path, "frame", GRAPH, "--at", u, v)
+    assert code == 0
+    rec = json.loads(text)["records"][0]
+    assert rec["torsion_antisymmetry_defect"] == 0
+
+
+def test_branch_error_names_queried_point(capsys):
+    assert main(["tube", GRAPH, "--at", "-0.00013", "0.00061"]) == 1
+    err = capsys.readouterr().err
+    assert "s = (-0.00013, 0.00061)" in err
+    assert "np.float64" not in err
+
+
+def test_no_step_option():
+    with pytest.raises(SystemExit) as info:
+        main(["frame", PLANE, "--at", "0", "0", "--step", "1e-3"])
+    assert info.value.code == 2

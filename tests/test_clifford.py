@@ -156,15 +156,84 @@ def test_spin_lift_rejects_non_orthogonal():
         spin_lift(np.diag([-1.0, 1.0, 1.0, 1.0]))  # det -1
 
 
-def test_spin_lift_flags_pi_rotation():
-    lifted = spin_lift(np.diag([-1.0, -1.0, 1.0, 1.0]))
-    assert lifted.flagged
-    # conjugation still accurate to the branch perturbation scale
-    R = np.diag([-1.0, -1.0, 1.0, 1.0])
+def _conjugation_defect(U, R):
+    worst = 0.0
     for i in range(4):
-        lhs = lifted.matrix @ gamma(i + 1) @ lifted.matrix.conj().T
+        lhs = U @ gamma(i + 1) @ U.conj().T
         rhs = sum(R[i, mu] * gamma(mu + 1) for mu in range(4))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-8
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _generator_lift(A):
+    """exp(-(1/4) sum_ij A_ij gamma^i gamma^j), a lift of expm(A)."""
+    omega = 0.25 * sum(
+        A[i, j] * GAMMA[i] @ GAMMA[j] for i in range(4) for j in range(4)
+    )
+    return scipy.linalg.expm(-omega)
+
+
+def _half_turns(*planes):
+    A = np.zeros((4, 4))
+    for i, j in planes:
+        A[i, j], A[j, i] = np.pi, -np.pi
+    return A
+
+
+def test_spin_lift_pi_rotation():
+    # a half turn has no preferred logarithm; the closed form needs none
+    R = np.diag([-1.0, -1.0, 1.0, 1.0])
+    lifted = spin_lift(R)
+    assert not lifted.flagged
+    assert _conjugation_defect(lifted.matrix, R) <= 1e-12
+
+
+def test_spin_lift_matches_generator_exponential():
+    for R in _random_rotations(100, rng_seed() + 4):
+        ref = _generator_lift(np.real(scipy.linalg.logm(R)))
+        U = spin_lift(R).matrix
+        assert np.max(np.abs(match_sign(U, ref) - ref)) <= 1e-12
+        assert _conjugation_defect(U, R) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "planes", [((0, 1),), ((1, 2),), ((0, 1), (2, 3)), ((0, 3), (1, 2))]
+)
+def test_spin_lift_half_turns(planes):
+    A = _half_turns(*planes)
+    R = np.round(scipy.linalg.expm(A))  # diagonal +-1 or a signed permutation
+    ref = _generator_lift(A)
+    U = spin_lift(R).matrix
+    assert np.max(np.abs(match_sign(U, ref) - ref)) <= 1e-12
+    assert _conjugation_defect(U, R) <= 1e-12
+
+
+_I2 = np.eye(2, dtype=complex)
+_TAU3 = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "P,Q",
+    [
+        (1j * TAU1, _I2),
+        (_I2, 1j * _TAU3),
+        (1j * TAU1, 1j * TAU2),
+        ((1j * TAU1 + 1j * TAU2) / np.sqrt(2.0), 1j * _TAU3),
+        (-_I2, 1j * TAU2),
+    ],
+)
+def test_spin_lift_zero_trace_factors(P, Q):
+    """Rotations whose lift diag(P, Q) has a traceless factor."""
+    U = scipy.linalg.block_diag(P, Q)
+    R = np.array(
+        [
+            [np.trace(U @ gamma(i) @ U.conj().T @ gamma(mu)).real / 4.0 for mu in range(1, 5)]
+            for i in range(1, 5)
+        ]
+    )
+    lifted = spin_lift(R).matrix
+    assert np.max(np.abs(match_sign(lifted, U) - U)) <= 1e-12
+    assert _conjugation_defect(lifted, R) <= 1e-12
 
 
 def test_gauge_rotation_values():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirac_surface.corpus import load_corpus
 from dirac_surface.expr import parse_immersion_file
 from dirac_surface.geometry import (
     DegenerateImmersionError,
@@ -138,12 +139,12 @@ def test_sphere_trace_invariant(sphere):
     assert np.max(np.abs(conn.torsion)) <= 1e-6
 
 
-def test_torsion_antisymmetry(graph, clifford_rotated):
-    for spec in (graph, clifford_rotated):
+def test_torsion_antisymmetry(graph, sphere, clifford_rotated):
+    for spec in (graph, sphere, clifford_rotated):
         for pt in interior_lattice(spec, 4, 4):
             conn = connection_at(spec, pt)
             anti = conn.gamma_nor + conn.gamma_nor.transpose(0, 2, 1)
-            assert np.max(np.abs(anti)) <= 1e-8
+            assert np.max(np.abs(anti)) == 0.0
 
 
 def test_gauss_relation_fd_consistency(clifford, sphere, graph):
@@ -174,7 +175,8 @@ def test_frame_rotation_covariance(clifford, clifford_rotated):
     for pt in interior_lattice(clifford, 3, 3):
         base = connection_at(clifford, pt)
         rot = connection_at(clifford_rotated, pt)
-        assert np.max(np.abs(rot.torsion - base.torsion - [1.0, 0.0])) <= 1e-6
+        assert np.max(np.abs(rot.torsion - [1.0, 0.0])) <= 1e-12
+        assert np.max(np.abs(base.torsion)) <= 1e-12
         assert math.hypot(rot.trace3, rot.trace4) == pytest.approx(
             math.hypot(base.trace3, base.trace4), abs=1e-8
         )
@@ -197,16 +199,18 @@ def test_frame_rotation_covariance_general_angle(clifford):
 # --- gauge angle ------------------------------------------------------------
 
 
+_PLANE = load_corpus("plane")
+
+
 class _FakeConn:
+    """Given traces at a point of the plane, whose gauge-fixed torsion
+    stencil is degenerate: only the angle and the hatted traces are read."""
+
     def __init__(self, t3, t4):
         self.trace3 = t3
         self.trace4 = t4
-        self.h = 1e-3
-        self.gamma_nor = np.zeros((2, 2, 2))
         self.torsion = np.zeros(2)
-        self.stencil_traces = np.broadcast_to(
-            np.array([t3, t4]), (2, 2, 2, 2)
-        ).copy()
+        self.frame = frame_at(_PLANE, (0.1, 0.2))
 
 
 @pytest.mark.parametrize(
@@ -218,7 +222,7 @@ class _FakeConn:
     ],
 )
 def test_gauge_angle_closed_forms(t3, t4, theta, hat3):
-    gd = gauge_at(_FakeConn(t3, t4))
+    gd = gauge_at(_PLANE, _FakeConn(t3, t4))
     assert gd.theta == pytest.approx(theta, abs=1e-15)
     assert gd.hat_trace3 == pytest.approx(hat3, abs=1e-15)
     assert gd.hat_trace4 == 0.0
@@ -227,7 +231,7 @@ def test_gauge_angle_closed_forms(t3, t4, theta, hat3):
 
 
 def test_gauge_degenerate_point():
-    gd = gauge_at(_FakeConn(0.0, 0.0))
+    gd = gauge_at(_PLANE, _FakeConn(0.0, 0.0))
     assert gd.degenerate
     assert gd.theta == 0.0
 
@@ -238,7 +242,7 @@ def test_hat_torsion_invariant_under_frame_rotation(clifford, clifford_rotated):
     on both presentations of this torus."""
     for pt in [(0.4, 0.9), (2.0, 4.0)]:
         for spec in (clifford, clifford_rotated):
-            gd = gauge_at(connection_at(spec, pt))
+            gd = gauge_at(spec, connection_at(spec, pt))
             assert np.max(np.abs(gd.hat_torsion)) <= 1e-6
 
 
@@ -286,3 +290,41 @@ def test_tube_density_quadratic_error(name, pt, direction, request):
         diffs.append(abs(ts.rho_exact - ts.rho_leading))
     slope = np.polyfit(np.log(eps), np.log(diffs), 1)[0]
     assert slope >= 1.9
+
+
+# --- closed forms against the finite-difference oracles ----------------------
+
+
+@pytest.mark.parametrize(
+    "name", ["plane", "graph", "sphere", "clifford", "clifford_rotated"]
+)
+def test_connections_match_fd_oracles(name, request, rng):
+    """Closed-form torsion, spin connection and gauge-fixed torsion agree
+    with the aligned Richardson stencils (away from the graph origin,
+    where the pivoted normal frame turns too fast for any stencil)."""
+    from dirac_surface.dirac import spin_connection_at
+    import fd_oracles
+
+    spec = request.getfixturevalue(name)
+    for pt in fd_oracles.random_points(spec, 8, rng, avoid=(0.0, 0.0), radius=0.3):
+        conn = connection_at(spec, pt)
+        assert np.max(np.abs(conn.gamma_nor - fd_oracles.normal_connection(spec, pt))) <= 1e-8
+        omega = spin_connection_at(spec, pt).omega
+        assert np.max(np.abs(omega - fd_oracles.spin_connection(spec, pt))) <= 1e-8
+        hat = gauge_at(spec, conn).hat_torsion
+        assert np.max(np.abs(hat - fd_oracles.hat_torsion(spec, pt))) <= 1e-8
+
+
+def test_torsion_survives_alignment(graph):
+    """The four alignment candidates leave n3 . d n4 unchanged, so a frame
+    re-signed or pivot-traded by ``align_frame`` keeps its torsion."""
+    from dataclasses import replace
+    import fd_oracles
+
+    pt = (0.3, 0.2)
+    fr = frame_at(graph, pt)
+    for n in (-fr.n, np.vstack([fr.n[1], -fr.n[0]]), np.vstack([-fr.n[1], fr.n[0]])):
+        traded = replace(fr, n=n)
+        fd = fd_oracles.normal_connection(graph, pt, center=traded)[:, 0, 1]
+        assert np.max(np.abs(fd - traded.torsion)) <= 1e-8
+

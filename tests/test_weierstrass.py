@@ -42,15 +42,6 @@ def test_gauged_basis_is_half_angle_rotation(clifford_rotated):
     assert np.max(np.abs(gauged.U - expected)) == 0.0
 
 
-def test_combination_weights(clifford):
-    w = np.array([0.5, -0.3j, 1.0, 0.2])
-    basis = kernel_basis_at(clifford, (0.4, 0.9), weights=w)
-    combo = basis.combination()
-    assert np.allclose(combo, basis.psi_square @ w, atol=1e-15)
-    with pytest.raises(ValueError):
-        kernel_basis_at(clifford, (0.4, 0.9)).combination()
-
-
 # --- Dirac residual ----------------------------------------------------------
 
 
@@ -87,7 +78,7 @@ def test_residual_linearity_of_combinations(clifford, rng):
     from dirac_surface.weierstrass import _basis_field
     from dirac_surface.dirac import apply_pointwise
 
-    field = _basis_field(clifford, center, False, 1e-3)
+    field = _basis_field(clifford, center, False)
     columns = apply_pointwise(symbol, field, s, h)
     basis_residual = float(np.sum(np.linalg.norm(columns, axis=0)))
     for _ in range(5):
