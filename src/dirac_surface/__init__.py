@@ -35,6 +35,7 @@ from .geometry import (
     frame_at,
     gauge_at,
     tube_metric_at,
+    tube_metrics_at,
 )
 from .clifford import (
     SpinMatrix,

@@ -43,7 +43,7 @@ from .geometry import (
     connection_from_frame,
     frame_at,
     gauge_at,
-    tube_metric_at,
+    tube_metrics_at,
 )
 from .weierstrass import reconstruct, safe_ratio
 
@@ -51,6 +51,9 @@ from .weierstrass import reconstruct, safe_ratio
 __all__ = ["main"]
 
 _DEFAULT_RESIDUAL_STEPS = (1e-2, 5e-3, 2.5e-3)
+
+# most points a --grid lattice may hold for frame and verify
+MAX_LATTICE_POINTS = 65536
 
 # tolerances for the pass/fail flags, mirrored by the acceptance tests
 TOL = {
@@ -63,6 +66,7 @@ TOL = {
     "spinor_orthonormality": 1e-12,
     "residual_ratio": 3.5,
     "fourier_match": 1e-10,
+    "conjugation_symmetry": 1e-10,
     "tube_slope": 1.9,
     "tube_exact": 1e-12,
     "tube_floor": 1e-9,
@@ -218,8 +222,13 @@ def _points_from_args(spec, args, default_grid):
                     f"point coordinate {val} outside domain [{lo}, {hi}]"
                 )
         return [(u, v)]
-    grid = args.grid if args.grid is not None else default_grid
-    return _interior_lattice(spec, *grid)
+    n1, n2 = args.grid if args.grid is not None else default_grid
+    if n1 * n2 > MAX_LATTICE_POINTS:
+        raise DimensionCapError(
+            f"lattice {n1}x{n2} has {n1 * n2} points, above the cap "
+            f"{MAX_LATTICE_POINTS}"
+        )
+    return _interior_lattice(spec, n1, n2)
 
 
 def _map_points(points, worker, threads):
@@ -406,11 +415,20 @@ def _cmd_spectrum(args) -> int:
             f"operator dimension {dim} exceeds the cap {DEFAULT_EIG_CAP}"
         )
     op = assemble_grid_operator(spec, n1, n2, gauged=args.gauged)
-    vals = eigenvalues(op)
+    vals, squares = eigenvalues(op, return_squares=True)
+    # every coefficient of the operator is real, so the antiunitary
+    # J = (i tau_3 (x) tau_2) K commutes with it and the spectrum is closed
+    # under conjugation; the squares mu = lambda^2 carry the same closure
+    checks = [
+        _check(
+            "conjugation_symmetry",
+            multiset_distance(squares, squares.conj()),
+            TOL["conjugation_symmetry"],
+        )
+    ]
     # the mode oracle describes the plain central-difference assembly; the
     # gauged matrix carries link factors in its hoppings, so skip it there
     constant = (not args.gauged) and is_constant_coefficient(op)
-    checks = []
     fourier_dist = None
     if constant:
         fourier_dist = multiset_distance(vals, fourier_eigenvalues(op))
@@ -455,15 +473,16 @@ def _cmd_tube(args) -> int:
         "mixed": np.array([1.0, 1.0]) / math.sqrt(2.0),
     }
 
-    zero = tube_metric_at(spec, pt, (0.0, 0.0))
-    frame = frame_at(spec, pt)
+    offsets = [(0.0, 0.0)] + [e * d for d in directions.values() for e in eps]
+    samples = iter(tube_metrics_at(spec, pt, offsets))
+    zero = next(samples)
     records = [
         {
             "direction": "origin",
             "eps": 0.0,
             "rho_exact": zero.rho_exact,
             "rho_leading": zero.rho_leading,
-            "g_tube_defect": float(np.max(np.abs(zero.g_tube - frame.g))),
+            "g_tube_defect": float(np.max(np.abs(zero.g_tube - zero.frame.g))),
         }
     ]
     checks = [
@@ -479,10 +498,10 @@ def _cmd_tube(args) -> int:
         ),
     ]
     slopes = {}
-    for label, direction in directions.items():
+    for label in directions:
         diffs = []
         for e in eps:
-            ts = tube_metric_at(spec, pt, e * direction)
+            ts = next(samples)
             diffs.append(abs(ts.rho_exact - ts.rho_leading))
             records.append(
                 {

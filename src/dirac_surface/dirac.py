@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from .clifford import GAMMA, SIGMA34, TANGENT_SPIN_GENERATOR, gauge_rotation
 from .expr import ImmersionSpec
@@ -81,7 +82,7 @@ class NonPeriodicDomainError(ValueError):
 
 
 class DimensionCapError(RuntimeError):
-    """Requested dense operator exceeds the configured dimension cap."""
+    """A requested operator dimension or lattice size exceeds its cap."""
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,13 @@ class OperatorSymbol:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Dense periodic-grid discretization with the metric volume weight."""
+    """Sparse periodic-grid discretization with the metric volume weight."""
 
     n1: int
     n2: int
     h1: float
     h2: float
-    matrix: np.ndarray     # (4 n1 n2, 4 n1 n2) complex
+    matrix: scipy.sparse.csr_array  # (4 n1 n2, 4 n1 n2) complex
     weight: np.ndarray     # (4 n1 n2,) positive, sqrt(det g) per site
     site_A: np.ndarray     # (n1 n2, 2, 4, 4) leading symbol per site
     site_B: np.ndarray     # (n1 n2, 4, 4) zeroth-order block per site
@@ -267,12 +268,13 @@ def assemble_grid_operator(
     gauged: bool = False,
     cap: int = DEFAULT_EIG_CAP,
 ) -> DiscreteOperator:
-    """Assemble the dense periodic central-difference operator.
+    """Assemble the sparse periodic central-difference operator.
 
     Each block row couples the site to its four neighbours through
-    A^alpha / (2 h_alpha) and to itself through B: five blocks per row.
-    The gauged operator is the exact sitewise conjugation of the plain
-    one by the half-angle gauge rotations, so the two discrete operators
+    A^alpha / (2 h_alpha) and to itself through B: five 4x4 blocks per
+    row, stored as CSR.  The gauged operator is the exact sitewise
+    conjugation of the plain one by the half-angle gauge rotations,
+    block (p, q) becoming V_p^dag M_pq V_q, so the two discrete operators
     are unitarily equivalent whenever the gauge angle is defined on the
     whole grid.
     """
@@ -291,18 +293,14 @@ def assemble_grid_operator(
     frames, h1, h2 = _aligned_grid_frames(spec, n1, n2)
     nsites = n1 * n2
 
+    # site p = j n2 + k; the sweep visits the sites in that order
     A_site = np.zeros((nsites, 2, 4, 4), dtype=complex)
     B_site = np.zeros((nsites, 4, 4), dtype=complex)
     mass_site = np.zeros((nsites, 4, 4), dtype=complex)
     V_site = np.zeros((nsites, 4, 4), dtype=complex)
     weight = np.zeros(dim)
-
-    def site(j, k):
-        return j * n2 + k
-
-    for (j, k), fr in frames.items():
+    for p, fr in enumerate(frames.values()):
         sym = _symbol(connection_from_frame(fr), spin_connection_from_frame(fr))
-        p = site(j, k)
         A_site[p] = sym.A
         B_site[p] = sym.B
         mass_site[p] = sym.mass
@@ -310,33 +308,41 @@ def assemble_grid_operator(
             V_site[p] = gauge_rotation(gauge_angle(fr)[0] / 2.0).matrix
         weight[4 * p : 4 * p + 4] = np.sqrt(fr.det_g)
 
-    M = np.zeros((dim, dim), dtype=complex)
-    for j in range(n1):
-        for k in range(n2):
-            p = site(j, k)
-            r = 4 * p
-            M[r : r + 4, r : r + 4] += B_site[p]
-            for alpha, (dj, dk, hh) in enumerate(((1, 0, h1), (0, 1, h2))):
-                cp = 4 * site((j + dj) % n1, (k + dk) % n2)
-                cm = 4 * site((j - dj) % n1, (k - dk) % n2)
-                M[r : r + 4, cp : cp + 4] += A_site[p, alpha] / (2.0 * hh)
-                M[r : r + 4, cm : cm + 4] -= A_site[p, alpha] / (2.0 * hh)
+    # block columns of each block row: the site, then its neighbours at
+    # +-e_1 and +-e_2 (distinct, as both sides have at least 4 sites)
+    j, k = np.divmod(np.arange(nsites), n2)
+    cols = np.stack(
+        [
+            j * n2 + k,
+            (j + 1) % n1 * n2 + k,
+            (j - 1) % n1 * n2 + k,
+            j * n2 + (k + 1) % n2,
+            j * n2 + (k - 1) % n2,
+        ],
+        axis=1,
+    )
+    hop1 = A_site[:, 0] / (2.0 * h1)
+    hop2 = A_site[:, 1] / (2.0 * h2)
+    blocks = np.stack([B_site, hop1, -hop1, hop2, -hop2], axis=1)
 
     if gauged:
-        blocks = M.reshape(nsites, 4, nsites, 4)
-        M = np.einsum(
-            "rba,rbsc,scd->rasd", V_site.conj(), blocks, V_site
-        ).reshape(dim, dim)
+        blocks = np.einsum("pba,pxbc,pxcd->pxad", V_site.conj(), blocks, V_site[cols])
         A_site = np.einsum("sba,sxbc,scd->sxad", V_site.conj(), A_site, V_site)
         B_site = np.einsum("sba,sbc,scd->sad", V_site.conj(), B_site, V_site)
         mass_site = np.einsum("sba,sbc,scd->sad", V_site.conj(), mass_site, V_site)
+
+    matrix = scipy.sparse.bsr_array(
+        (blocks.reshape(-1, 4, 4), cols.ravel(), np.arange(0, 5 * nsites + 1, 5)),
+        shape=(dim, dim),
+    ).tocsr()
+    matrix.eliminate_zeros()
 
     return DiscreteOperator(
         n1=n1,
         n2=n2,
         h1=h1,
         h2=h2,
-        matrix=M,
+        matrix=matrix,
         weight=weight,
         site_A=A_site,
         site_B=B_site,
@@ -345,13 +351,83 @@ def assemble_grid_operator(
     )
 
 
-def eigenvalues(op: DiscreteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarray:
-    """Full spectrum of the dense operator, sorted by real then imaginary part."""
+# |mu| / max |mu| below which sqrt(mu) loses more than about 1e-13 of
+# the eigenvalue's absolute precision, so that cluster is re-solved
+_NEAR_KERNEL = 1e-4
+
+
+def _chiral_blocks(matrix):
+    """X and Y of the operator written as [[0, X], [Y, 0]] in chiral order.
+
+    gamma^5 = tau_3 (x) I is +1 on the first two components of each
+    site spinor and -1 on the last two; every term of the symbol, and
+    the even gauge rotation, makes the operator anticommute with it.
+    """
+    index = np.arange(matrix.shape[0])
+    plus = index[index % 4 < 2]
+    minus = index[index % 4 >= 2]
+    rows_plus = matrix[plus]
+    rows_minus = matrix[minus]
+    if rows_plus[:, plus].count_nonzero() or rows_minus[:, minus].count_nonzero():
+        raise ValueError(
+            "grid operator does not anticommute with gamma^5: "
+            "a same-chirality entry is non-zero"
+        )
+    return rows_plus[:, minus], rows_minus[:, plus]
+
+
+def _near_kernel_eigenvalues(X, Y, XY, cut: float, count: int) -> np.ndarray:
+    """Eigenvalues of [[0, X], [Y, 0]] whose squares have |mu| <= cut.
+
+    V spans the invariant subspace of XY and W that of YX for those mu;
+    X maps W into V and Y maps V into W, so the operator restricted to
+    V + W is [[0, V^dag X W], [W^dag Y V, 0]], solved without a root.
+    """
+    select = lambda z: abs(z) <= cut  # noqa: E731
+    _, V, kv = scipy.linalg.schur(XY, output="complex", sort=select)
+    _, W, kw = scipy.linalg.schur((Y @ X).toarray(), output="complex", sort=select)
+    if kv != count or kw != count:
+        raise ArithmeticError(
+            f"near-kernel cluster of {count} squared eigenvalues is not "
+            f"separated at {cut:.3e} (Schur forms select {kv} and {kw})"
+        )
+    V = V[:, :count]
+    W = W[:, :count]
+    zero = np.zeros((count, count))
+    return scipy.linalg.eigvals(
+        np.block([[zero, V.conj().T @ (X @ W)], [W.conj().T @ (Y @ V), zero]])
+    )
+
+
+def eigenvalues(
+    op: DiscreteOperator, cap: int = DEFAULT_EIG_CAP, return_squares: bool = False
+):
+    """Full spectrum of the grid operator, sorted by real then imaginary part.
+
+    The operator is [[0, X], [Y, 0]] in chiral order, so its spectrum is
+    +-sqrt(mu) over the eigenvalues mu of the half-size product XY.
+    Squares with |mu| <= 1e-4 max|mu|, whose root would lose precision,
+    are re-solved on their invariant subspace.  With ``return_squares``
+    the eigenvalues mu of XY (unsorted, 2 n1 n2 of them) are returned as
+    well.
+    """
     if op.dim > cap:
         raise DimensionCapError(f"operator dimension {op.dim} exceeds the cap {cap}")
-    vals = scipy.linalg.eigvals(op.matrix)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    X, Y = _chiral_blocks(op.matrix)
+    XY = (X @ Y).toarray()
+    mu = scipy.linalg.eigvals(XY)
+    size = np.abs(mu)
+    small = size <= _NEAR_KERNEL * size.max()
+    roots = np.sqrt(mu[~small])
+    vals = np.concatenate([roots, -roots])
+    if small.any():
+        # cut half way between the cluster and the rest of the spectrum
+        cut = 0.5 * (size[small].max() + size[~small].min())
+        vals = np.concatenate(
+            [vals, _near_kernel_eigenvalues(X, Y, XY, cut, int(small.sum()))]
+        )
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    return (vals, mu) if return_squares else vals
 
 
 def is_constant_coefficient(op: DiscreteOperator, tol: float = 1e-10) -> bool:

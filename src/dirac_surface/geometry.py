@@ -57,6 +57,7 @@ __all__ = [
     "gauge_at",
     "gauge_angle",
     "tube_metric_at",
+    "tube_metrics_at",
 ]
 
 
@@ -149,6 +150,7 @@ class TubeSample:
     g_tube: np.ndarray
     rho_leading: float    # (1 + trace_a q^a)^2
     rho_exact: float      # the finite-difference (exact-map) density
+    frame: FrameData      # frame at the base point
 
 
 # ---------------------------------------------------------------------------
@@ -412,37 +414,49 @@ def gauge_at(spec: ImmersionSpec, conn: ConnectionData) -> GaugeData:
 # ---------------------------------------------------------------------------
 
 
-def tube_metric_at(spec: ImmersionSpec, s, q) -> TubeSample:
-    """First-order tube metric at normal offset q, with a density cross-check.
+def tube_metrics_at(spec: ImmersionSpec, s, offsets) -> list:
+    """First-order tube metrics at normal offsets q, with density cross-checks.
 
     ``g_tube`` follows the expansion of the pulled-back metric in the
     normal chart: g + [Gamma g + g Gamma] q + Gamma^T g Gamma q^2 terms.
     ``rho_leading`` is (1 + trace_a q^a)^2; ``rho_exact`` is the ratio
     det(g_num) / det(g) where g_num is the numerical first fundamental
     form of the offset map s -> x(s) + q^3 n3(s) + q^4 n4(s), central
-    differenced with Richardson extrapolation and frame alignment.
+    differenced with Richardson extrapolation and frame alignment.  The
+    frame and connection at s are built once for all offsets.
     """
-    q = np.asarray(q, dtype=float)
     conn = connection_at(spec, s)
     frame = conn.frame
     g = frame.g
-
-    # qgam[alpha, beta] = sum_adot q^adot Gamma^beta_{adot alpha}
-    qgam = np.einsum("n,nab->ab", q, conn.gamma_tan)
-    g_tube = g + qgam @ g + g @ qgam.T + qgam @ g @ qgam.T
-
     t = np.array([conn.trace3, conn.trace4])
-    rho_leading = float((1.0 + t @ q) ** 2)
+    samples = []
+    for q in offsets:
+        q = np.asarray(q, dtype=float)
+        # qgam[alpha, beta] = sum_adot q^adot Gamma^beta_{adot alpha}
+        qgam = np.einsum("n,nab->ab", q, conn.gamma_tan)
+        g_tube = g + qgam @ g + g @ qgam.T + qgam @ g @ qgam.T
+        rho_leading = float((1.0 + t @ q) ** 2)
 
-    if not np.any(q):
-        rho_exact = 1.0
-    else:
+        if not np.any(q):
+            rho_exact = 1.0
+        else:
 
-        def offset(sp):
-            fr = align_frame(frame_at(spec, sp), frame)
-            return fr.x + q @ fr.n
+            def offset(sp):
+                fr = align_frame(frame_at(spec, sp), frame)
+                return fr.x + q @ fr.n
 
-        tangents = _gradient(offset, frame.s)
-        rho_exact = float(np.linalg.det(tangents @ tangents.T) / frame.det_g)
+            tangents = _gradient(offset, frame.s)
+            rho_exact = float(np.linalg.det(tangents @ tangents.T) / frame.det_g)
 
-    return TubeSample(q=q, g_tube=g_tube, rho_leading=rho_leading, rho_exact=rho_exact)
+        samples.append(
+            TubeSample(
+                q=q, g_tube=g_tube, rho_leading=rho_leading, rho_exact=rho_exact,
+                frame=frame,
+            )
+        )
+    return samples
+
+
+def tube_metric_at(spec: ImmersionSpec, s, q) -> TubeSample:
+    """Tube metric and density cross-check at one normal offset q."""
+    return tube_metrics_at(spec, s, [q])[0]

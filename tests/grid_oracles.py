@@ -1,0 +1,66 @@
+"""Dense oracles for the periodic grid operator and its spectrum.
+
+These are the assembly and the eigensolve the library used before the
+operator was stored sparse and diagonalized through its chiral blocks:
+a Python double loop over block rows writing into a dense matrix, the
+gauge conjugation as one dense einsum over all pairs of sites, and
+``scipy.linalg.eigvals`` of the whole matrix.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from dirac_surface.clifford import gauge_rotation
+from dirac_surface.dirac import (
+    _aligned_grid_frames,
+    _symbol,
+    spin_connection_from_frame,
+)
+from dirac_surface.geometry import connection_from_frame, gauge_angle
+
+
+def dense_grid_matrix(spec, n1, n2, gauged=False):
+    """The (4 n1 n2)-square central-difference operator, assembled densely."""
+    frames, h1, h2 = _aligned_grid_frames(spec, n1, n2)
+    nsites = n1 * n2
+    dim = 4 * nsites
+
+    A_site = np.zeros((nsites, 2, 4, 4), dtype=complex)
+    B_site = np.zeros((nsites, 4, 4), dtype=complex)
+    V_site = np.zeros((nsites, 4, 4), dtype=complex)
+
+    def site(j, k):
+        return j * n2 + k
+
+    for (j, k), fr in frames.items():
+        sym = _symbol(connection_from_frame(fr), spin_connection_from_frame(fr))
+        p = site(j, k)
+        A_site[p] = sym.A
+        B_site[p] = sym.B
+        if gauged:
+            V_site[p] = gauge_rotation(gauge_angle(fr)[0] / 2.0).matrix
+
+    M = np.zeros((dim, dim), dtype=complex)
+    for j in range(n1):
+        for k in range(n2):
+            p = site(j, k)
+            r = 4 * p
+            M[r : r + 4, r : r + 4] += B_site[p]
+            for alpha, (dj, dk, hh) in enumerate(((1, 0, h1), (0, 1, h2))):
+                cp = 4 * site((j + dj) % n1, (k + dk) % n2)
+                cm = 4 * site((j - dj) % n1, (k - dk) % n2)
+                M[r : r + 4, cp : cp + 4] += A_site[p, alpha] / (2.0 * hh)
+                M[r : r + 4, cm : cm + 4] -= A_site[p, alpha] / (2.0 * hh)
+
+    if gauged:
+        blocks = M.reshape(nsites, 4, nsites, 4)
+        M = np.einsum(
+            "rba,rbsc,scd->rasd", V_site.conj(), blocks, V_site
+        ).reshape(dim, dim)
+    return M
+
+
+def dense_eigenvalues(matrix):
+    """Every eigenvalue of a dense matrix, sorted by real then imaginary part."""
+    vals = scipy.linalg.eigvals(matrix)
+    return vals[np.lexsort((vals.imag, vals.real))]

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from dirac_surface import dirac
 from dirac_surface.cli import main
+from dirac_surface.clifford import GAMMA
 from dirac_surface.corpus import corpus_path
 
 
@@ -92,6 +95,35 @@ def test_spectrum_plane_torus(tmp_path):
     assert report["summary"]["zero_eigenvalues"] == 4
     for rec in report["records"]:
         assert abs(rec["re"]) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "path,extra", [(CLIFFORD, ()), (CLIFFORD_ROTATED, ()), (CLIFFORD_ROTATED, ("--gauged",))]
+)
+def test_spectrum_conjugation_check(tmp_path, path, extra):
+    code, text = run(tmp_path, "spectrum", path, "--grid", "8x8", *extra)
+    assert code == 0
+    (check,) = [c for c in json.loads(text)["checks"] if c["name"] == "conjugation_symmetry"]
+    assert check["pass"] and check["value"] <= 1e-12
+
+
+def test_spectrum_conjugation_check_fails_on_complex_coefficient(tmp_path, monkeypatch):
+    symbol = dirac._symbol
+
+    def complex_mass(*args, **kwargs):
+        sym = symbol(*args, **kwargs)
+        return dataclasses.replace(sym, B=sym.B + 0.3j * GAMMA[2])
+
+    monkeypatch.setattr(dirac, "_symbol", complex_mass)
+    code, text = run(tmp_path, "spectrum", CLIFFORD_ROTATED, "--grid", "8x8")
+    assert code == 1
+    (check,) = [c for c in json.loads(text)["checks"] if c["name"] == "conjugation_symmetry"]
+    assert not check["pass"]
+
+
+def test_lattice_cap(capsys):
+    assert main(["verify", PLANE, "--grid", "1000x1000"]) == 3
+    assert "lattice 1000x1000" in capsys.readouterr().err
 
 
 def test_spectrum_dimension_cap(capsys):

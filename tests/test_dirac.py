@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from dirac_surface.clifford import GAMMA, basis_square, gauge_rotation
 from dirac_surface.dirac import (
     DimensionCapError,
     NonPeriodicDomainError,
+    _chiral_blocks,
+    _near_kernel_eigenvalues,
     apply_pointwise,
     assemble_grid_operator,
     dirac_symbol,
@@ -18,6 +21,7 @@ from dirac_surface.dirac import (
     spin_connection_at,
 )
 from dirac_surface.geometry import connection_at, frame_at, gauge_at, _wrap_angle
+from grid_oracles import dense_eigenvalues, dense_grid_matrix
 
 
 # --- spin connection ---------------------------------------------------------
@@ -180,12 +184,80 @@ def test_dimension_cap(plane_torus):
 def test_plane_torus_structure(plane_torus):
     op = assemble_grid_operator(plane_torus, 8, 8)
     n = op.dim // 4
-    blocks = op.matrix.reshape(n, 4, n, 4)
+    blocks = op.matrix.toarray().reshape(n, 4, n, 4)
     nonzero = np.abs(blocks).max(axis=(1, 3)) > 0
     per_row = nonzero.sum(axis=1)
     assert np.all(per_row <= 5)
     assert np.all(per_row == 4)  # B vanishes on the flat torus
     assert np.max(np.abs(op.site_B)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "name,gauged",
+    [
+        ("plane_torus", False),
+        ("clifford", False),
+        ("clifford", True),
+        ("clifford_rotated", False),
+        ("clifford_rotated", True),
+        ("ring_torus", False),
+        ("ring_torus", True),
+    ],
+)
+def test_sparse_assembly_matches_dense_oracle(name, gauged, request):
+    spec = request.getfixturevalue(name)
+    op = assemble_grid_operator(spec, 8, 8, gauged=gauged)
+    dense = dense_grid_matrix(spec, 8, 8, gauged=gauged)
+    if gauged:
+        # the conjugation V_p^dag M_pq V_q sums in another order
+        assert np.max(np.abs(op.matrix.toarray() - dense)) <= 1e-15
+    else:
+        assert np.array_equal(op.matrix.toarray(), dense)
+    assert op.matrix.nnz <= 6 * op.dim
+
+
+@pytest.mark.parametrize(
+    "name,n,gauged,zeros",
+    [
+        ("clifford", 8, False, 0),
+        ("clifford", 8, True, 0),
+        ("clifford", 12, False, 0),
+        ("clifford", 12, True, 0),
+        ("clifford_rotated", 8, False, 0),
+        ("clifford_rotated", 8, True, 0),
+        ("clifford_rotated", 12, False, 0),
+        ("clifford_rotated", 12, True, 0),
+        # zero modes: sqrt of the squares alone would leave them at ~3e-8
+        ("plane_torus", 8, False, 16),
+        ("plane_torus", 9, False, 4),
+    ],
+)
+def test_chiral_eigenvalues_match_dense_oracle(name, n, gauged, zeros, request):
+    spec = request.getfixturevalue(name)
+    op = assemble_grid_operator(spec, n, n, gauged=gauged)
+    vals, squares = eigenvalues(op, return_squares=True)
+    assert vals.shape == (op.dim,) and squares.shape == (op.dim // 2,)
+    assert multiset_distance(vals, dense_eigenvalues(op.matrix.toarray())) <= 1e-12
+    near_zero = np.abs(vals) < 1e-10
+    assert int(np.sum(near_zero)) == zeros
+    assert np.all(np.abs(vals[near_zero]) <= 1e-14)
+
+
+def test_eigenvalues_reject_same_chirality_entry(clifford):
+    op = assemble_grid_operator(clifford, 8, 8)
+    eigenvalues(op)
+    perturbed = op.matrix.tolil()
+    perturbed[5, 4] = 1e-3  # site 1, components 1 and 0: both chirality +
+    with pytest.raises(ValueError, match="gamma\\^5"):
+        eigenvalues(dataclasses.replace(op, matrix=perturbed.tocsr()))
+
+
+def test_near_kernel_cluster_size_is_checked(plane_torus):
+    op = assemble_grid_operator(plane_torus, 9, 9)
+    X, Y = _chiral_blocks(op.matrix)
+    # the four zero modes square to two zero eigenvalues of XY
+    with pytest.raises(ArithmeticError, match="select 2 and 2"):
+        _near_kernel_eigenvalues(X, Y, (X @ Y).toarray(), 1e-3, 3)
 
 
 def test_clifford_grid_constant_coefficients(clifford):

@@ -12,7 +12,9 @@ from dirac_surface.geometry import (
     frame_at,
     gauge_at,
     tube_metric_at,
+    tube_metrics_at,
 )
+import dirac_surface.geometry as geometry
 from conftest import interior_lattice
 
 
@@ -262,6 +264,22 @@ def test_tube_zero_offset_exact(clifford, graph):
         ts = tube_metric_at(spec, pt, (0.0, 0.0))
         assert ts.rho_exact == 1.0
         assert np.max(np.abs(ts.g_tube - fr.g)) == 0.0
+
+
+def test_tube_metrics_share_one_center_frame(sphere, monkeypatch):
+    pt = (1.0, 0.7)
+    offsets = [(0.0, 0.0), (0.02, 0.0), (0.01, -0.03)]
+    single = [tube_metric_at(sphere, pt, q) for q in offsets]
+    calls = []
+    frame = geometry.frame_at
+    monkeypatch.setattr(geometry, "frame_at", lambda *a: calls.append(a) or frame(*a))
+    shared = tube_metrics_at(sphere, pt, offsets)
+    # one center frame, then the 8-frame density stencil per non-zero offset
+    assert len(calls) == 1 + 8 * 2
+    for a, b in zip(single, shared):
+        assert np.array_equal(a.g_tube, b.g_tube)
+        assert (a.rho_exact, a.rho_leading) == (b.rho_exact, b.rho_leading)
+        assert b.frame is shared[0].frame
 
 
 def test_tube_clifford_leading_density(clifford):
