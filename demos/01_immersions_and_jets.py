@@ -1,8 +1,9 @@
-"""Defining surfaces with the immersion DSL and evaluating exact 2-jets.
+"""Defining surfaces with the immersion DSL and evaluating exact 3-jets.
 
 A surface in 4-space is four coordinate expressions of two parameters.
-The evaluator returns the value together with the exact gradient and
-Hessian, which is what every geometric quantity downstream is built on.
+The evaluator returns the value together with the exact gradient,
+Hessian and third partials, which is what every geometric quantity
+downstream is built on.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from dirac_surface import eval_jet2, parse_expression, parse_immersion_file
 from dirac_surface.corpus import corpus_path
 
-# --- a single expression and its 2-jet --------------------------------------
+# --- a single expression and its 3-jet --------------------------------------
 
 ast = parse_expression("exp(u^2) * cos(v)", ("u", "v"))
 jet = eval_jet2(ast, (0.5, 0.3))
@@ -18,6 +19,7 @@ print("expression  : exp(u^2) * cos(v) at (0.5, 0.3)")
 print("value       :", jet.value)
 print("gradient    :", jet.grad)
 print("hessian     :", jet.hess, "(h11, h12, h22)")
+print("third       :", jet.third, "(t111, t112, t122, t222)")
 
 # cross-check the gradient against a central difference
 h = 1e-6

@@ -19,7 +19,7 @@ for name, pt in (("sphere", (1.0, 0.7)), ("clifford", (0.4, 0.9))):
     spec = load_corpus(name)
     fr = frame_at(spec, pt)
     conn = connection_at(spec, pt)
-    gd = gauge_at(spec, conn)
+    gd = gauge_at(conn)
     print(f"--- {name} at {pt} ---")
     print("metric        :", np.round(fr.g, 12).tolist())
     print("traces        : %.12f, %.12f" % (conn.trace3, conn.trace4))

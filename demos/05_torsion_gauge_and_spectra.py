@@ -30,7 +30,7 @@ cb, cr = connection_at(base, pt), connection_at(rot, pt)
 print("torsion, plain frame  :", np.round(cb.torsion, 9).tolist())
 print("torsion, rotated frame:", np.round(cr.torsion, 9).tolist())
 print("   rotating by the first parameter shifted it by exactly (1, 0)")
-gd = gauge_at(rot, cr)
+gd = gauge_at(cr)
 print("gauge-fixed torsion   :", np.round(gd.hat_torsion, 9).tolist(), "(invariant)")
 print()
 

@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-* ``expr`` — immersion DSL with exact 2-jet evaluation,
+* ``expr`` — immersion DSL with exact 3-jet evaluation,
 * ``geometry`` — frames, second fundamental form, torsion, gauge angle,
   tube metric,
 * ``clifford`` — gamma conventions, constant spinor bases, spin lifts,

@@ -28,7 +28,6 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from .dirac import (
-    DEFAULT_EIG_CAP,
     DimensionCapError,
     NonPeriodicDomainError,
     assemble_grid_operator,
@@ -267,7 +266,7 @@ def _cmd_frame(args) -> int:
     def worker(pt):
         frame = frame_at(spec, pt)
         conn = connection_from_frame(frame)
-        gd = gauge_at(spec, conn)
+        gd = gauge_at(conn)
         R = frame.rotation()
         gram = R.T @ R
         record = {
@@ -409,11 +408,6 @@ def _cmd_spectrum(args) -> int:
     spec = load_immersion(args.file)
     grid = args.grid if args.grid is not None else (8, 8)
     n1, n2 = grid
-    dim = 4 * n1 * n2
-    if dim > DEFAULT_EIG_CAP:
-        raise DimensionCapError(
-            f"operator dimension {dim} exceeds the cap {DEFAULT_EIG_CAP}"
-        )
     op = assemble_grid_operator(spec, n1, n2, gauged=args.gauged)
     vals, squares = eigenvalues(op, return_squares=True)
     # every coefficient of the operator is real, so the antiunitary
@@ -445,7 +439,7 @@ def _cmd_spectrum(args) -> int:
         "config": {
             "grid": [n1, n2],
             "gauged": args.gauged,
-            "dimension": dim,
+            "dimension": op.dim,
         },
         "records": records,
         "summary": {

@@ -6,9 +6,9 @@ order: D = A^alpha d_alpha + B with
 * A^alpha = iota_g(sigma^alpha), the coordinate tangent gammas built
   from the inverse zweibein of the induced metric,
 * B collecting the tangent spin connection, the normal-bundle (torsion)
-  connection and the mean-curvature mass terms, all read from the exact
-  2-jet of the immersion (the gauged variant also from the differenced
-  gauge angle, see ``geometry.gauge_at``),
+  connection and the mean-curvature mass terms, all read exactly from
+  the 3-jet of the immersion (the gauged variant also from the exact
+  gradient of the gauge angle, see ``geometry.gauge_at``),
 
       B = sum_alpha A^alpha ( 1/2 omega_alpha iota_r(tau1 tau2)
                             + 1/2 Gamma^3_{alpha 4} sigma34 )
@@ -210,7 +210,7 @@ def gauged_dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
     """Pointwise symbol in the gauge-fixed frame (torsion as gauge field)."""
     frame = frame_at(spec, s)
     conn = connection_from_frame(frame)
-    return _symbol(conn, spin_connection_from_frame(frame), gauge_at(spec, conn))
+    return _symbol(conn, spin_connection_from_frame(frame), gauge_at(conn))
 
 
 def apply_pointwise(symbol: OperatorSymbol, psi_field, s, h: float) -> np.ndarray:
@@ -266,7 +266,6 @@ def assemble_grid_operator(
     n1: int,
     n2: int,
     gauged: bool = False,
-    cap: int = DEFAULT_EIG_CAP,
 ) -> DiscreteOperator:
     """Assemble the sparse periodic central-difference operator.
 
@@ -285,9 +284,9 @@ def assemble_grid_operator(
     if n1 < 4 or n2 < 4:
         raise ValueError("grid operator needs at least 4 sites per direction")
     dim = 4 * n1 * n2
-    if dim > cap:
+    if dim > DEFAULT_EIG_CAP:
         raise DimensionCapError(
-            f"operator dimension {dim} exceeds the cap {cap}"
+            f"operator dimension {dim} exceeds the cap {DEFAULT_EIG_CAP}"
         )
 
     frames, h1, h2 = _aligned_grid_frames(spec, n1, n2)
@@ -399,9 +398,7 @@ def _near_kernel_eigenvalues(X, Y, XY, cut: float, count: int) -> np.ndarray:
     )
 
 
-def eigenvalues(
-    op: DiscreteOperator, cap: int = DEFAULT_EIG_CAP, return_squares: bool = False
-):
+def eigenvalues(op: DiscreteOperator, return_squares: bool = False):
     """Full spectrum of the grid operator, sorted by real then imaginary part.
 
     The operator is [[0, X], [Y, 0]] in chiral order, so its spectrum is
@@ -411,8 +408,10 @@ def eigenvalues(
     the eigenvalues mu of XY (unsorted, 2 n1 n2 of them) are returned as
     well.
     """
-    if op.dim > cap:
-        raise DimensionCapError(f"operator dimension {op.dim} exceeds the cap {cap}")
+    if op.dim > DEFAULT_EIG_CAP:
+        raise DimensionCapError(
+            f"operator dimension {op.dim} exceeds the cap {DEFAULT_EIG_CAP}"
+        )
     X, Y = _chiral_blocks(op.matrix)
     XY = (X @ Y).toarray()
     mu = scipy.linalg.eigvals(XY)

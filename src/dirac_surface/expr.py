@@ -1,10 +1,11 @@
 """Expression DSL for parametric surface immersions.
 
-A small recursive-descent parser plus a second-order forward-mode
-evaluator: every expression is evaluated together with its exact first
-and second derivatives in the two surface parameters (a 2-jet).  The
-geometry layer builds tangents and second fundamental forms from these
-jets directly, never from finite differences of the coordinate maps.
+A small recursive-descent parser plus a third-order forward-mode
+evaluator: every expression is evaluated together with its exact first,
+second and third derivatives in the two surface parameters (a 3-jet).
+The geometry layer builds tangents, second fundamental forms and the
+gradient of the gauge angle from these jets directly, never from finite
+differences of the coordinate maps.
 
 Grammar (EBNF)::
 
@@ -16,12 +17,13 @@ Grammar (EBNF)::
 
 ``^`` is right-associative and binds tighter than unary minus.  The only
 named constant is ``pi``; angles are radians.  Functions are restricted
-to smooth ones so that 2-jets exist everywhere in their domain.
+to smooth ones so that 3-jets exist everywhere in their domain.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -293,49 +295,47 @@ def unparse(ast: ExprAst, param_names=("u", "v")) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Second-order forward-mode evaluation
+# Third-order forward-mode evaluation
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, gradient and symmetric Hessian at a parameter point.
+    """Value and exact partials up to order three at a parameter point.
 
-    ``hess`` stores the three independent entries (h11, h12, h22); the
-    matrix is symmetric by construction.
+    ``hess`` stores the three independent second partials (h11, h12, h22)
+    and ``third`` the four independent third partials (t111, t112, t122,
+    t222); both are symmetric by construction.
     """
 
     value: float
     grad: tuple
     hess: tuple
-
-    def hess_matrix(self):
-        h11, h12, h22 = self.hess
-        return ((h11, h12), (h12, h22))
+    third: tuple
 
 
-# internal jet representation: (v, g0, g1, h00, h01, h11)
+# internal jet representation: (v, g0, g1, h00, h01, h11, t000, t001, t011, t111)
 
 
 def _j_const(c):
-    return (c, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return (c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _j_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _j_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _j_neg(a):
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def _j_mul(a, b):
-    av, a0, a1, a00, a01, a11 = a
-    bv, b0, b1, b00, b01, b11 = b
+    av, a0, a1, a00, a01, a11, a000, a001, a011, a111 = a
+    bv, b0, b1, b00, b01, b11, b000, b001, b011, b111 = b
     return (
         av * bv,
         a0 * bv + av * b0,
@@ -343,12 +343,16 @@ def _j_mul(a, b):
         a00 * bv + 2.0 * a0 * b0 + av * b00,
         a01 * bv + a0 * b1 + a1 * b0 + av * b01,
         a11 * bv + 2.0 * a1 * b1 + av * b11,
+        a000 * bv + 3.0 * (a00 * b0 + a0 * b00) + av * b000,
+        a001 * bv + a00 * b1 + 2.0 * (a01 * b0 + a0 * b01) + a1 * b00 + av * b001,
+        a011 * bv + a11 * b0 + 2.0 * (a01 * b1 + a1 * b01) + a0 * b11 + av * b011,
+        a111 * bv + 3.0 * (a11 * b1 + a1 * b11) + av * b111,
     )
 
 
-def _j_chain(a, f, df, d2f):
+def _j_chain(a, f, df, d2f, d3f):
     """Compose a scalar function with jet ``a`` by the chain rule."""
-    av, a0, a1, a00, a01, a11 = a
+    av, a0, a1, a00, a01, a11, a000, a001, a011, a111 = a
     return (
         f,
         df * a0,
@@ -356,6 +360,10 @@ def _j_chain(a, f, df, d2f):
         d2f * a0 * a0 + df * a00,
         d2f * a0 * a1 + df * a01,
         d2f * a1 * a1 + df * a11,
+        d3f * a0 * a0 * a0 + 3.0 * d2f * a00 * a0 + df * a000,
+        d3f * a0 * a0 * a1 + d2f * (a00 * a1 + 2.0 * a01 * a0) + df * a001,
+        d3f * a0 * a1 * a1 + d2f * (a11 * a0 + 2.0 * a01 * a1) + df * a011,
+        d3f * a1 * a1 * a1 + 3.0 * d2f * a11 * a1 + df * a111,
     )
 
 
@@ -364,7 +372,13 @@ def _j_recip(a, node):
     if av == 0.0:
         raise DomainEvalError("division by zero", node)
     inv = 1.0 / av
-    return _j_chain(a, inv, -inv * inv, 2.0 * inv ** 3)
+    return _j_chain(a, inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4)
+
+
+def _j_atan(a):
+    x = a[0]
+    d = 1.0 / (1.0 + x * x)
+    return _j_chain(a, math.atan(x), d, -2.0 * x * d * d, (6.0 * x * x - 2.0) * d ** 3)
 
 
 def _j_int_pow(a, n, node):
@@ -385,7 +399,7 @@ def _eval(node, s):
         return _j_const(math.pi)
     if isinstance(node, Param):
         g = (1.0, 0.0) if node.index == 0 else (0.0, 1.0)
-        return (s[node.index], g[0], g[1], 0.0, 0.0, 0.0)
+        return (s[node.index], g[0], g[1], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if isinstance(node, Neg):
         return _j_neg(_eval(node.arg, s))
     if isinstance(node, BinOp):
@@ -423,10 +437,10 @@ def _eval_pow(node, s):
         raise DomainEvalError(
             "non-integer power of a non-positive base", node
         )
-    loga = _j_chain(a, math.log(a[0]), 1.0 / a[0], -1.0 / a[0] ** 2)
+    loga = _j_chain(a, math.log(a[0]), 1.0 / a[0], -1.0 / a[0] ** 2, 2.0 / a[0] ** 3)
     prod = _j_mul(b, loga)
     val = math.exp(prod[0])
-    return _j_chain(prod, val, val, val)
+    return _j_chain(prod, val, val, val, val)
 
 
 def _eval_call(node, s):
@@ -436,75 +450,58 @@ def _eval_call(node, s):
     x = a[0]
     name = node.name
     if name == "sin":
-        return _j_chain(a, math.sin(x), math.cos(x), -math.sin(x))
+        return _j_chain(a, math.sin(x), math.cos(x), -math.sin(x), -math.cos(x))
     if name == "cos":
-        return _j_chain(a, math.cos(x), -math.sin(x), -math.cos(x))
+        return _j_chain(a, math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))
     if name == "tan":
         t = math.tan(x)
-        sec2 = 1.0 + t * t
-        return _j_chain(a, t, sec2, 2.0 * t * sec2)
+        d = 1.0 + t * t
+        return _j_chain(a, t, d, 2.0 * t * d, 2.0 * d * (3.0 * d - 2.0))
     if name == "sinh":
-        return _j_chain(a, math.sinh(x), math.cosh(x), math.sinh(x))
+        return _j_chain(a, math.sinh(x), math.cosh(x), math.sinh(x), math.cosh(x))
     if name == "cosh":
-        return _j_chain(a, math.cosh(x), math.sinh(x), math.cosh(x))
+        return _j_chain(a, math.cosh(x), math.sinh(x), math.cosh(x), math.sinh(x))
     if name == "tanh":
         t = math.tanh(x)
-        sech2 = 1.0 - t * t
-        return _j_chain(a, t, sech2, -2.0 * t * sech2)
+        d = 1.0 - t * t
+        return _j_chain(a, t, d, -2.0 * t * d, 2.0 * d * (2.0 - 3.0 * d))
     if name == "exp":
         e = math.exp(x)
-        return _j_chain(a, e, e, e)
+        return _j_chain(a, e, e, e, e)
     if name == "log":
         if x <= 0.0:
             raise DomainEvalError("log of a non-positive value", node)
-        return _j_chain(a, math.log(x), 1.0 / x, -1.0 / (x * x))
+        return _j_chain(a, math.log(x), 1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
     if name == "sqrt":
         if x < 0.0:
             raise DomainEvalError("sqrt of a negative value", node)
         if x == 0.0:
             raise DomainEvalError("sqrt derivative singular at zero", node)
         r = math.sqrt(x)
-        return _j_chain(a, r, 0.5 / r, -0.25 / (r * x))
+        return _j_chain(a, r, 0.5 / r, -0.25 / (r * x), 0.375 / (r * x * x))
     if name == "atan":
-        d = 1.0 / (1.0 + x * x)
-        return _j_chain(a, math.atan(x), d, -2.0 * x * d * d)
+        return _j_atan(a)
     raise TypeError(f"unknown function {node.name!r}")
 
 
 def _eval_atan2(node, s):
     y = _eval(node.args[0], s)
     x = _eval(node.args[1], s)
-    yv, xv = y[0], x[0]
-    r2 = xv * xv + yv * yv
-    if r2 == 0.0:
+    if x[0] == 0.0 and y[0] == 0.0:
         raise DomainEvalError("atan2 at the origin", node)
-    r4 = r2 * r2
-    fy, fx = xv / r2, -yv / r2
-    fyy, fxx = -2.0 * xv * yv / r4, 2.0 * xv * yv / r4
-    fxy = (yv * yv - xv * xv) / r4
-    val = math.atan2(yv, xv)
-    out = [val, 0.0, 0.0, 0.0, 0.0, 0.0]
-    yg = (y[1], y[2])
-    xg = (x[1], x[2])
-    out[1] = fy * yg[0] + fx * xg[0]
-    out[2] = fy * yg[1] + fx * xg[1]
-    yh = {(0, 0): y[3], (0, 1): y[4], (1, 1): y[5]}
-    xh = {(0, 0): x[3], (0, 1): x[4], (1, 1): x[5]}
-    for slot, (i, j) in ((3, (0, 0)), (4, (0, 1)), (5, (1, 1))):
-        out[slot] = (
-            fyy * yg[i] * yg[j]
-            + fxy * (yg[i] * xg[j] + xg[i] * yg[j])
-            + fxx * xg[i] * xg[j]
-            + fy * yh[(i, j)]
-            + fx * xh[(i, j)]
-        )
-    return tuple(out)
+    # atan(y/x) and -atan(x/y) differ from atan2 by constants; take the one
+    # whose quotient stays bounded
+    if abs(x[0]) >= abs(y[0]):
+        jet = _j_atan(_j_mul(y, _j_recip(x, node)))
+    else:
+        jet = _j_neg(_j_atan(_j_mul(x, _j_recip(y, node))))
+    return (math.atan2(y[0], x[0]),) + jet[1:]
 
 
 def eval_jet2(ast: ExprAst, s) -> Jet2:
-    """Evaluate ``ast`` with its exact gradient and Hessian at ``s``."""
-    v, g0, g1, h00, h01, h11 = _eval(ast, (float(s[0]), float(s[1])))
-    return Jet2(v, (g0, g1), (h00, h01, h11))
+    """Evaluate ``ast`` with its exact partials up to order three at ``s``."""
+    jet = _eval(ast, (float(s[0]), float(s[1])))
+    return Jet2(jet[0], jet[1:3], jet[3:6], jet[6:])
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,14 @@ From an immersion x(s1, s2) in E^4 this module computes, pointwise:
   declared frame rotation adds the gradient of its angle,
 * the gauge angle that rotates the normal pair so the second
   mean-curvature trace vanishes, and the torsion of that gauge-fixed
-  frame, and
+  frame, in closed form from the third partials, and
 * the first-order tube metric and volume density of the normal
   exponential chart, together with an independent finite-difference
   density for cross-checking.
 
-Everything but two quantities is exact from the 2-jets of the coordinate
-maps.  The gauge-fixed torsion needs third derivatives; it is central-
-differenced (with Richardson extrapolation) over the gauge-fixed normals,
-which are canonical wherever the mean curvature is non-zero.  The tube
-density cross-check differences the offset map by definition.  Both use
-the step ``_FD_STEP``.
+Everything but the tube density cross-check is exact from the 3-jets of
+the coordinate maps.  The cross-check differences the offset map by
+definition, at the step ``_FD_STEP``.
 
 The pivoted normal construction is canonical only up to discrete jumps
 (joint sign flips, occasional pivot trades) along curves where an
@@ -63,9 +60,13 @@ __all__ = [
 
 _GS_TOL = 1e-10
 
-# step of the two finite differences kept here: the gauge-angle gradient
-# and the tube density cross-check
+# step of the tube density cross-check, the one finite difference kept here
 _FD_STEP = 1e-3
+
+# a partial derivative depends only on how many of its indices are 1, so
+# d2x[a, b] and d3x[a, b, c] gather the jet slots a + b and a + b + c
+_SLOT2 = np.indices((2, 2)).sum(axis=0)
+_SLOT3 = np.indices((2, 2, 2)).sum(axis=0)
 
 
 class GeometryError(RuntimeError):
@@ -92,6 +93,7 @@ class FrameData:
     x: np.ndarray        # position (4,)
     e: np.ndarray        # coordinate tangents d_alpha x, rows (2, 4)
     d2x: np.ndarray      # second partials, (2, 2, 4), symmetric in (a, b)
+    d3x: np.ndarray      # third partials, (2, 2, 2, 4), symmetric in (a, b, c)
     ehat: np.ndarray     # orthonormal tangents, rows (2, 4)
     n: np.ndarray        # orthonormal normals, rows (2, 4): n3, n4
     g: np.ndarray        # induced metric (2, 2)
@@ -168,25 +170,14 @@ def _project_out(v, basis):
     return r
 
 
-def _rotate(n, theta):
-    """Turn the normal pair by theta: (c n3 - s n4, s n3 + c n4)."""
-    c, si = math.cos(theta), math.sin(theta)
-    return np.vstack([c * n[0] - si * n[1], si * n[0] + c * n[1]])
-
-
 def frame_at(spec: ImmersionSpec, s) -> FrameData:
     """Compute position, jets, orthonormal frame, metric and torsion at s."""
     s = np.asarray(s, dtype=float)
     jets = [eval_jet2(expr, s) for expr in spec.coord_exprs]
     x = np.array([j.value for j in jets])
     e = np.array([[j.grad[a] for j in jets] for a in range(2)])
-    d2x = np.empty((2, 2, 4))
-    for i, j in enumerate(jets):
-        h11, h12, h22 = j.hess
-        d2x[0, 0, i] = h11
-        d2x[0, 1, i] = h12
-        d2x[1, 0, i] = h12
-        d2x[1, 1, i] = h22
+    d2x = np.array([j.hess for j in jets]).T[_SLOT2]
+    d3x = np.array([j.third for j in jets]).T[_SLOT3]
 
     scale = max(np.linalg.norm(e[0]), np.linalg.norm(e[1]), 1e-30)
     n1 = np.linalg.norm(e[0])
@@ -235,12 +226,14 @@ def frame_at(spec: ImmersionSpec, s) -> FrameData:
     if spec.frame_rotation is not None:
         angle = eval_jet2(spec.frame_rotation, s)
         if angle.value != 0.0:
-            n = _rotate(n, angle.value)
+            # turn the normal pair: (c n3 - s n4, s n3 + c n4)
+            c, si = math.cos(angle.value), math.sin(angle.value)
+            n = np.vstack([c * n[0] - si * n[1], si * n[0] + c * n[1]])
         torsion = torsion + np.asarray(angle.grad)
 
     return FrameData(
-        s=s, x=x, e=e, d2x=d2x, ehat=ehat, n=n, g=g, g_inv=g_inv, det_g=det_g,
-        torsion=torsion,
+        s=s, x=x, e=e, d2x=d2x, d3x=d3x, ehat=ehat, n=n, g=g, g_inv=g_inv,
+        det_g=det_g, torsion=torsion,
     )
 
 
@@ -365,41 +358,42 @@ def gauge_angle(frame: FrameData) -> tuple:
     return _angle_from_traces(*_traces(frame))
 
 
-def _gauge_fixed_normals(spec: ImmersionSpec, s) -> np.ndarray:
-    """Normals turned by the gauge angle, NaN where the angle is undefined.
-
-    They do not depend on the working normal frame (sign flips, pivot
-    trades and declared rotations all shift the angle to compensate), so
-    neighbouring points need no alignment.
-    """
-    frame = frame_at(spec, s)
-    theta, degenerate = gauge_angle(frame)
-    if degenerate:
-        return np.full((2, 4), np.nan)
-    return _rotate(frame.n, theta)
-
-
-def gauge_at(spec: ImmersionSpec, conn: ConnectionData) -> GaugeData:
+def gauge_at(conn: ConnectionData) -> GaugeData:
     """Solve trace3 sin(theta) + trace4 cos(theta) = 0 and build hatted data.
 
     theta = atan2(-trace4, trace3), so trace3 = hat_trace3 cos(theta) and
     trace4 = -hat_trace3 sin(theta) with hat_trace3 >= 0.  The hatted
-    torsion n3_hat . d_alpha n4_hat of the gauge-fixed normals is
-    differenced around the point.  Where the constraint is vacuous (both
-    traces zero at the point or at a stencil point) the data is flagged
-    degenerate, theta falls back to 0 at a degenerate point, and the
-    hatted torsion to the working-frame torsion.
+    torsion n3_hat . d_alpha n4_hat of the gauge-fixed normals is the
+    working-frame torsion plus d_alpha theta, which follows exactly from
+    the derivatives of the traces t_a = -g^{bc} (n_a . x_bc):
+
+        d_d t_a = -d_d g^{bc} (n_a . x_bc) - g^{bc} (d_d n_a . x_bc)
+                  - g^{bc} (n_a . x_bcd),
+        d_d n_a = -(n_a . x_de) g^{ef} x_f -+ tau_d n_b   (a = 3, 4),
+
+    with d g^{-1} = -g^{-1} (d g) g^{-1} and tau the working-frame
+    torsion.  Where both traces vanish the constraint is vacuous: the
+    data is flagged degenerate, theta falls back to 0 and the hatted
+    torsion to the working-frame torsion.
     """
     t3, t4 = conn.trace3, conn.trace4
     theta, degenerate = _angle_from_traces(t3, t4)
     hat_torsion = conn.torsion
     if not degenerate:
-        dn = _gradient(lambda sp: _gauge_fixed_normals(spec, sp), conn.frame.s)
-        if np.all(np.isfinite(dn)):
-            hat_n3 = _rotate(conn.frame.n, theta)[0]
-            hat_torsion = dn[:, 1, :] @ hat_n3
-        else:
-            degenerate = True
+        fr = conn.frame
+        xe = np.einsum("dbi,ci->dbc", fr.d2x, fr.e)
+        dg_inv = -fr.g_inv @ (xe + xe.transpose(0, 2, 1)) @ fr.g_inv
+        nd2 = np.einsum("ai,bci->abc", fr.n, fr.d2x)
+        dn = -np.einsum("ade,ef,fi->dai", nd2, fr.g_inv, fr.e)
+        dn[:, 0] -= np.outer(fr.torsion, fr.n[1])
+        dn[:, 1] += np.outer(fr.torsion, fr.n[0])
+        dt = -(
+            np.einsum("dbc,abc->da", dg_inv, nd2)
+            + np.einsum("bc,dai,bci->da", fr.g_inv, dn, fr.d2x)
+            + np.einsum("bc,ai,bcdi->da", fr.g_inv, fr.n, fr.d3x)
+        )
+        dtheta = (t4 * dt[:, 0] - t3 * dt[:, 1]) / (t3 * t3 + t4 * t4)
+        hat_torsion = conn.torsion + dtheta
     return GaugeData(
         theta=theta,
         hat_trace3=math.hypot(t3, t4),

@@ -238,7 +238,7 @@ def reconstruct(
     )
     if steps is not None:
         conn = connection_from_frame(frame)
-        gauge = gauge_at(spec, conn)
+        gauge = gauge_at(conn)
         symbol = _symbol(conn, sc, gauge if gauged else None)
         res = _residual(spec, basis, symbol, steps, gauged)
         report = replace(

@@ -1,10 +1,10 @@
 """Finite-difference oracles for the closed-form connections.
 
 These are the Richardson-extrapolated central-difference estimators the
-library used before the torsion, the spin connection and the gauge-fixed
-torsion were read from the 2-jet.  They difference frames at s +- h and
-s +- h/2, aligned to the center frame, and agree with the closed forms
-at O(h^4).
+library used before the torsion and the spin connection were read from
+the 2-jet and the gauge-fixed torsion from the 3-jet.  They difference
+frames at s +- h and s +- h/2, aligned to the center frame, and agree
+with the closed forms at O(h^4).
 """
 
 import math

@@ -244,7 +244,7 @@ def test_criterion_6_gauged_weierstrass():
             s0 = np.asarray(s0, dtype=float)
             sym_g = gauged_dirac_symbol(spec, s0)
             sym_p = dirac_symbol(spec, s0)
-            th0 = gauge_at(spec, connection_at(spec, s0)).theta
+            th0 = gauge_at(connection_at(spec, s0)).theta
             coef = np.array([1.0, 0.3j, -0.2, 0.5 + 0.1j])
 
             def psi(s):

@@ -40,6 +40,32 @@ def test_frame_clifford_hat_trace(tmp_path):
     assert abs(rec["hat_trace3"] - 2.0) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "argv,calls_per_point",
+    [
+        (("frame", GRAPH), 1),
+        (("frame", CLIFFORD_ROTATED), 1),
+        (("verify", GRAPH), 13),
+        (("verify", CLIFFORD_ROTATED), 13),
+        (("verify", CLIFFORD_ROTATED, "--gauged"), 13),
+    ],
+)
+def test_frame_at_calls_per_point(tmp_path, monkeypatch, argv, calls_per_point):
+    """A frame query builds its one frame and reads everything else, the
+    gauge-fixed torsion included, from the jets; a verify point adds only
+    the 12 frames of the three-step residual probe."""
+    from dirac_surface import cli, geometry, weierstrass
+
+    calls = []
+    frame = geometry.frame_at
+    counted = lambda *a: calls.append(a) or frame(*a)
+    for module in (cli, dirac, geometry, weierstrass):
+        monkeypatch.setattr(module, "frame_at", counted)
+    code, _ = run(tmp_path, *argv, "--at", "0.3", "0.2")
+    assert code == 0
+    assert len(calls) == calls_per_point
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["frame", str(tmp_path / "nope.imm")]) == 2
     assert "error" in capsys.readouterr().err

@@ -113,6 +113,10 @@ _SMOOTH_EXPRS = [
     "sqrt(u^2 + v^2 + 1)",
     "log(2 + sinh(u) * 0.1) - v/3",
     "u^3 - 2*u*v + cos(u*v)",
+    "tan(0.5*u) + cosh(v)*atan(u - v)",
+    "1/(2 + u*v) + (1.5 + u)^1.7",
+    "atan2(3 + v, u)",
+    "atan2(v + 1, u - 2)",
 ]
 
 
@@ -130,6 +134,23 @@ def test_jets_match_finite_differences(text, u, v):
         assert abs(a - b) <= 1e-5 * max(scale, abs(a))
     for a, b in zip(jet.hess, hess):
         assert abs(a - b) <= 1e-4 * max(scale, abs(a), 1.0)
+    # third partials against central differences of the exact Hessian:
+    # t112 and t122 each have two difference estimates
+    h = 1e-4
+    dh = [
+        [(x - y) / (2 * h) for x, y in zip(ev(text, p).hess, ev(text, m).hess)]
+        for p, m in (((u + h, v), (u - h, v)), ((u, v + h), (u, v - h)))
+    ]
+    t111, t112, t122, t222 = jet.third
+    for a, b in (
+        (t111, dh[0][0]),
+        (t112, dh[1][0]),
+        (t112, dh[0][1]),
+        (t122, dh[1][1]),
+        (t122, dh[0][2]),
+        (t222, dh[1][2]),
+    ):
+        assert abs(a - b) <= 1e-5 * max(scale, abs(a), 1.0)
 
 
 def test_domain_errors():

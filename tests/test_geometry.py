@@ -205,8 +205,9 @@ _PLANE = load_corpus("plane")
 
 
 class _FakeConn:
-    """Given traces at a point of the plane, whose gauge-fixed torsion
-    stencil is degenerate: only the angle and the hatted traces are read."""
+    """Given traces at a point of the plane: its frame has vanishing second
+    and third partials, so the traces have zero gradient and the hatted
+    torsion is the working-frame torsion, zero."""
 
     def __init__(self, t3, t4):
         self.trace3 = t3
@@ -224,16 +225,17 @@ class _FakeConn:
     ],
 )
 def test_gauge_angle_closed_forms(t3, t4, theta, hat3):
-    gd = gauge_at(_PLANE, _FakeConn(t3, t4))
+    gd = gauge_at(_FakeConn(t3, t4))
     assert gd.theta == pytest.approx(theta, abs=1e-15)
     assert gd.hat_trace3 == pytest.approx(hat3, abs=1e-15)
     assert gd.hat_trace4 == 0.0
     assert t3 == pytest.approx(gd.hat_trace3 * math.cos(gd.theta), abs=1e-10)
     assert t4 == pytest.approx(-gd.hat_trace3 * math.sin(gd.theta), abs=1e-10)
+    assert np.array_equal(gd.hat_torsion, np.zeros(2))
 
 
 def test_gauge_degenerate_point():
-    gd = gauge_at(_PLANE, _FakeConn(0.0, 0.0))
+    gd = gauge_at(_FakeConn(0.0, 0.0))
     assert gd.degenerate
     assert gd.theta == 0.0
 
@@ -244,8 +246,8 @@ def test_hat_torsion_invariant_under_frame_rotation(clifford, clifford_rotated):
     on both presentations of this torus."""
     for pt in [(0.4, 0.9), (2.0, 4.0)]:
         for spec in (clifford, clifford_rotated):
-            gd = gauge_at(spec, connection_at(spec, pt))
-            assert np.max(np.abs(gd.hat_torsion)) <= 1e-6
+            gd = gauge_at(connection_at(spec, pt))
+            assert np.max(np.abs(gd.hat_torsion)) <= 1e-14
 
 
 # --- tube samples -----------------------------------------------------------
@@ -329,7 +331,22 @@ def test_connections_match_fd_oracles(name, request, rng):
         assert np.max(np.abs(conn.gamma_nor - fd_oracles.normal_connection(spec, pt))) <= 1e-8
         omega = spin_connection_at(spec, pt).omega
         assert np.max(np.abs(omega - fd_oracles.spin_connection(spec, pt))) <= 1e-8
-        hat = gauge_at(spec, conn).hat_torsion
+        hat = gauge_at(conn).hat_torsion
+        assert np.max(np.abs(hat - fd_oracles.hat_torsion(spec, pt))) <= 1e-8
+
+
+def test_hat_torsion_third_partials_match_fd_oracle():
+    """On a surface with cubic terms the traces' gradients depend on the
+    third partials (they vanish on the graph and do not reach the gauge
+    angle on the corpus tori and sphere); the closed form still agrees
+    with the differenced gauge angle."""
+    import fd_oracles
+
+    spec = _make_spec(
+        x3="0.3*u^3 + 0.2*sin(u*v)", x4="0.2*v*cosh(u) - 0.1*v^3", rotation="0.4*u*v"
+    )
+    for pt in [(0.3, 0.2), (-0.5, 0.4), (0.1, -0.7), (0.6, 0.6)]:
+        hat = gauge_at(connection_at(spec, pt)).hat_torsion
         assert np.max(np.abs(hat - fd_oracles.hat_torsion(spec, pt))) <= 1e-8
 
 
