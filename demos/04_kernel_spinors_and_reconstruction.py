@@ -9,7 +9,7 @@ metric-lowered bilinears reproduce d_alpha x to machine precision.
 
 import numpy as np
 
-from dirac_surface import dirac_residual, kernel_basis_at, reconstruct
+from dirac_surface import kernel_basis_at, reconstruct
 from dirac_surface.corpus import load_corpus
 
 np.set_printoptions(precision=10, suppress=True)
@@ -21,7 +21,7 @@ basis = kernel_basis_at(spec, pt)
 gram = basis.cospinor_square().T @ basis.psi_square
 print("spinor Gram matrix defect:", np.max(np.abs(gram - np.eye(4))))
 
-rep = dirac_residual(spec, pt, steps=(1e-2, 5e-3, 2.5e-3))
+rep = reconstruct(spec, pt, steps=(1e-2, 5e-3, 2.5e-3))
 print("Dirac residuals over halved steps:", ["%.3e" % r for r in rep.residual_dirac])
 print("decay ratio (4 = clean second order):", round(rep.convergence_ratio, 4))
 print()

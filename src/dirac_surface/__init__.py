@@ -65,7 +65,6 @@ from .dirac import (
 from .weierstrass import (
     KernelBasis,
     ReconstructionReport,
-    dirac_residual,
     kernel_basis_at,
     reconstruct,
 )

@@ -2,9 +2,14 @@
 
 ::
 
-    dirac-surface <frame|verify|spectrum|tube|parse-check> <file>
-                  [--at U V | --grid NxM] [--gauged]
-                  [--json | --csv] [--out PATH] [--threads K]
+    dirac-surface frame       <file> [--at U V | --grid NxM]
+    dirac-surface verify      <file> [--at U V | --grid NxM] [--gauged]
+    dirac-surface spectrum    <file> [--grid NxM] [--gauged]
+    dirac-surface tube        <file> [--at U V]
+    dirac-surface parse-check <file>
+
+Every command also takes ``[--json | --csv] [--out PATH]``; an option
+a command does not read is refused with exit code 2.
 
 Exit codes: 0 every check passed, 1 an invariant failed (or a numeric
 field came out non-finite), 2 input error, 3 resource cap exceeded.
@@ -19,9 +24,7 @@ itself draws no random numbers.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
-import os
 import sys
 from decimal import Decimal, InvalidOperation
 
@@ -44,7 +47,7 @@ from .geometry import (
     gauge_at,
     tube_metrics_at,
 )
-from .weierstrass import reconstruct, safe_ratio
+from .weierstrass import reconstruct
 
 
 __all__ = ["main"]
@@ -211,16 +214,17 @@ def _interior_lattice(spec: ImmersionSpec, n1: int, n2: int):
     return points
 
 
+def _in_domain(spec, pt):
+    """``pt`` as a tuple, refused if it leaves a non-periodic domain axis."""
+    for val, (lo, hi), periodic in zip(pt, spec.domain, spec.periodic):
+        if not periodic and not (lo <= val <= hi):
+            raise ExprError(f"point coordinate {val} outside domain [{lo}, {hi}]")
+    return tuple(pt)
+
+
 def _points_from_args(spec, args, default_grid):
     if args.at is not None:
-        u, v = args.at
-        for axis, val in enumerate((u, v)):
-            lo, hi = spec.domain[axis]
-            if not spec.periodic[axis] and not (lo <= val <= hi):
-                raise ExprError(
-                    f"point coordinate {val} outside domain [{lo}, {hi}]"
-                )
-        return [(u, v)]
+        return [_in_domain(spec, args.at)]
     n1, n2 = args.grid if args.grid is not None else default_grid
     if n1 * n2 > MAX_LATTICE_POINTS:
         raise DimensionCapError(
@@ -228,13 +232,6 @@ def _points_from_args(spec, args, default_grid):
             f"{MAX_LATTICE_POINTS}"
         )
     return _interior_lattice(spec, n1, n2)
-
-
-def _map_points(points, worker, threads):
-    if threads == 1 or len(points) <= 1:
-        return [worker(pt) for pt in points]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, points))
 
 
 def _finish(report, args) -> int:
@@ -299,7 +296,7 @@ def _cmd_frame(args) -> int:
         }
         return record
 
-    records = _map_points(points, worker, args.threads)
+    records = [worker(pt) for pt in points]
     checks = [
         _check(
             "frame_orthonormality",
@@ -344,26 +341,22 @@ def _cmd_verify(args) -> int:
 
     def worker(pt):
         rep = reconstruct(spec, pt, gauged=args.gauged, steps=steps)
-        # residuals at the floating-point floor count as converged; the
-        # reported ratio is capped so every numeric field stays finite
-        ratios = [
-            min(safe_ratio(rep.residual_dirac[i], rep.residual_dirac[i + 1]), 1e6)
-            for i in range(len(rep.residual_dirac) - 1)
-        ]
         return {
             "s": list(pt),
             "residual_bilinear": rep.residual_bilinear,
             "max_imag": rep.max_imag,
             "orthonormality": rep.orthonormality,
             "residual_dirac": list(rep.residual_dirac),
-            "convergence_ratio": min(ratios),
+            # residuals at the floating-point floor give an infinite ratio;
+            # the cap keeps every numeric field of the report finite
+            "convergence_ratio": min(rep.convergence_ratio, 1e6),
             "torsion": rep.torsion.tolist(),
             "hat_torsion": rep.hat_torsion.tolist(),
             "W": rep.W.tolist(),
             "T": rep.T.tolist(),
         }
 
-    records = _map_points(points, worker, args.threads)
+    records = [worker(pt) for pt in points]
     worst_ratio = min(r["convergence_ratio"] for r in records)
     checks = [
         _check(
@@ -456,7 +449,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_tube(args) -> int:
     spec = load_immersion(args.file)
     if args.at is not None:
-        pt = tuple(args.at)
+        pt = _in_domain(spec, args.at)
     else:
         (lo1, hi1), (lo2, hi2) = spec.domain
         pt = (lo1 + 0.37 * (hi1 - lo1), lo2 + 0.41 * (hi2 - lo2))
@@ -573,6 +566,30 @@ def _grid(text: str):
     return (n1, n2)
 
 
+# command: (handler, help, the options it reads besides --json, --csv, --out)
+_COMMANDS = {
+    "frame": (
+        _cmd_frame,
+        "frame, metric, connection and gauge data at sample points",
+        ("at", "grid"),
+    ),
+    "verify": (
+        _cmd_verify,
+        "tangent reconstruction from spinor bilinears",
+        ("at", "grid", "gauged"),
+    ),
+    "spectrum": (
+        _cmd_spectrum,
+        "assemble the periodic grid operator and diagonalize",
+        ("grid", "gauged"),
+    ),
+    "tube": (_cmd_tube, "tube metric and density diagnostics", ("at",)),
+    "parse-check": (
+        _cmd_parse_check, "parse an immersion file and echo its structure", ()
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirac-surface",
@@ -582,24 +599,23 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("frame", "frame, metric, connection and gauge data at sample points"),
-        ("verify", "tangent reconstruction from spinor bilinears"),
-        ("spectrum", "assemble the periodic grid operator and diagonalize"),
-        ("tube", "tube metric and density diagnostics"),
-        ("parse-check", "parse an immersion file and echo its structure"),
-    ):
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="immersion definition file")
-        p.add_argument(
-            "--at", nargs=2, type=float, metavar=("U", "V"), default=None,
-            help="evaluate at a single parameter point",
-        )
-        p.add_argument(
-            "--grid", type=_grid, default=None, metavar="NxM",
-            help="evaluate on an interior lattice (or the operator grid)",
-        )
-        p.add_argument("--gauged", action="store_true", help="use the gauge-fixed operator")
+        # a single point and a lattice exclude each other
+        points = p.add_mutually_exclusive_group() if "at" in options else p
+        if "at" in options:
+            points.add_argument(
+                "--at", nargs=2, type=float, metavar=("U", "V"), default=None,
+                help="evaluate at a single parameter point",
+            )
+        if "grid" in options:
+            points.add_argument(
+                "--grid", type=_grid, default=None, metavar="NxM",
+                help="evaluate on an interior lattice (or the operator grid)",
+            )
+        if "gauged" in options:
+            p.add_argument("--gauged", action="store_true", help="use the gauge-fixed operator")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument(
             "--json", dest="format", action="store_const", const="json",
@@ -611,20 +627,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.set_defaults(format="json")
         p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument(
-            "--threads", type=int, default=os.cpu_count() or 1,
-            help="worker threads for per-point evaluation",
-        )
+        # accepted and ignored, because perfbench still passes --threads to
+        # every command: delete this line once the benchmark stops passing it
+        p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     return parser
-
-
-_COMMANDS = {
-    "frame": _cmd_frame,
-    "verify": _cmd_verify,
-    "spectrum": _cmd_spectrum,
-    "tube": _cmd_tube,
-    "parse-check": _cmd_parse_check,
-}
 
 
 def _positional_at(argv):
@@ -653,7 +659,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_positional_at(argv))
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,15 +2,15 @@
 
 The spin lift U of the adapted frame turns the constant spinor bases
 into fields psi^[a] = U Psi^[a] (orthonormal) and psi^(i) = U Psi^(i)
-(vector-valued bilinears).  Two numerical verifications live here:
+(vector-valued bilinears).  ``reconstruct`` makes two numerical
+verifications:
 
-* ``dirac_residual`` differentiates the constructed spinor fields with
-  central differences and applies the assembled pointwise symbol; the
-  residual must vanish at second order in the probe step.
-* ``reconstruct`` recovers the coordinate tangents from the metric-
-  lowered bilinears  W^i_alpha = g_{alpha beta}
-  Re[ conj(psi^(i)) iota_g(sigma^beta) psi^(i) ]  and compares them with
-  the exact tangents from the jets.
+* it recovers the coordinate tangents from the metric-lowered bilinears
+  W^i_alpha = g_{alpha beta} Re[ conj(psi^(i)) iota_g(sigma^beta) psi^(i) ]
+  and compares them with the exact tangents from the jets;
+* with probe ``steps`` given, it differentiates the constructed spinor
+  fields with central differences and applies the assembled pointwise
+  symbol; the residual must vanish at second order in the probe step.
 
 In the gauged variant the basis is built from the gauge-fixed frame:
 U_hat = gauge_rotation(-theta/2) U, which is the spin lift of the
@@ -30,8 +30,6 @@ from .clifford import basis_round, gauge_rotation, match_sign, spin_lift
 from .dirac import (
     OperatorSymbol,
     apply_pointwise,
-    dirac_symbol,
-    gauged_dirac_symbol,
     spin_connection_from_frame,
     _coordinate_gammas,
     _symbol,
@@ -52,7 +50,6 @@ __all__ = [
     "KernelBasis",
     "ReconstructionReport",
     "kernel_basis_at",
-    "dirac_residual",
     "reconstruct",
     "safe_ratio",
     "RESIDUAL_FLOOR",
@@ -159,6 +156,12 @@ def _basis_field(spec: ImmersionSpec, center: KernelBasis, gauged: bool):
 
 
 def _residual(spec, center: KernelBasis, symbol: OperatorSymbol, steps, gauged):
+    """Per-step residuals and the worst consecutive decay ratio.
+
+    For each probe step the residual is the worst column norm of
+    A^alpha (U(s+h) - U(s-h)) / (2h) + B U(s); the ratio is infinite
+    when a residual sits at the floating-point floor.
+    """
     field = _basis_field(spec, center, gauged)
     residuals = []
     for step in steps:
@@ -167,33 +170,7 @@ def _residual(spec, center: KernelBasis, symbol: OperatorSymbol, steps, gauged):
     ratios = [
         safe_ratio(residuals[i], residuals[i + 1]) for i in range(len(residuals) - 1)
     ]
-    return ReconstructionReport(
-        s=center.s,
-        residual_dirac=tuple(residuals),
-        steps=tuple(steps),
-        convergence_ratio=min(ratios) if ratios else None,
-        gauged=gauged,
-    )
-
-
-def dirac_residual(
-    spec: ImmersionSpec,
-    s,
-    steps=(1e-2, 5e-3, 2.5e-3),
-    gauged: bool = False,
-    symbol: OperatorSymbol | None = None,
-) -> ReconstructionReport:
-    """Residual of the assembled symbol on the frame-derived basis.
-
-    For each probe step the residual is the worst column norm of
-    A^alpha (U(s+h) - U(s-h)) / (2h) + B U(s); the report carries the
-    per-step values and the worst consecutive decay ratio (infinite when
-    a residual sits at the floating-point floor).
-    """
-    s = np.asarray(s, dtype=float)
-    if symbol is None:
-        symbol = (gauged_dirac_symbol if gauged else dirac_symbol)(spec, s)
-    return _residual(spec, kernel_basis_at(spec, s, gauged), symbol, steps, gauged)
+    return tuple(residuals), min(ratios) if ratios else None
 
 
 def reconstruct(
@@ -240,12 +217,12 @@ def reconstruct(
         conn = connection_from_frame(frame)
         gauge = gauge_at(conn)
         symbol = _symbol(conn, sc, gauge if gauged else None)
-        res = _residual(spec, basis, symbol, steps, gauged)
+        residuals, ratio = _residual(spec, basis, symbol, steps, gauged)
         report = replace(
             report,
-            residual_dirac=res.residual_dirac,
-            steps=res.steps,
-            convergence_ratio=res.convergence_ratio,
+            residual_dirac=residuals,
+            steps=tuple(steps),
+            convergence_ratio=ratio,
             torsion=conn.torsion,
             hat_torsion=gauge.hat_torsion,
         )

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ CLIFFORD = str(corpus_path("clifford"))
 CLIFFORD_ROTATED = str(corpus_path("clifford-rotated"))
 PLANE_TORUS = str(corpus_path("plane-torus"))
 GRAPH = str(corpus_path("graph"))
+SPHERE = str(corpus_path("sphere"))
 
 
 def run(tmp_path, *argv):
@@ -243,3 +245,63 @@ def test_no_step_option():
     with pytest.raises(SystemExit) as info:
         main(["frame", PLANE, "--at", "0", "0", "--step", "1e-3"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frame", PLANE, "--gauged"),
+        ("frame", PLANE, "--at", "0.1", "0.2", "--grid", "3x3"),
+        ("verify", PLANE, "--grid", "3x3", "--at", "0.1", "0.2"),
+        ("spectrum", CLIFFORD, "--at", "0.1", "0.2"),
+        ("tube", PLANE, "--grid", "3x3"),
+        ("tube", PLANE, "--gauged"),
+        ("parse-check", PLANE, "--at", "0.1", "0.2"),
+        ("parse-check", PLANE, "--grid", "3x3"),
+        ("parse-check", PLANE, "--gauged"),
+    ],
+)
+def test_unread_or_conflicting_option_refused(argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+
+
+def test_verify_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, _ = run(tmp_path, "verify", CLIFFORD, "--grid", "3x3", "--threads", "2")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", GRAPH, "--grid", "3x3"),
+        ("verify", CLIFFORD_ROTATED, "--grid", "3x3", "--gauged"),
+        ("spectrum", CLIFFORD, "--grid", "8x8"),
+        ("spectrum", CLIFFORD_ROTATED, "--grid", "8x8", "--gauged"),
+        ("frame", SPHERE, "--at", "1.0", "0.7"),
+        ("tube", SPHERE, "--at", "1.0", "0.7"),
+        ("parse-check", CLIFFORD_ROTATED),
+    ],
+)
+def test_threads_option_is_hidden_and_inert(tmp_path, capsys, argv):
+    """The benchmark still passes --threads to every command; the option
+    changes nothing in the report and is left out of the help."""
+    code, plain = run(tmp_path, *argv)
+    assert code == 0
+    code, threaded = run(tmp_path, *argv, "--threads", "2")
+    assert code == 0
+    assert threaded == plain
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert "--threads" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,u,v", [("plane", "5", "5"), ("sphere", "3.0", "0.7")])
+def test_tube_point_outside_domain(capsys, name, u, v):
+    assert main(["tube", str(corpus_path(name)), "--at", u, v]) == 2
+    assert f"point coordinate {float(u)} outside domain" in capsys.readouterr().err

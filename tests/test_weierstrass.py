@@ -7,7 +7,6 @@ from dirac_surface.clifford import basis_square, gauge_rotation
 from dirac_surface.dirac import dirac_symbol
 from dirac_surface.geometry import frame_at
 from dirac_surface.weierstrass import (
-    dirac_residual,
     kernel_basis_at,
     reconstruct,
     safe_ratio,
@@ -46,7 +45,7 @@ def test_gauged_basis_is_half_angle_rotation(clifford_rotated):
 
 
 def test_plane_residual_exactly_zero(plane):
-    rep = dirac_residual(plane, (0.3, -0.4), steps=STEPS)
+    rep = reconstruct(plane, (0.3, -0.4), steps=STEPS)
     assert max(rep.residual_dirac) <= 1e-14
     assert rep.convergence_ratio == math.inf
 
@@ -59,12 +58,12 @@ def test_plane_residual_exactly_zero(plane):
 ])
 def test_residual_second_order(name, pt, request):
     spec = request.getfixturevalue(name)
-    rep = dirac_residual(spec, pt, steps=(1e-2, 5e-3))
+    rep = reconstruct(spec, pt, steps=(1e-2, 5e-3))
     assert rep.convergence_ratio >= 3.5
 
 
 def test_gauged_residual_second_order(clifford_rotated):
-    rep = dirac_residual(clifford_rotated, (0.4, 0.9), steps=STEPS, gauged=True)
+    rep = reconstruct(clifford_rotated, (0.4, 0.9), steps=STEPS, gauged=True)
     assert rep.convergence_ratio >= 3.5
 
 
