@@ -54,6 +54,7 @@ from .dirac import (
     DiscreteOperator,
     NonPeriodicDomainError,
     OperatorSymbol,
+    SpectrumInvariantError,
     SpinConnection2D,
     apply_pointwise,
     assemble_grid_operator,

@@ -33,6 +33,7 @@ import numpy as np
 from .dirac import (
     DimensionCapError,
     NonPeriodicDomainError,
+    SpectrumInvariantError,
     assemble_grid_operator,
     eigenvalues,
     fourier_eigenvalues,
@@ -666,7 +667,7 @@ def main(argv=None) -> int:
     except (ExprError, NonPeriodicDomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GeometryError as exc:
+    except (GeometryError, SpectrumInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,6 +28,11 @@ gauge field,
 The two symbols are exactly intertwined by the half-angle spinor gauge
 rotation: D_gauged = U(-theta/2) D U(theta/2) with U = gauge_rotation
 and theta the gauge angle field.
+
+Only the lattice spectrum loads scipy, on first use:
+``assemble_grid_operator`` imports ``scipy.sparse``, ``eigenvalues``
+``scipy.linalg`` and ``multiset_distance`` ``scipy.optimize``.  The
+pointwise symbols need numpy alone.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-import scipy.sparse
+# scipy is imported inside the grid and spectrum functions that call it,
+# so the pointwise commands (frame, verify, tube, parse-check) never pay
+# for loading it.
 
 from .clifford import GAMMA, SIGMA34, TANGENT_SPIN_GENERATOR, gauge_rotation
 from .expr import ImmersionSpec
@@ -57,6 +62,7 @@ from .geometry import (
 __all__ = [
     "NonPeriodicDomainError",
     "DimensionCapError",
+    "SpectrumInvariantError",
     "SpinConnection2D",
     "OperatorSymbol",
     "DiscreteOperator",
@@ -83,6 +89,10 @@ class NonPeriodicDomainError(ValueError):
 
 class DimensionCapError(RuntimeError):
     """A requested operator dimension or lattice size exceeds its cap."""
+
+
+class SpectrumInvariantError(ArithmeticError):
+    """The eigensolver found its operator or its spectrum malformed."""
 
 
 @dataclass(frozen=True)
@@ -330,6 +340,8 @@ def assemble_grid_operator(
         B_site = np.einsum("sba,sbc,scd->sad", V_site.conj(), B_site, V_site)
         mass_site = np.einsum("sba,sbc,scd->sad", V_site.conj(), mass_site, V_site)
 
+    import scipy.sparse
+
     matrix = scipy.sparse.bsr_array(
         (blocks.reshape(-1, 4, 4), cols.ravel(), np.arange(0, 5 * nsites + 1, 5)),
         shape=(dim, dim),
@@ -368,7 +380,7 @@ def _chiral_blocks(matrix):
     rows_plus = matrix[plus]
     rows_minus = matrix[minus]
     if rows_plus[:, plus].count_nonzero() or rows_minus[:, minus].count_nonzero():
-        raise ValueError(
+        raise SpectrumInvariantError(
             "grid operator does not anticommute with gamma^5: "
             "a same-chirality entry is non-zero"
         )
@@ -382,11 +394,13 @@ def _near_kernel_eigenvalues(X, Y, XY, cut: float, count: int) -> np.ndarray:
     X maps W into V and Y maps V into W, so the operator restricted to
     V + W is [[0, V^dag X W], [W^dag Y V, 0]], solved without a root.
     """
+    import scipy.linalg
+
     select = lambda z: abs(z) <= cut  # noqa: E731
     _, V, kv = scipy.linalg.schur(XY, output="complex", sort=select)
     _, W, kw = scipy.linalg.schur((Y @ X).toarray(), output="complex", sort=select)
     if kv != count or kw != count:
-        raise ArithmeticError(
+        raise SpectrumInvariantError(
             f"near-kernel cluster of {count} squared eigenvalues is not "
             f"separated at {cut:.3e} (Schur forms select {kv} and {kw})"
         )
@@ -412,6 +426,8 @@ def eigenvalues(op: DiscreteOperator, return_squares: bool = False):
         raise DimensionCapError(
             f"operator dimension {op.dim} exceeds the cap {DEFAULT_EIG_CAP}"
         )
+    import scipy.linalg
+
     X, Y = _chiral_blocks(op.matrix)
     XY = (X @ Y).toarray()
     mu = scipy.linalg.eigvals(XY)
@@ -470,6 +486,8 @@ def multiset_distance(a, b) -> float:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError("multisets must have equal cardinality")
+    import scipy.optimize
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

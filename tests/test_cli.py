@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dirac_surface import dirac
 from dirac_surface.cli import main
@@ -126,10 +131,12 @@ def test_spectrum_plane_torus(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "path,extra", [(CLIFFORD, ()), (CLIFFORD_ROTATED, ()), (CLIFFORD_ROTATED, ("--gauged",))]
+    "name,extra",
+    [("clifford", ()), ("clifford-rotated", ()), ("clifford-rotated", ("--gauged",))],
+    ids=["clifford", "clifford-rotated", "clifford-rotated-gauged"],
 )
-def test_spectrum_conjugation_check(tmp_path, path, extra):
-    code, text = run(tmp_path, "spectrum", path, "--grid", "8x8", *extra)
+def test_spectrum_conjugation_check(tmp_path, name, extra):
+    code, text = run(tmp_path, "spectrum", str(corpus_path(name)), "--grid", "8x8", *extra)
     assert code == 0
     (check,) = [c for c in json.loads(text)["checks"] if c["name"] == "conjugation_symmetry"]
     assert check["pass"] and check["value"] <= 1e-12
@@ -305,3 +312,75 @@ def test_threads_option_is_hidden_and_inert(tmp_path, capsys, argv):
 def test_tube_point_outside_domain(capsys, name, u, v):
     assert main(["tube", str(corpus_path(name)), "--at", u, v]) == 2
     assert f"point coordinate {float(u)} outside domain" in capsys.readouterr().err
+
+
+def test_same_chirality_entry_exits_1(tmp_path, capsys, monkeypatch):
+    """A symbol that commutes with gamma^5 in part breaks the solver's
+    chiral form: an invariant failure (exit 1), not an input error."""
+    symbol = dirac._symbol
+
+    def chirality_even_mass(*args, **kwargs):
+        sym = symbol(*args, **kwargs)
+        return dataclasses.replace(sym, B=sym.B + 0.1 * np.eye(4))
+
+    monkeypatch.setattr(dirac, "_symbol", chirality_even_mass)
+    assert main(["spectrum", CLIFFORD, "--grid", "8x8", "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid operator does not anticommute with gamma^5")
+    assert "Traceback" not in err
+
+
+def test_unseparated_near_kernel_cluster_exits_1(tmp_path, capsys, monkeypatch):
+    """The re-solve of the near-kernel squares checks that its Schur
+    forms select the whole cluster; a miscount exits 1 with a message."""
+    schur = scipy.linalg.schur
+
+    def overselecting_schur(*args, **kwargs):
+        T, Z, sdim = schur(*args, **kwargs)
+        return T, Z, sdim + 1
+
+    monkeypatch.setattr(scipy.linalg, "schur", overselecting_schur)
+    assert main(["spectrum", PLANE_TORUS, "--grid", "9x9", "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: near-kernel cluster of 2 squared eigenvalues")
+    assert "Traceback" not in err
+
+
+_SCIPY_PROBE = """
+import json, sys
+from dirac_surface.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [["import", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    seen.append([argv[0], main(argv), scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_pointwise_commands_do_not_import_scipy(tmp_path):
+    """Only the spectrum loads scipy: a fresh interpreter that imports
+    the CLI and runs every other command has no scipy module loaded."""
+    out = str(tmp_path / "report")
+    argvs = [
+        ["frame", CLIFFORD_ROTATED, "--at", "0.3", "0.2", "--out", out],
+        ["verify", CLIFFORD_ROTATED, "--grid", "3x3", "--gauged", "--out", out],
+        ["tube", SPHERE, "--at", "1.0", "0.7", "--out", out],
+        ["parse-check", CLIFFORD_ROTATED, "--out", out],
+        ["spectrum", CLIFFORD, "--grid", "4x4", "--out", out],
+    ]
+    src = str(Path(dirac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(child.stdout)
+    *pointwise, (command, code, modules) = seen
+    for name, exit_code, loaded in pointwise:
+        assert exit_code == 0, name
+        assert loaded == [], name
+    assert command == "spectrum" and code == 0
+    assert "scipy.linalg" in modules

@@ -8,6 +8,7 @@ from dirac_surface.clifford import GAMMA, basis_square, gauge_rotation
 from dirac_surface.dirac import (
     DimensionCapError,
     NonPeriodicDomainError,
+    SpectrumInvariantError,
     _chiral_blocks,
     _near_kernel_eigenvalues,
     apply_pointwise,
@@ -248,7 +249,7 @@ def test_eigenvalues_reject_same_chirality_entry(clifford):
     eigenvalues(op)
     perturbed = op.matrix.tolil()
     perturbed[5, 4] = 1e-3  # site 1, components 1 and 0: both chirality +
-    with pytest.raises(ValueError, match="gamma\\^5"):
+    with pytest.raises(SpectrumInvariantError, match="gamma\\^5"):
         eigenvalues(dataclasses.replace(op, matrix=perturbed.tocsr()))
 
 
