@@ -33,6 +33,7 @@ from .geometry import (
     TubeSample,
     connection_at,
     frame_at,
+    frames_at,
     gauge_at,
     tube_metric_at,
     tube_metrics_at,

@@ -92,6 +92,12 @@ def _fmt_float(x: float) -> str:
 
 
 def _render_json(obj, indent=0) -> str:
+    # numpy arrays and complex numbers are rendered in place, so a large
+    # report is never copied into plain containers first
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -104,7 +110,7 @@ def _render_json(obj, indent=0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
+        flat = all(not isinstance(v, (dict, list, tuple, np.ndarray, complex)) for v in obj)
         if flat:
             return "[" + ", ".join(_render_json(v) for v in obj) + "]"
         items = [f"{pad}  {_render_json(v, indent + 1)}" for v in obj]
@@ -155,22 +161,6 @@ def _render_csv(report) -> str:
                 cells.append(str(val))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return value
 
 
 def _all_finite(value) -> bool:
@@ -243,7 +233,7 @@ def _finish(report, args) -> int:
     if args.format == "csv":
         text = _render_csv(report)
     else:
-        text = _render_json(_jsonable(report)) + "\n"
+        text = _render_json(report) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -284,7 +274,7 @@ def _cmd_frame(args) -> int:
             "hat_trace3": gd.hat_trace3,
             "hat_trace4": gd.hat_trace4,
             "hat_torsion": gd.hat_torsion.tolist(),
-            "gauge_degenerate": gd.degenerate,
+            "gauge_degenerate": bool(gd.degenerate),
             "orthonormality_defect": float(np.max(np.abs(gram - np.eye(4)))),
             "det_rotation_defect": float(abs(np.linalg.det(R) - 1.0)),
             "torsion_antisymmetry_defect": float(
@@ -339,25 +329,35 @@ def _cmd_verify(args) -> int:
     spec = load_immersion(args.file)
     points = _points_from_args(spec, args, default_grid=(5, 5))
     steps = _DEFAULT_RESIDUAL_STEPS
-
-    def worker(pt):
-        rep = reconstruct(spec, pt, gauged=args.gauged, steps=steps)
-        return {
+    rep = reconstruct(spec, points, gauged=args.gauged, steps=steps)
+    columns = zip(
+        points,
+        *(
+            getattr(rep, key).tolist()
+            for key in (
+                "residual_bilinear", "max_imag", "orthonormality", "residual_dirac",
+                "convergence_ratio", "torsion", "hat_torsion", "W", "T",
+            )
+        ),
+    )
+    del rep
+    records = [
+        {
             "s": list(pt),
-            "residual_bilinear": rep.residual_bilinear,
-            "max_imag": rep.max_imag,
-            "orthonormality": rep.orthonormality,
-            "residual_dirac": list(rep.residual_dirac),
+            "residual_bilinear": bil,
+            "max_imag": imag,
+            "orthonormality": ortho,
+            "residual_dirac": residuals,
             # residuals at the floating-point floor give an infinite ratio;
             # the cap keeps every numeric field of the report finite
-            "convergence_ratio": min(rep.convergence_ratio, 1e6),
-            "torsion": rep.torsion.tolist(),
-            "hat_torsion": rep.hat_torsion.tolist(),
-            "W": rep.W.tolist(),
-            "T": rep.T.tolist(),
+            "convergence_ratio": min(ratio, 1e6),
+            "torsion": torsion,
+            "hat_torsion": hat_torsion,
+            "W": W,
+            "T": T,
         }
-
-    records = [worker(pt) for pt in points]
+        for pt, bil, imag, ortho, residuals, ratio, torsion, hat_torsion, W, T in columns
+    ]
     worst_ratio = min(r["convergence_ratio"] for r in records)
     checks = [
         _check(

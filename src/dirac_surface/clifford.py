@@ -134,34 +134,42 @@ def spin_lift(rotation, tol: float = 1e-10) -> SpinMatrix:
     |tr(Q^dag Y)| > 1/2.  P = S_Y / sqrt(det S_Y) and
     Q = (1/4) sum_i c_i^dag P a_i.  Of the two lifts +-U this picks the
     one with tr(Q^dag Y) > 0, so R = I lifts to U = I.
+
+    ``rotation`` may be a stack (..., 4, 4); the lift is then the stack
+    of the lifts, and the checks hold for every matrix of it.
     """
     R = np.asarray(rotation, dtype=float)
-    if R.shape != (4, 4):
+    if R.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {R.shape}")
-    ortho_defect = np.max(np.abs(R.T @ R - np.eye(4)))
+    ortho_defect = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(4)))
     if ortho_defect > tol:
         raise ValueError(
             f"matrix is not orthogonal (defect {ortho_defect:.3e})"
         )
-    det = np.linalg.det(R)
-    if abs(det - 1.0) > tol:
-        raise ValueError(f"matrix is not special orthogonal (det {det:.12f})")
+    det = np.ravel(np.linalg.det(R))
+    worst = int(np.argmax(np.abs(det - 1.0)))
+    if abs(det[worst] - 1.0) > tol:
+        raise ValueError(f"matrix is not special orthogonal (det {det[worst]:.12f})")
 
-    c = np.einsum("im,mab->iab", R, _BLOCKS)
-    S = np.einsum("iab,ybc,idc->yad", c, _QUATERNIONS, _BLOCKS.conj())
-    dets = (S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]).real
-    y = 0 if dets[0] >= 1.0 else 1 + int(np.argmax(dets[1:]))
-    P = S[y] / np.sqrt(dets[y])
-    Q = 0.25 * np.einsum("iba,bc,icd->ad", c.conj(), P, _BLOCKS)
-    U = np.zeros((4, 4), dtype=complex)
-    U[:2, :2] = P
-    U[2:, 2:] = Q
+    c = np.einsum("...im,mab->...iab", R, _BLOCKS)
+    S = np.einsum("...iab,ybc,idc->...yad", c, _QUATERNIONS, _BLOCKS.conj())
+    dets = (S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]).real
+    y = np.where(dets[..., 0] >= 1.0, 0, 1 + np.argmax(dets[..., 1:], axis=-1))
+    P = np.take_along_axis(S, y[..., None, None, None], axis=-3)[..., 0, :, :]
+    P = P / np.sqrt(np.take_along_axis(dets, y[..., None], axis=-1))[..., None]
+    Q = 0.25 * np.einsum("...iba,...bc,icd->...ad", c.conj(), P, _BLOCKS)
+    U = np.zeros(R.shape, dtype=complex)
+    U[..., :2, :2] = P
+    U[..., 2:, 2:] = Q
     return SpinMatrix(matrix=U)
 
 
-def gauge_rotation(theta: float) -> SpinMatrix:
-    """exp(sigma34 * theta) = cos(theta) I + sin(theta) sigma34 (unitary)."""
-    theta = float(theta)
+def gauge_rotation(theta) -> SpinMatrix:
+    """exp(sigma34 * theta) = cos(theta) I + sin(theta) sigma34 (unitary).
+
+    An array of angles gives the stack of rotations.
+    """
+    theta = np.asarray(theta, dtype=float)[..., None, None]
     U = np.cos(theta) * np.eye(4, dtype=complex) + np.sin(theta) * SIGMA34
     return SpinMatrix(matrix=U)
 
@@ -177,7 +185,9 @@ def iota_r(a) -> np.ndarray:
 
 
 def match_sign(U, ref) -> np.ndarray:
-    """Pick the sign sheet of U nearest to a reference spin matrix."""
-    if np.linalg.norm(U - ref) <= np.linalg.norm(U + ref):
-        return U
-    return -U
+    """Pick the sign sheet of U nearest to a reference spin matrix.
+
+    On stacks each matrix is matched to its own (broadcast) reference.
+    """
+    keep = np.linalg.norm(U - ref, axis=(-2, -1)) <= np.linalg.norm(U + ref, axis=(-2, -1))
+    return np.where(keep[..., None, None], U, -U)

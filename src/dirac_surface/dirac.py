@@ -38,7 +38,8 @@ pointwise symbols need numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 # scipy is imported inside the grid and spectrum functions that call it,
@@ -54,8 +55,10 @@ from .geometry import (
     align_frame,
     connection_from_frame,
     frame_at,
+    frames_at,
     gauge_angle,
     gauge_at,
+    _norm,
 )
 
 
@@ -135,7 +138,9 @@ class DiscreteOperator:
     n2: int
     h1: float
     h2: float
-    matrix: scipy.sparse.csr_array  # (4 n1 n2, 4 n1 n2) complex
+    # a scipy.sparse.csr_array, (4 n1 n2, 4 n1 n2) complex; annotated Any
+    # so that resolving the hints needs no scipy import
+    matrix: Any
     weight: np.ndarray     # (4 n1 n2,) positive, sqrt(det g) per site
     site_A: np.ndarray     # (n1 n2, 2, 4, 4) leading symbol per site
     site_B: np.ndarray     # (n1 n2, 4, 4) zeroth-order block per site
@@ -163,9 +168,11 @@ def spin_connection_from_frame(frame: FrameData) -> SpinConnection2D:
     The orthonormal tangents are ehat1 = d_1 x / |d_1 x| and its
     Gram-Schmidt partner ehat2, so the connection one-form is
     omega_alpha = ehat1 . d_alpha ehat2 = -ehat2 . d_alpha d_1 x / |d_1 x|.
+    A stack of frames gives a stack of zweibeins and connections.
     """
-    f = np.linalg.cholesky(frame.g).T
-    omega = -(frame.d2x[:, 0, :] @ frame.ehat[1]) / np.linalg.norm(frame.e[0])
+    f = np.swapaxes(np.linalg.cholesky(frame.g), -1, -2)
+    omega = -(frame.d2x[..., :, 0, :] @ frame.ehat[..., 1, :, None])[..., 0]
+    omega = omega / _norm(frame.e[..., 0, :])[..., None]
     return SpinConnection2D(f=f, f_inv=np.linalg.inv(f), omega=omega)
 
 
@@ -181,26 +188,31 @@ def spin_connection_at(spec: ImmersionSpec, s) -> SpinConnection2D:
 
 def _coordinate_gammas(f_inv) -> np.ndarray:
     """A^alpha = iota_g(sigma^alpha) with sigma^alpha = (f^{-1})^alpha_a tau_a."""
-    A = np.zeros((2, 4, 4), dtype=complex)
-    for alpha in range(2):
-        A[alpha] = f_inv[alpha, 0] * GAMMA[0] + f_inv[alpha, 1] * GAMMA[1]
-    return A
+    return f_inv[..., :, 0, None, None] * GAMMA[0] + f_inv[..., :, 1, None, None] * GAMMA[1]
+
+
+def _scaled(c, matrix):
+    """Each coefficient of the stack ``c`` times ``matrix``."""
+    return np.asarray(c)[..., None, None] * matrix
 
 
 def _symbol(
     conn: ConnectionData, sc: SpinConnection2D, gauge: GaugeData | None = None
 ) -> OperatorSymbol:
-    """The plain symbol, or the gauged one when ``gauge`` is given."""
+    """The plain symbol, or the gauged one when ``gauge`` is given.
+
+    Stacks of connections give a stack of symbols.
+    """
     A = _coordinate_gammas(sc.f_inv)
     if gauge is None:
         torsion = conn.torsion
-        mass = 0.5 * conn.trace3 * GAMMA[2] + 0.5 * conn.trace4 * GAMMA[3]
+        mass = _scaled(0.5 * conn.trace3, GAMMA[2]) + _scaled(0.5 * conn.trace4, GAMMA[3])
     else:
         torsion = gauge.hat_torsion
-        mass = 0.5 * gauge.hat_trace3 * GAMMA[2]
-    connection = 0.5 * sc.omega[:, None, None] * TANGENT_SPIN_GENERATOR \
-        + 0.5 * torsion[:, None, None] * SIGMA34
-    B = np.einsum("aij,ajk->ik", A, connection) + mass
+        mass = _scaled(0.5 * gauge.hat_trace3, GAMMA[2])
+    connection = _scaled(0.5 * sc.omega, TANGENT_SPIN_GENERATOR) \
+        + _scaled(0.5 * torsion, SIGMA34)
+    B = np.einsum("...aij,...ajk->...ik", A, connection) + mass
     return OperatorSymbol(
         A=A,
         B=B,
@@ -250,25 +262,24 @@ def apply_pointwise(symbol: OperatorSymbol, psi_field, s, h: float) -> np.ndarra
 def _aligned_grid_frames(spec: ImmersionSpec, n1: int, n2: int):
     """Frames at every grid site, sign-aligned by a serpentine sweep.
 
-    The pivoted normal construction can flip the normal pair across
-    curves in the parameter torus; the sweep resolves those discrete
-    jumps so the frame field is smooth across the grid whenever a smooth
-    periodic frame exists.
+    Site p = j n2 + k sits at (lo1 + j h1, lo2 + k h2); the frames are
+    built in one batch and returned as a stack over p.  The pivoted
+    normal construction can flip the normal pair across curves in the
+    parameter torus; the sweep, which aligns each site to the one before
+    it in its row (the first site of a row to the first of the row
+    before), resolves those discrete jumps so the frame field is smooth
+    across the grid whenever a smooth periodic frame exists.
     """
     (lo1, hi1), (lo2, hi2) = spec.domain
     h1 = (hi1 - lo1) / n1
     h2 = (hi2 - lo2) / n2
-    frames = {}
-    for j in range(n1):
-        for k in range(n2):
-            s = np.array([lo1 + j * h1, lo2 + k * h2])
-            fr = frame_at(spec, s)
-            if k > 0:
-                fr = align_frame(fr, frames[(j, k - 1)], limit=2.0)
-            elif j > 0:
-                fr = align_frame(fr, frames[(j - 1, 0)], limit=2.0)
-            frames[(j, k)] = fr
-    return frames, h1, h2
+    j, k = np.divmod(np.arange(n1 * n2), n2)
+    frames = frames_at(spec, np.stack([lo1 + j * h1, lo2 + k * h2], axis=-1))
+    n = frames.n.copy()
+    for p in range(1, n1 * n2):
+        ref = p - 1 if p % n2 else p - n2
+        n[p] = align_frame(frames[p], replace(frames[ref], n=n[ref]), limit=2.0).n
+    return replace(frames, n=n), h1, h2
 
 
 def assemble_grid_operator(
@@ -302,20 +313,9 @@ def assemble_grid_operator(
     frames, h1, h2 = _aligned_grid_frames(spec, n1, n2)
     nsites = n1 * n2
 
-    # site p = j n2 + k; the sweep visits the sites in that order
-    A_site = np.zeros((nsites, 2, 4, 4), dtype=complex)
-    B_site = np.zeros((nsites, 4, 4), dtype=complex)
-    mass_site = np.zeros((nsites, 4, 4), dtype=complex)
-    V_site = np.zeros((nsites, 4, 4), dtype=complex)
-    weight = np.zeros(dim)
-    for p, fr in enumerate(frames.values()):
-        sym = _symbol(connection_from_frame(fr), spin_connection_from_frame(fr))
-        A_site[p] = sym.A
-        B_site[p] = sym.B
-        mass_site[p] = sym.mass
-        if gauged:
-            V_site[p] = gauge_rotation(gauge_angle(fr)[0] / 2.0).matrix
-        weight[4 * p : 4 * p + 4] = np.sqrt(fr.det_g)
+    sym = _symbol(connection_from_frame(frames), spin_connection_from_frame(frames))
+    A_site, B_site, mass_site = sym.A, sym.B, sym.mass
+    weight = np.repeat(np.sqrt(frames.det_g), 4)
 
     # block columns of each block row: the site, then its neighbours at
     # +-e_1 and +-e_2 (distinct, as both sides have at least 4 sites)
@@ -335,6 +335,7 @@ def assemble_grid_operator(
     blocks = np.stack([B_site, hop1, -hop1, hop2, -hop2], axis=1)
 
     if gauged:
+        V_site = gauge_rotation(gauge_angle(frames)[0] / 2.0).matrix
         blocks = np.einsum("pba,pxbc,pxcd->pxad", V_site.conj(), blocks, V_site[cols])
         A_site = np.einsum("sba,sxbc,scd->sxad", V_site.conj(), A_site, V_site)
         B_site = np.einsum("sba,sbc,scd->sad", V_site.conj(), B_site, V_site)

@@ -5,7 +5,10 @@ evaluator: every expression is evaluated together with its exact first,
 second and third derivatives in the two surface parameters (a 3-jet).
 The geometry layer builds tangents, second fundamental forms and the
 gradient of the gauge angle from these jets directly, never from finite
-differences of the coordinate maps.
+differences of the coordinate maps.  The evaluator runs on one point or
+on a whole stack of points at once: each jet slot is then an array, and
+a point outside a function's domain is reported as the first such point
+of the stack.
 
 Grammar (EBNF)::
 
@@ -27,6 +30,8 @@ import operator
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 
 __all__ = [
     "ExprError",
@@ -42,6 +47,7 @@ __all__ = [
     "Jet2",
     "ImmersionSpec",
     "parse_expression",
+    "eval_jets",
     "eval_jet2",
     "unparse",
     "parse_immersion_file",
@@ -62,11 +68,23 @@ class ExprSyntaxError(ExprError):
 
 
 class DomainEvalError(ExprError):
-    """Evaluation outside a function's real domain (log, sqrt, division)."""
+    """Evaluation outside a function's real domain (log, sqrt, division).
 
-    def __init__(self, detail: str, node: "ExprAst"):
+    On a stack of points, ``index`` is the flat position of the first
+    offending point and the message names it; on one point ``index`` is
+    None.
+    """
+
+    def __init__(self, detail: str, node: "ExprAst", index=None, point=None):
         self.node = node
-        super().__init__(f"domain error in '{unparse(node)}': {detail}")
+        self.index = index
+        where = "" if point is None else f" at s = {_point(point)}"
+        super().__init__(f"domain error in '{unparse(node)}': {detail}{where}")
+
+
+def _point(s) -> str:
+    """A parameter point as ``(u, v)`` with plain float reprs."""
+    return "(" + ", ".join(repr(float(c)) for c in s) + ")"
 
 
 class ImmersionFileError(ExprError):
@@ -301,7 +319,8 @@ def unparse(ast: ExprAst, param_names=("u", "v")) -> str:
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value and exact partials up to order three at a parameter point.
+    """Value and exact partials up to order three at a parameter point,
+    or at every point of a stack (then each entry is an array).
 
     ``hess`` stores the three independent second partials (h11, h12, h22)
     and ``third`` the four independent third partials (t111, t112, t122,
@@ -367,25 +386,45 @@ def _j_chain(a, f, df, d2f, d3f):
     )
 
 
-def _j_recip(a, node):
+def _check_domain(bad, detail, node, s):
+    """Raise DomainEvalError if ``bad`` holds at any point of ``s``."""
+    if not np.count_nonzero(bad):
+        return
+    u, v = np.broadcast_arrays(*s)
+    if u.ndim == 0:
+        raise DomainEvalError(detail, node)
+    i = int(np.argmax(np.broadcast_to(bad, u.shape)))
+    raise DomainEvalError(detail, node, i, (u.flat[i], v.flat[i]))
+
+
+def _j_recip(a, node, s):
     av = a[0]
-    if av == 0.0:
-        raise DomainEvalError("division by zero", node)
+    _check_domain(av == 0.0, "division by zero", node, s)
     inv = 1.0 / av
     return _j_chain(a, inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4)
+
+
+def _lib(x):
+    """The C library's functions for a plain float (one point), numpy's
+    ufuncs of the same names for an array (a stack of points)."""
+    return math if isinstance(x, float) else np
+
+
+def _atan(x):
+    return math.atan(x) if isinstance(x, float) else np.arctan(x)
 
 
 def _j_atan(a):
     x = a[0]
     d = 1.0 / (1.0 + x * x)
-    return _j_chain(a, math.atan(x), d, -2.0 * x * d * d, (6.0 * x * x - 2.0) * d ** 3)
+    return _j_chain(a, _atan(x), d, -2.0 * x * d * d, (6.0 * x * x - 2.0) * d ** 3)
 
 
-def _j_int_pow(a, n, node):
+def _j_int_pow(a, n, node, s):
     if n == 0:
         return _j_const(1.0)
     if n < 0:
-        return _j_recip(_j_int_pow(a, -n, node), node)
+        return _j_recip(_j_int_pow(a, -n, node, s), node, s)
     out = a
     for _ in range(n - 1):
         out = _j_mul(out, a)
@@ -393,6 +432,7 @@ def _j_int_pow(a, n, node):
 
 
 def _eval(node, s):
+    """The 10-slot jet of ``node`` at ``s = (u, v)``, scalars or arrays."""
     if isinstance(node, Num):
         return _j_const(node.value)
     if isinstance(node, Const):
@@ -414,7 +454,7 @@ def _eval(node, s):
         if node.op == "*":
             return _j_mul(a, b)
         if node.op == "/":
-            return _j_mul(a, _j_recip(b, node))
+            return _j_mul(a, _j_recip(b, node, s))
         raise TypeError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
         return _eval_call(node, s)
@@ -424,22 +464,24 @@ def _eval(node, s):
 def _eval_pow(node, s):
     a = _eval(node.lhs, s)
     b = _eval(node.rhs, s)
-    # constant integer exponents go through repeated multiplication: exact
-    # for cases like 2^3^2 and legal for negative bases like u^2 at u < 0
-    if all(x == 0.0 for x in b[1:]):
-        e = b[0]
+    # an exponent with one integer value and no derivative at every point
+    # goes through repeated multiplication: exact for cases like 2^3^2 and
+    # legal for negative bases like u^2 at u < 0
+    e = np.ravel(b[0])
+    if not np.count_nonzero(e != e[0]) and not any(np.count_nonzero(x) for x in b[1:]):
+        e = float(e[0])
         if abs(e - round(e)) < 1e-12 and abs(e) <= 512:
             n = int(round(e))
-            if a[0] == 0.0 and n <= 0:
-                raise DomainEvalError("zero base with non-positive exponent", node)
-            return _j_int_pow(a, n, node)
-    if a[0] <= 0.0:
-        raise DomainEvalError(
-            "non-integer power of a non-positive base", node
-        )
-    loga = _j_chain(a, math.log(a[0]), 1.0 / a[0], -1.0 / a[0] ** 2, 2.0 / a[0] ** 3)
+            if n <= 0:
+                _check_domain(
+                    a[0] == 0.0, "zero base with non-positive exponent", node, s
+                )
+            return _j_int_pow(a, n, node, s)
+    _check_domain(a[0] <= 0.0, "non-integer power of a non-positive base", node, s)
+    lib = _lib(a[0])
+    loga = _j_chain(a, lib.log(a[0]), 1.0 / a[0], -1.0 / a[0] ** 2, 2.0 / a[0] ** 3)
     prod = _j_mul(b, loga)
-    val = math.exp(prod[0])
+    val = _lib(prod[0]).exp(prod[0])
     return _j_chain(prod, val, val, val, val)
 
 
@@ -448,36 +490,38 @@ def _eval_call(node, s):
         return _eval_atan2(node, s)
     a = _eval(node.args[0], s)
     x = a[0]
+    lib = _lib(x)
     name = node.name
     if name == "sin":
-        return _j_chain(a, math.sin(x), math.cos(x), -math.sin(x), -math.cos(x))
+        sx, cx = lib.sin(x), lib.cos(x)
+        return _j_chain(a, sx, cx, -sx, -cx)
     if name == "cos":
-        return _j_chain(a, math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))
+        sx, cx = lib.sin(x), lib.cos(x)
+        return _j_chain(a, cx, -sx, -cx, sx)
     if name == "tan":
-        t = math.tan(x)
+        t = lib.tan(x)
         d = 1.0 + t * t
         return _j_chain(a, t, d, 2.0 * t * d, 2.0 * d * (3.0 * d - 2.0))
     if name == "sinh":
-        return _j_chain(a, math.sinh(x), math.cosh(x), math.sinh(x), math.cosh(x))
+        sh, ch = lib.sinh(x), lib.cosh(x)
+        return _j_chain(a, sh, ch, sh, ch)
     if name == "cosh":
-        return _j_chain(a, math.cosh(x), math.sinh(x), math.cosh(x), math.sinh(x))
+        sh, ch = lib.sinh(x), lib.cosh(x)
+        return _j_chain(a, ch, sh, ch, sh)
     if name == "tanh":
-        t = math.tanh(x)
+        t = lib.tanh(x)
         d = 1.0 - t * t
         return _j_chain(a, t, d, -2.0 * t * d, 2.0 * d * (2.0 - 3.0 * d))
     if name == "exp":
-        e = math.exp(x)
+        e = lib.exp(x)
         return _j_chain(a, e, e, e, e)
     if name == "log":
-        if x <= 0.0:
-            raise DomainEvalError("log of a non-positive value", node)
-        return _j_chain(a, math.log(x), 1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
+        _check_domain(x <= 0.0, "log of a non-positive value", node, s)
+        return _j_chain(a, lib.log(x), 1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
     if name == "sqrt":
-        if x < 0.0:
-            raise DomainEvalError("sqrt of a negative value", node)
-        if x == 0.0:
-            raise DomainEvalError("sqrt derivative singular at zero", node)
-        r = math.sqrt(x)
+        _check_domain(x < 0.0, "sqrt of a negative value", node, s)
+        _check_domain(x == 0.0, "sqrt derivative singular at zero", node, s)
+        r = lib.sqrt(x)
         return _j_chain(a, r, 0.5 / r, -0.25 / (r * x), 0.375 / (r * x * x))
     if name == "atan":
         return _j_atan(a)
@@ -487,21 +531,40 @@ def _eval_call(node, s):
 def _eval_atan2(node, s):
     y = _eval(node.args[0], s)
     x = _eval(node.args[1], s)
-    if x[0] == 0.0 and y[0] == 0.0:
-        raise DomainEvalError("atan2 at the origin", node)
-    # atan(y/x) and -atan(x/y) differ from atan2 by constants; take the one
-    # whose quotient stays bounded
-    if abs(x[0]) >= abs(y[0]):
-        jet = _j_atan(_j_mul(y, _j_recip(x, node)))
-    else:
-        jet = _j_neg(_j_atan(_j_mul(x, _j_recip(y, node))))
-    return (math.atan2(y[0], x[0]),) + jet[1:]
+    _check_domain((x[0] == 0.0) & (y[0] == 0.0), "atan2 at the origin", node, s)
+    # atan(y/x) and -atan(x/y) differ from atan2 by constants; at each
+    # point take the one whose quotient stays bounded
+    over_x = np.abs(x[0]) >= np.abs(y[0])
+    num = [np.where(over_x, yi, xi)[()] for yi, xi in zip(y, x)]
+    den = [np.where(over_x, xi, yi)[()] for yi, xi in zip(y, x)]
+    jet = _j_atan(_j_mul(num, _j_recip(den, node, s)))
+    angle = math.atan2 if isinstance(y[0] + x[0], float) else np.arctan2
+    return (angle(y[0], x[0]),) + tuple(np.where(over_x, j, -j)[()] for j in jet[1:])
+
+
+def eval_jets(ast: ExprAst, S) -> np.ndarray:
+    """The 3-jet of ``ast`` at the points S (..., 2) as an array (..., 10).
+
+    The last axis holds the value, the partials (d1, d2), (d11, d12, d22)
+    and (d111, d112, d122, d222).
+    """
+    S = np.asarray(S, dtype=float)
+    if S.ndim == 1:
+        # one point is evaluated on plain floats
+        return np.array(_eval(ast, (S[0].item(), S[1].item())))
+    return np.stack(np.broadcast_arrays(*_eval(ast, (S[..., 0], S[..., 1]))), axis=-1)
 
 
 def eval_jet2(ast: ExprAst, s) -> Jet2:
-    """Evaluate ``ast`` with its exact partials up to order three at ``s``."""
-    jet = _eval(ast, (float(s[0]), float(s[1])))
-    return Jet2(jet[0], jet[1:3], jet[3:6], jet[6:])
+    """Evaluate ``ast`` with its exact partials up to order three at ``s``.
+
+    ``s`` is one point (2,), giving float slots, or a stack of points
+    (..., 2), giving slots of the stack's leading shape.
+    """
+    jet = np.moveaxis(eval_jets(ast, s), -1, 0)
+    if jet.ndim == 1:
+        jet = jet.tolist()
+    return Jet2(jet[0], tuple(jet[1:3]), tuple(jet[3:6]), tuple(jet[6:]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Moving frames and extrinsic curvature for surfaces immersed in 4-space.
 
-From an immersion x(s1, s2) in E^4 this module computes, pointwise:
+From an immersion x(s1, s2) in E^4 this module computes, pointwise and
+on whole stacks of points at once (``frames_at``; ``frame_at`` is its
+one-point case):
 
 * an orthonormal adapted frame (two tangents from Gram-Schmidt, two
   normals from pivoted Gram-Schmidt over the ambient basis, orientation
@@ -27,16 +29,19 @@ The pivoted normal construction is canonical only up to discrete jumps
 ambient pivot vector grazes the tangent plane.  ``align_frame`` resolves
 that ambiguity against a reference frame; none of the four candidates
 changes the torsion.
+
+A check that fails on a stack of points names the first offending point
+in the stack's (C) order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .expr import ImmersionSpec, eval_jet2
+from .expr import DomainEvalError, ImmersionSpec, eval_jets, _point
 
 
 __all__ = [
@@ -47,6 +52,7 @@ __all__ = [
     "ConnectionData",
     "GaugeData",
     "TubeSample",
+    "frames_at",
     "frame_at",
     "align_frame",
     "connection_at",
@@ -74,20 +80,34 @@ class GeometryError(RuntimeError):
 
 
 class DegenerateImmersionError(GeometryError):
-    """Tangent vectors fail to span a 2-plane at the reported point."""
+    """Tangent vectors fail to span a 2-plane at the reported point.
+
+    ``index`` is the flat position of that point in a stack, or None.
+    """
+
+    def __init__(self, message: str, index=None):
+        self.index = index
+        super().__init__(message)
 
 
 class FrameBranchError(GeometryError):
     """Normal frames near a point cannot be aligned with the frame there."""
 
 
-def _point(s) -> str:
-    return "(" + ", ".join(repr(float(c)) for c in s) + ")"
+def _first(bad) -> int | None:
+    """Flat index of the first True entry of ``bad``, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True)
 class FrameData:
-    """Pointwise frame state of an immersion."""
+    """Pointwise frame state of an immersion.
+
+    The shapes below are those of one point; a stack of frames prefixes
+    every field with the stack's leading shape (``det_g`` becomes an
+    array of it), and indexing selects along those leading axes.
+    """
 
     s: np.ndarray        # parameter point (2,)
     x: np.ndarray        # position (4,)
@@ -103,7 +123,14 @@ class FrameData:
 
     def rotation(self) -> np.ndarray:
         """Frame matrix with columns (ehat1, ehat2, n3, n4); det = +1."""
-        return np.column_stack([self.ehat[0], self.ehat[1], self.n[0], self.n[1]])
+        return np.swapaxes(np.concatenate([self.ehat, self.n], axis=-2), -1, -2)
+
+    def __getitem__(self, index) -> "FrameData":
+        """A copy of the frames at ``index`` of the stack axes, which keeps
+        no reference to the rest of the stack."""
+        return FrameData(
+            **{f.name: getattr(self, f.name)[index].copy() for f in fields(self)}
+        )
 
 
 @dataclass(frozen=True)
@@ -124,7 +151,7 @@ class ConnectionData:
     @property
     def torsion(self) -> np.ndarray:
         """Gamma^3_{alpha 4} for alpha = 1, 2."""
-        return self.gamma_nor[:, 0, 1].copy()
+        return self.gamma_nor[..., 0, 1].copy()
 
 
 @dataclass(frozen=True)
@@ -160,89 +187,149 @@ class TubeSample:
 # ---------------------------------------------------------------------------
 
 
+_E4 = np.eye(4)
+_ARANGE4 = np.arange(4)
+
+# signs taking the swapped normal pair (n4, n3) to (n4, -n3)
+_QUARTER_TURN = np.array([[1.0], [-1.0]])
+
+# sign pattern of the adjugate of a 2x2 matrix
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _dot(a, b):
+    # a stacked matmul rounds each row exactly as the 1-D dot product
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(v):
+    return np.sqrt(_dot(v, v))
+
+
 def _project_out(v, basis):
     # two projection passes: classical Gram-Schmidt loses orthogonality
     # when the residual is small, one reorthogonalization restores it
-    r = v.astype(float).copy()
+    r = v
     for _ in range(2):
         for b in basis:
-            r -= (r @ b) * b
+            r = r - _dot(r, b)[..., None] * b
     return r
 
 
-def frame_at(spec: ImmersionSpec, s) -> FrameData:
-    """Compute position, jets, orthonormal frame, metric and torsion at s."""
-    s = np.asarray(s, dtype=float)
-    jets = [eval_jet2(expr, s) for expr in spec.coord_exprs]
-    x = np.array([j.value for j in jets])
-    e = np.array([[j.grad[a] for j in jets] for a in range(2)])
-    d2x = np.array([j.hess for j in jets]).T[_SLOT2]
-    d3x = np.array([j.third for j in jets]).T[_SLOT3]
+def _take(a, index):
+    """Entry ``index[p]`` of ``a[p]`` for every p of the stack ``index``."""
+    return a[(*np.indices(index.shape, sparse=True), index)]
 
-    scale = max(np.linalg.norm(e[0]), np.linalg.norm(e[1]), 1e-30)
-    n1 = np.linalg.norm(e[0])
-    if n1 <= _GS_TOL * scale:
-        raise DegenerateImmersionError(f"tangent d1 x vanishes at s = {_point(s)}")
-    ehat1 = e[0] / n1
-    r = _project_out(e[1], [ehat1])
-    n2 = np.linalg.norm(r)
-    if n2 <= _GS_TOL * scale:
+
+def _stencil(steps) -> np.ndarray:
+    """Offsets +-h e_alpha for every step h: shape (len(steps), 2, 2, 2),
+    ordered (step, alpha, sign)."""
+    h = np.multiply.outer(np.asarray(steps, dtype=float), [1.0, -1.0])
+    return np.eye(2)[None, :, None, :] * h[:, None, :, None]
+
+
+def frames_at(spec: ImmersionSpec, S) -> FrameData:
+    """Position, jets, orthonormal frame, metric and torsion at points S.
+
+    ``S`` is one point (2,) or a stack (..., 2); every field of the result
+    carries the leading shape of S.  A point where the tangents degenerate
+    or a coordinate map leaves its domain raises, naming the first such
+    point of the stack.
+    """
+    S = np.asarray(S, dtype=float)
+    try:
+        return _frames(spec, S)
+    except (DomainEvalError, DegenerateImmersionError) as exc:
+        # the failed check names its own first offending point; a check
+        # that runs later may fail earlier in the stack, so the points
+        # before this one are checked first
+        if exc.index:
+            frames_at(spec, S.reshape(-1, 2)[: exc.index])
+        raise
+
+
+def _frames(spec: ImmersionSpec, S) -> FrameData:
+    lead = S.shape[:-1]
+    points = S.reshape(-1, 2)
+    jets = np.empty(lead + (10, 4))
+    for k, expr in enumerate(spec.coord_exprs):
+        jets[..., k] = eval_jets(expr, S)
+    x = jets[..., 0, :].copy()
+    e = jets[..., 1:3, :].copy()
+    d2x = jets[..., 3:6, :][..., _SLOT2, :]
+    d3x = jets[..., 6:, :][..., _SLOT3, :]
+
+    n1 = _norm(e[..., 0, :])
+    scale = np.maximum(np.maximum(n1, _norm(e[..., 1, :])), 1e-30)
+    i = _first(n1 <= _GS_TOL * scale)
+    if i is not None:
         raise DegenerateImmersionError(
-            f"tangents are linearly dependent at s = {_point(s)} "
-            f"(Gram residual {n2:.3e})"
+            f"tangent d1 x vanishes at s = {_point(points[i])}", i if lead else None
         )
-    ehat2 = r / n2
-    ehat = np.vstack([ehat1, ehat2])
+    ehat1 = e[..., 0, :] / n1[..., None]
+    r = _project_out(e[..., 1, :], [ehat1])
+    n2 = _norm(r)
+    i = _first(n2 <= _GS_TOL * scale)
+    if i is not None:
+        raise DegenerateImmersionError(
+            f"tangents are linearly dependent at s = {_point(points[i])} "
+            f"(Gram residual {np.ravel(n2)[i]:.3e})",
+            i if lead else None,
+        )
+    ehat2 = r / n2[..., None]
+    tangents = [ehat1[..., None, :], ehat2[..., None, :]]
+    ehat = np.concatenate(tangents, axis=-2)
 
-    normals = []
-    built = [ehat1, ehat2]
-    for i in range(4):
-        cand = _project_out(np.eye(4)[i], built)
-        nn = np.linalg.norm(cand)
-        if nn > _GS_TOL:
-            if not normals:
-                pivot, pivot_norm = i, nn
-            cand = cand / nn
-            normals.append(cand)
-            built.append(cand)
-            if len(normals) == 2:
-                break
-    n = np.vstack(normals)
-    R = np.column_stack([ehat[0], ehat[1], n[0], n[1]])
-    if np.linalg.det(R) < 0.0:
-        n = np.vstack([n[0], -n[1]])
+    # pivoted Gram-Schmidt over the ambient basis E_0..E_3, with every
+    # candidate projected at once: n3 is the first E_k whose residual off
+    # the tangent plane clears _GS_TOL (the pivot), n4 the first later
+    # E_k whose residual off the tangent plane and n3 does
+    cand = _project_out(_E4, tangents)
+    size = _norm(cand)
+    pivot = np.argmax(size > _GS_TOL, axis=-1)
+    pivot_norm = _take(size, pivot)
+    n3 = (_take(cand, pivot) / pivot_norm[..., None])[..., None, :]
+    cand = _project_out(_E4, tangents + [n3])
+    size = _norm(cand)
+    second = np.argmax((size > _GS_TOL) & (_ARANGE4 > pivot[..., None]), axis=-1)
+    n4 = (_take(cand, second) / _take(size, second)[..., None])[..., None, :]
+    flip = np.linalg.det(np.concatenate([ehat, n3, n4], axis=-2)) < 0.0
+    n = np.concatenate([n3, np.where(flip[..., None, None], -n4, n4)], axis=-2)
 
-    g = e @ e.T
-    det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det_g
+    g = e @ np.swapaxes(e, -1, -2)
+    det_g = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    g_inv = np.swapaxes(g, -1, -2)[..., ::-1, ::-1] * _ADJ_SIGN / det_g[..., None, None]
 
     # n3 = P_N E_p / |P_N E_p| and n4 is normal, so
     # n3 . d_alpha n4 = -n4 . d_alpha(P_N E_p) / |P_N E_p|
     #                 = K4_{alpha beta} g^{beta gamma} (d_gamma x . E_p) / |P_N E_p|
     # with K4_{alpha beta} = n4 . d_alpha d_beta x
-    k4 = d2x @ n[1]
-    torsion = k4 @ g_inv @ e[:, pivot] / pivot_norm
+    k4 = (d2x @ n[..., None, 1, :, None])[..., 0]
+    ep = _take(np.swapaxes(e, -1, -2), pivot)
+    torsion = (k4 @ g_inv @ ep[..., None])[..., 0] / pivot_norm[..., None]
 
     if spec.frame_rotation is not None:
-        angle = eval_jet2(spec.frame_rotation, s)
-        if angle.value != 0.0:
-            # turn the normal pair: (c n3 - s n4, s n3 + c n4)
-            c, si = math.cos(angle.value), math.sin(angle.value)
-            n = np.vstack([c * n[0] - si * n[1], si * n[0] + c * n[1]])
-        torsion = torsion + np.asarray(angle.grad)
+        # turn the normal pair: (c n3 - s n4, s n3 + c n4); a zero angle
+        # leaves both exactly as they are
+        angle = eval_jets(spec.frame_rotation, S)
+        c = np.cos(angle[..., :1])
+        si = np.sin(angle[..., :1])
+        n3, n4 = n[..., 0, :], n[..., 1, :]
+        n = np.stack([c * n3 - si * n4, si * n3 + c * n4], axis=-2)
+        torsion = torsion + angle[..., 1:3]
 
     return FrameData(
-        s=s, x=x, e=e, d2x=d2x, d3x=d3x, ehat=ehat, n=n, g=g, g_inv=g_inv,
-        det_g=det_g, torsion=torsion,
+        s=S, x=x, e=e, d2x=d2x, d3x=d3x, ehat=ehat, n=n,
+        g=g, g_inv=g_inv, det_g=det_g, torsion=torsion,
     )
 
 
-_ALIGN_CANDIDATES = (
-    lambda n3, n4: (n3, n4),
-    lambda n3, n4: (-n3, -n4),
-    lambda n3, n4: (n4, -n3),
-    lambda n3, n4: (-n4, n3),
-)
+def frame_at(spec: ImmersionSpec, s) -> FrameData:
+    """Compute position, jets, orthonormal frame, metric and torsion at s.
+
+    This is ``frames_at`` on the single point s.
+    """
+    return frames_at(spec, np.reshape(np.asarray(s, dtype=float), 2))
 
 
 def align_frame(frame: FrameData, ref: FrameData, limit: float = 0.5) -> FrameData:
@@ -255,23 +342,30 @@ def align_frame(frame: FrameData, ref: FrameData, limit: float = 0.5) -> FrameDa
     reference by more than ``limit`` in some component, the frame field
     has a genuine branch jump between the two points and
     ``FrameBranchError`` is raised, naming the reference point.
+
+    ``frame`` and ``ref`` may be stacks whose leading shapes broadcast;
+    each frame is aligned to its own reference, and an error names the
+    first reference point in the stack where alignment fails.
     """
-    best = None
-    best_dev = np.inf
-    for cand in _ALIGN_CANDIDATES:
-        n3, n4 = cand(frame.n[0], frame.n[1])
-        dev = max(np.max(np.abs(n3 - ref.n[0])), np.max(np.abs(n4 - ref.n[1])))
-        if dev < best_dev:
-            best_dev = dev
-            best = (n3, n4)
-    if best_dev > limit:
+    # (n3, n4), (-n3, -n4), (n4, -n3), (-n4, n3)
+    swapped = frame.n[..., ::-1, :]
+    cands = np.stack(
+        [frame.n, -frame.n, swapped * _QUARTER_TURN, swapped * -_QUARTER_TURN]
+    )
+    dev = np.max(np.abs(cands - ref.n), axis=(-2, -1))
+    best = np.argmin(dev, axis=0)
+    best_dev = np.min(dev, axis=0)
+    i = _first(best_dev > limit)
+    if i is not None:
+        s_ref = np.broadcast_to(ref.s, best_dev.shape + (2,)).reshape(-1, 2)[i]
         raise FrameBranchError(
-            f"normal frame next to s = {_point(ref.s)} differs from the frame "
-            f"there by {best_dev:.3f} after sign alignment"
+            f"normal frame next to s = {_point(s_ref)} differs from the frame "
+            f"there by {np.ravel(best_dev)[i]:.3f} after sign alignment"
         )
-    if best[0] is frame.n[0]:
+    if not np.any(best):
         return frame
-    return replace(frame, n=np.vstack(best))
+    n = np.take_along_axis(cands, best[None, ..., None, None], axis=0)[0]
+    return replace(frame, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -281,26 +375,27 @@ def align_frame(frame: FrameData, ref: FrameData, limit: float = 0.5) -> FrameDa
 
 def _mixed_coefficients(frame: FrameData) -> np.ndarray:
     """Gamma^beta_{adot alpha} = -g^{beta gamma} (n_adot . d2x[alpha, gamma])."""
-    nd2 = np.einsum("ni,abi->nab", frame.n, frame.d2x)
-    return -np.einsum("bg,nag->nab", frame.g_inv, nd2)
+    nd2 = np.einsum("...ni,...abi->...nab", frame.n, frame.d2x)
+    return -np.einsum("...bg,...nag->...nab", frame.g_inv, nd2)
 
 
-def _traces(frame: FrameData) -> tuple:
-    gt = _mixed_coefficients(frame)
-    return float(np.trace(gt[0])), float(np.trace(gt[1]))
+def _traces(gamma_tan) -> tuple:
+    """trace3 and trace4 of the mixed coefficients."""
+    return tuple(np.moveaxis(np.trace(gamma_tan, axis1=-2, axis2=-1), -1, 0))
 
 
 def connection_from_frame(frame: FrameData) -> ConnectionData:
     """Connection data of a frame: exact mixed coefficients and torsion."""
     gamma_tan = _mixed_coefficients(frame)
-    gamma_nor = np.zeros((2, 2, 2))
-    gamma_nor[:, 0, 1] = frame.torsion
-    gamma_nor[:, 1, 0] = -frame.torsion
+    gamma_nor = np.zeros(frame.torsion.shape + (2, 2))
+    gamma_nor[..., 0, 1] = frame.torsion
+    gamma_nor[..., 1, 0] = -frame.torsion
+    trace3, trace4 = _traces(gamma_tan)
     return ConnectionData(
         gamma_tan=gamma_tan,
         gamma_nor=gamma_nor,
-        trace3=float(np.trace(gamma_tan[0])),
-        trace4=float(np.trace(gamma_tan[1])),
+        trace3=trace3,
+        trace4=trace4,
         frame=frame,
     )
 
@@ -311,41 +406,33 @@ def connection_at(spec: ImmersionSpec, s) -> ConnectionData:
 
 
 # ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
-
-def _gradient(field, s) -> np.ndarray:
-    """d_alpha field(s), alpha = 1, 2, by central differences at _FD_STEP
-    and _FD_STEP/2 with Richardson extrapolation."""
-    grad = []
-    for alpha in range(2):
-        step = np.zeros(2)
-        step[alpha] = 1.0
-        estimates = []
-        for hh in (_FD_STEP, 0.5 * _FD_STEP):
-            diff = field(s + hh * step) - field(s - hh * step)
-            estimates.append(diff / (2.0 * hh))
-        grad.append((4.0 * estimates[1] - estimates[0]) / 3.0)
-    return np.array(grad)
-
-
-# ---------------------------------------------------------------------------
 # Gauge angle
 # ---------------------------------------------------------------------------
 
 
-def _wrap_angle(a: float) -> float:
+def _wrap_angle(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 _GAUGE_TOL = 1e-12
 
 
-def _angle_from_traces(t3: float, t4: float) -> tuple:
-    if math.hypot(t3, t4) < _GAUGE_TOL:
-        return 0.0, True
-    return math.atan2(-t4, t3), False
+def _elementwise(fn):
+    ufunc = np.frompyfunc(fn, 2, 1)
+    return lambda a, b: np.asarray(ufunc(a, b), dtype=float)
+
+
+# the C library's atan2 and hypot, point by point: numpy's own ufuncs
+# round differently at about 8 % and 0.6 % of arguments, and the gauge
+# angle feeds a difference quotient in verify's residual probe, whose
+# consecutive ratio would then move by up to 2e-5
+_ATAN2 = _elementwise(math.atan2)
+_HYPOT = _elementwise(math.hypot)
+
+
+def _angle_from_traces(t3, t4) -> tuple:
+    degenerate = _HYPOT(t3, t4) < _GAUGE_TOL
+    return np.where(degenerate, 0.0, _ATAN2(-t4, t3))[()], degenerate
 
 
 def gauge_angle(frame: FrameData) -> tuple:
@@ -355,7 +442,7 @@ def gauge_angle(frame: FrameData) -> tuple:
     hatted torsion is not needed, e.g. for the gauge rotations of grid
     assembly.
     """
-    return _angle_from_traces(*_traces(frame))
+    return _angle_from_traces(*_traces(_mixed_coefficients(frame)))
 
 
 def gauge_at(conn: ConnectionData) -> GaugeData:
@@ -374,29 +461,32 @@ def gauge_at(conn: ConnectionData) -> GaugeData:
     with d g^{-1} = -g^{-1} (d g) g^{-1} and tau the working-frame
     torsion.  Where both traces vanish the constraint is vacuous: the
     data is flagged degenerate, theta falls back to 0 and the hatted
-    torsion to the working-frame torsion.
+    torsion to the working-frame torsion.  On a stack of connections
+    every field is a stack, point by point.
     """
-    t3, t4 = conn.trace3, conn.trace4
+    t3, t4 = np.asarray(conn.trace3), np.asarray(conn.trace4)
     theta, degenerate = _angle_from_traces(t3, t4)
     hat_torsion = conn.torsion
-    if not degenerate:
+    if not np.all(degenerate):
         fr = conn.frame
-        xe = np.einsum("dbi,ci->dbc", fr.d2x, fr.e)
-        dg_inv = -fr.g_inv @ (xe + xe.transpose(0, 2, 1)) @ fr.g_inv
-        nd2 = np.einsum("ai,bci->abc", fr.n, fr.d2x)
-        dn = -np.einsum("ade,ef,fi->dai", nd2, fr.g_inv, fr.e)
-        dn[:, 0] -= np.outer(fr.torsion, fr.n[1])
-        dn[:, 1] += np.outer(fr.torsion, fr.n[0])
+        g_inv = fr.g_inv[..., None, :, :]
+        xe = np.einsum("...dbi,...ci->...dbc", fr.d2x, fr.e)
+        dg_inv = -g_inv @ (xe + np.swapaxes(xe, -1, -2)) @ g_inv
+        nd2 = np.einsum("...ai,...bci->...abc", fr.n, fr.d2x)
+        dn = -np.einsum("...ade,...ef,...fi->...dai", nd2, fr.g_inv, fr.e)
+        dn[..., 0, :] -= fr.torsion[..., :, None] * fr.n[..., 1, None, :]
+        dn[..., 1, :] += fr.torsion[..., :, None] * fr.n[..., 0, None, :]
         dt = -(
-            np.einsum("dbc,abc->da", dg_inv, nd2)
-            + np.einsum("bc,dai,bci->da", fr.g_inv, dn, fr.d2x)
-            + np.einsum("bc,ai,bcdi->da", fr.g_inv, fr.n, fr.d3x)
+            np.einsum("...dbc,...abc->...da", dg_inv, nd2)
+            + np.einsum("...bc,...dai,...bci->...da", fr.g_inv, dn, fr.d2x)
+            + np.einsum("...bc,...ai,...bcdi->...da", fr.g_inv, fr.n, fr.d3x)
         )
-        dtheta = (t4 * dt[:, 0] - t3 * dt[:, 1]) / (t3 * t3 + t4 * t4)
-        hat_torsion = conn.torsion + dtheta
+        norm2 = np.where(degenerate, 1.0, t3 * t3 + t4 * t4)[..., None]
+        dtheta = (t4[..., None] * dt[..., 0] - t3[..., None] * dt[..., 1]) / norm2
+        hat_torsion = np.where(degenerate[..., None], hat_torsion, hat_torsion + dtheta)
     return GaugeData(
         theta=theta,
-        hat_trace3=math.hypot(t3, t4),
+        hat_trace3=_HYPOT(t3, t4)[()],
         hat_trace4=0.0,
         hat_torsion=hat_torsion,
         degenerate=degenerate,
@@ -416,11 +506,20 @@ def tube_metrics_at(spec: ImmersionSpec, s, offsets) -> list:
     ``rho_leading`` is (1 + trace_a q^a)^2; ``rho_exact`` is the ratio
     det(g_num) / det(g) where g_num is the numerical first fundamental
     form of the offset map s -> x(s) + q^3 n3(s) + q^4 n4(s), central
-    differenced with Richardson extrapolation and frame alignment.  The
-    frame and connection at s are built once for all offsets.
+    differenced at _FD_STEP and _FD_STEP/2 with Richardson extrapolation.
+    The frame at s and the eight stencil frames, aligned to it, are built
+    in one batch and shared by every offset.
     """
-    conn = connection_at(spec, s)
-    frame = conn.frame
+    s = np.asarray(s, dtype=float)
+    hh = np.array([_FD_STEP, 0.5 * _FD_STEP])
+    frames = frames_at(spec, np.concatenate([s[None], (s + _stencil(hh)).reshape(-1, 2)]))
+    frame = frames[0]
+    # the stencil frames, (step, alpha, sign), aligned to the frame at s
+    stencil = align_frame(frames[1:], frame)
+    stencil_x = stencil.x.reshape(2, 2, 2, 4)
+    stencil_n = stencil.n.reshape(2, 2, 2, 2, 4)
+
+    conn = connection_from_frame(frame)
     g = frame.g
     t = np.array([conn.trace3, conn.trace4])
     samples = []
@@ -434,12 +533,9 @@ def tube_metrics_at(spec: ImmersionSpec, s, offsets) -> list:
         if not np.any(q):
             rho_exact = 1.0
         else:
-
-            def offset(sp):
-                fr = align_frame(frame_at(spec, sp), frame)
-                return fr.x + q @ fr.n
-
-            tangents = _gradient(offset, frame.s)
+            offset = stencil_x + q @ stencil_n
+            estimates = (offset[..., 0, :] - offset[..., 1, :]) / (2.0 * hh)[:, None, None]
+            tangents = (4.0 * estimates[1] - estimates[0]) / 3.0
             rho_exact = float(np.linalg.det(tangents @ tangents.T) / frame.det_g)
 
         samples.append(

@@ -12,6 +12,10 @@ verifications:
   fields with central differences and applies the assembled pointwise
   symbol; the residual must vanish at second order in the probe step.
 
+``reconstruct`` takes one point or a whole lattice: the frames at every
+point and at its 4 probe points per step are built, aligned and
+spin-lifted in one batch, ``_CHUNK`` points at a time.
+
 In the gauged variant the basis is built from the gauge-fixed frame:
 U_hat = gauge_rotation(-theta/2) U, which is the spin lift of the
 normal frame rotated by the gauge angle theta.  Because the gauge
@@ -22,26 +26,22 @@ unchanged by gauging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import basis_round, gauge_rotation, match_sign, spin_lift
-from .dirac import (
-    OperatorSymbol,
-    apply_pointwise,
-    spin_connection_from_frame,
-    _coordinate_gammas,
-    _symbol,
-)
+from .dirac import spin_connection_from_frame, _coordinate_gammas, _symbol
 from .expr import ImmersionSpec
 from .geometry import (
     FrameData,
     align_frame,
     connection_from_frame,
     frame_at,
+    frames_at,
     gauge_angle,
     gauge_at,
+    _stencil,
     _wrap_angle,
 )
 
@@ -57,6 +57,10 @@ __all__ = [
 
 
 RESIDUAL_FLOOR = 1e-13
+
+# points per batch of ``reconstruct``: with steps, each point brings 1 + 4
+# len(steps) frames, so memory stays bounded on the largest lattice
+_CHUNK = 512
 
 _ROUND = np.column_stack(basis_round())
 
@@ -85,7 +89,9 @@ class ReconstructionReport:
     """Tangent reconstruction and Dirac-residual diagnostics at a point.
 
     With the residual, the report also carries the torsion of the working
-    normal frame and of the gauge-fixed one.
+    normal frame and of the gauge-fixed one.  The shapes are those of one
+    point; for a stack of points every field but ``steps`` and ``gauged``
+    carries the stack's leading shape.
     """
 
     s: np.ndarray
@@ -94,7 +100,7 @@ class ReconstructionReport:
     residual_bilinear: float | None = None   # max |W - T|
     max_imag: float | None = None            # largest imaginary bilinear part
     orthonormality: float | None = None      # max |conj(psi)psi - delta|
-    residual_dirac: tuple | None = None      # per-step residuals
+    residual_dirac: np.ndarray | None = None  # (len(steps),) per-step residuals
     steps: tuple | None = None
     convergence_ratio: float | None = None   # worst consecutive ratio
     torsion: np.ndarray | None = None        # (2,) Gamma^3_{alpha 4}
@@ -102,11 +108,13 @@ class ReconstructionReport:
     gauged: bool = False
 
 
-def safe_ratio(coarse: float, fine: float, floor: float = RESIDUAL_FLOOR) -> float:
-    """Convergence ratio that treats residuals at the noise floor as converged."""
-    if fine <= floor:
-        return math.inf
-    return coarse / fine
+def safe_ratio(coarse, fine, floor: float = RESIDUAL_FLOOR):
+    """Convergence ratio that treats residuals at the noise floor as converged.
+
+    Elementwise on arrays.
+    """
+    fine = np.asarray(fine, dtype=float)
+    return np.where(fine <= floor, math.inf, coarse / np.maximum(fine, floor))[()]
 
 
 def kernel_basis_at(spec: ImmersionSpec, s, gauged: bool = False) -> KernelBasis:
@@ -114,12 +122,15 @@ def kernel_basis_at(spec: ImmersionSpec, s, gauged: bool = False) -> KernelBasis
     return _basis_from_frame(frame_at(spec, s), gauged)
 
 
+def _lift(rotation, theta=None) -> np.ndarray:
+    """Spin lift of frame rotations, gauge-fixed by the angles ``theta`` if given."""
+    U = spin_lift(rotation).matrix
+    return U if theta is None else gauge_rotation(-theta / 2.0).matrix @ U
+
+
 def _basis_from_frame(frame: FrameData, gauged: bool) -> KernelBasis:
-    U = spin_lift(frame.rotation()).matrix
-    theta = None
-    if gauged:
-        theta, _ = gauge_angle(frame)
-        U = gauge_rotation(-theta / 2.0).matrix @ U
+    theta = gauge_angle(frame)[0] if gauged else None
+    U = _lift(frame.rotation(), theta)
     return KernelBasis(
         s=frame.s,
         frame=frame,
@@ -130,47 +141,70 @@ def _basis_from_frame(frame: FrameData, gauged: bool) -> KernelBasis:
     )
 
 
-def _basis_field(spec: ImmersionSpec, center: KernelBasis, gauged: bool):
-    """Aligned spinor-basis field around a center point.
+def _lattice_pass(spec: ImmersionSpec, S, gauged: bool, steps) -> dict:
+    """The report fields at the points S (n, 2), as arrays over n.
 
-    Stencil frames are aligned to the center frame, the gauge angle is
-    branch-unwrapped against the center angle, and the spin matrix sign
-    sheet is matched to the center, so the field is the smooth local
-    continuation the derivative needs.
+    Each point's probe frames (at s +- h e_alpha for every step h) are
+    aligned to the frame at s, the gauge angle is branch-unwrapped
+    against the angle at s and the spin matrix sign sheet is matched to
+    the one at s, so the spinor field is the smooth local continuation
+    the derivative needs.  For each step the residual is the worst column
+    norm of A^alpha (U(s+h) - U(s-h)) / (2h) + B U(s); the ratio is
+    infinite when a residual sits at the floating-point floor.
     """
+    points = S[:, None]
+    if steps is not None:
+        probes = S[:, None] + _stencil(steps).reshape(-1, 2)
+        points = np.concatenate([points, probes], axis=1)
+    frames = frames_at(spec, points)
+    frames = align_frame(frames, frames[:, :1])
+    frame = frames[:, 0]
+    theta = None
+    if gauged:
+        raw, degenerate = gauge_angle(frames)
+        center = raw[:, :1]
+        theta = np.where(degenerate, center, center + _wrap_angle(raw - center))
+    rotation = frames.rotation()
+    # beyond their rotations the probe frames are not needed: freeing them
+    # before the spin lift keeps the pass's peak memory down
+    del frames
+    U = _lift(rotation, theta)
+    U = match_sign(U, U[:, :1])
 
-    def field(sp):
-        if np.allclose(sp, center.s):
-            return center.psi_square
-        fr = align_frame(frame_at(spec, sp), center.frame)
-        U = spin_lift(fr.rotation()).matrix
-        if gauged:
-            raw, degenerate = gauge_angle(fr)
-            theta = center.theta if degenerate else (
-                center.theta + _wrap_angle(raw - center.theta)
-            )
-            U = gauge_rotation(-theta / 2.0).matrix @ U
-        return match_sign(U, center.U)
-
-    return field
-
-
-def _residual(spec, center: KernelBasis, symbol: OperatorSymbol, steps, gauged):
-    """Per-step residuals and the worst consecutive decay ratio.
-
-    For each probe step the residual is the worst column norm of
-    A^alpha (U(s+h) - U(s-h)) / (2h) + B U(s); the ratio is infinite
-    when a residual sits at the floating-point floor.
-    """
-    field = _basis_field(spec, center, gauged)
-    residuals = []
-    for step in steps:
-        out = apply_pointwise(symbol, field, center.s, step)
-        residuals.append(float(np.max(np.linalg.norm(out, axis=0))))
-    ratios = [
-        safe_ratio(residuals[i], residuals[i + 1]) for i in range(len(residuals) - 1)
-    ]
-    return tuple(residuals), min(ratios) if ratios else None
+    sc = spin_connection_from_frame(frame)
+    A = _coordinate_gammas(sc.f_inv)
+    psi = U[:, 0] @ _ROUND
+    bil = np.einsum("...ji,...bjk,...ki->...bi", psi.conj(), A, psi)
+    lowered = frame.g @ bil
+    W = np.real(lowered)
+    gram = np.swapaxes(U[:, 0].conj(), -1, -2) @ U[:, 0]
+    out = {
+        "W": W,
+        "T": frame.e,
+        "residual_bilinear": np.max(np.abs(W - frame.e), axis=(-2, -1)),
+        "max_imag": np.max(np.abs(np.imag(lowered)), axis=(-2, -1)),
+        "orthonormality": np.max(np.abs(gram - np.eye(4)), axis=(-2, -1)),
+    }
+    if steps is not None:
+        conn = connection_from_frame(frame)
+        gauge = gauge_at(conn)
+        symbol = _symbol(conn, sc, gauge if gauged else None)
+        h = np.asarray(steps, dtype=float)[:, None, None]
+        probe_U = U[:, 1:].reshape(len(S), len(steps), 2, 2, 4, 4)
+        diff = probe_U[..., 0, :, :] - probe_U[..., 1, :, :]
+        res = (symbol.B @ U[:, 0])[:, None]
+        for alpha in range(2):
+            res = res + symbol.A[:, None, alpha] @ diff[:, :, alpha] / (2.0 * h)
+        residuals = np.max(np.linalg.norm(res, axis=-2), axis=-1)
+        out.update(
+            residual_dirac=residuals,
+            convergence_ratio=np.min(
+                safe_ratio(residuals[:, :-1], residuals[:, 1:]), axis=-1
+            ) if len(steps) > 1 else None,
+            torsion=conn.torsion,
+            hat_torsion=gauge.hat_torsion,
+        )
+    return out
 
 
 def reconstruct(
@@ -183,47 +217,26 @@ def reconstruct(
 
     With ``steps`` given, the Dirac residual diagnostics and both torsions
     are filled in as well, from the same frame and basis; otherwise only
-    the bilinear part of the report is populated.
+    the bilinear part of the report is populated.  ``s`` is one point
+    (2,) or a stack of points (..., 2), e.g. a whole lattice; a failure
+    names the first offending point of the stack.
     """
     s = np.asarray(s, dtype=float)
-    frame = frame_at(spec, s)
-    basis = _basis_from_frame(frame, gauged)
-    sc = spin_connection_from_frame(frame)
-    A = _coordinate_gammas(sc.f_inv)
-
-    bil = np.zeros((2, 4), dtype=complex)  # [beta, i]
-    for i in range(4):
-        psi = basis.psi_round[:, i]
-        bar = psi.conj()
-        for beta in range(2):
-            bil[beta, i] = bar @ A[beta] @ psi
-    W = np.real(np.einsum("ab,bi->ai", frame.g, bil))
-    max_imag = float(np.max(np.abs(np.imag(np.einsum("ab,bi->ai", frame.g, bil)))))
-    T = frame.e
-
-    gram = basis.cospinor_square().T @ basis.psi_square
-    ortho = float(np.max(np.abs(gram - np.eye(4))))
-
-    report = ReconstructionReport(
+    flat = s.reshape(-1, 2)
+    passes = [
+        _lattice_pass(spec, flat[i : i + _CHUNK], gauged, steps)
+        for i in range(0, len(flat), _CHUNK)
+    ]
+    lead = s.shape[:-1]
+    fields = {
+        key: None if value is None else np.concatenate(
+            [p[key] for p in passes]
+        ).reshape(lead + value.shape[1:])[()]
+        for key, value in passes[0].items()
+    }
+    return ReconstructionReport(
         s=s,
-        W=W,
-        T=T.copy(),
-        residual_bilinear=float(np.max(np.abs(W - T))),
-        max_imag=max_imag,
-        orthonormality=ortho,
+        steps=None if steps is None else tuple(steps),
         gauged=gauged,
+        **fields,
     )
-    if steps is not None:
-        conn = connection_from_frame(frame)
-        gauge = gauge_at(conn)
-        symbol = _symbol(conn, sc, gauge if gauged else None)
-        residuals, ratio = _residual(spec, basis, symbol, steps, gauged)
-        report = replace(
-            report,
-            residual_dirac=residuals,
-            steps=tuple(steps),
-            convergence_ratio=ratio,
-            torsion=conn.torsion,
-            hat_torsion=gauge.hat_torsion,
-        )
-    return report

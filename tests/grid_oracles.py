@@ -2,8 +2,8 @@
 
 These are the assembly and the eigensolve the library used before the
 operator was stored sparse and diagonalized through its chiral blocks:
-a Python double loop over block rows writing into a dense matrix, the
-gauge conjugation as one dense einsum over all pairs of sites, and
+a Python double loop over block rows writing into a dense matrix, with
+the symbol built site by site, the gauge conjugation as one dense einsum over all pairs of sites, and
 ``scipy.linalg.eigvals`` of the whole matrix.
 """
 
@@ -32,9 +32,9 @@ def dense_grid_matrix(spec, n1, n2, gauged=False):
     def site(j, k):
         return j * n2 + k
 
-    for (j, k), fr in frames.items():
+    for p in range(nsites):
+        fr = frames[p]
         sym = _symbol(connection_from_frame(fr), spin_connection_from_frame(fr))
-        p = site(j, k)
         A_site[p] = sym.A
         B_site[p] = sym.B
         if gauged:

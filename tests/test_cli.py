@@ -48,29 +48,32 @@ def test_frame_clifford_hat_trace(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv,calls_per_point",
+    "argv,rows_per_point",
     [
         (("frame", GRAPH), 1),
         (("frame", CLIFFORD_ROTATED), 1),
         (("verify", GRAPH), 13),
         (("verify", CLIFFORD_ROTATED), 13),
         (("verify", CLIFFORD_ROTATED, "--gauged"), 13),
+        (("tube", SPHERE), 9),
     ],
 )
-def test_frame_at_calls_per_point(tmp_path, monkeypatch, argv, calls_per_point):
+def test_frame_at_calls_per_point(tmp_path, monkeypatch, argv, rows_per_point):
     """A frame query builds its one frame and reads everything else, the
     gauge-fixed torsion included, from the jets; a verify point adds only
-    the 12 frames of the three-step residual probe."""
-    from dirac_surface import cli, geometry, weierstrass
+    the 12 frames of the three-step residual probe, and a tube query the
+    8 frames of its density stencil.  Every frame row is counted, however
+    the rows are batched."""
+    from dirac_surface import geometry, weierstrass
 
-    calls = []
-    frame = geometry.frame_at
-    counted = lambda *a: calls.append(a) or frame(*a)
-    for module in (cli, dirac, geometry, weierstrass):
-        monkeypatch.setattr(module, "frame_at", counted)
-    code, _ = run(tmp_path, *argv, "--at", "0.3", "0.2")
+    rows = []
+    frames = geometry.frames_at
+    counted = lambda spec, S: rows.append(np.prod(np.shape(S)[:-1])) or frames(spec, S)
+    for module in (dirac, geometry, weierstrass):
+        monkeypatch.setattr(module, "frames_at", counted)
+    code, _ = run(tmp_path, *argv, "--at", "0.3" if argv[0] != "tube" else "1.0", "0.2")
     assert code == 0
-    assert len(calls) == calls_per_point
+    assert sum(rows) == rows_per_point
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -246,6 +249,26 @@ def test_branch_error_names_queried_point(capsys):
     err = capsys.readouterr().err
     assert "s = (-0.00013, 0.00061)" in err
     assert "np.float64" not in err
+
+
+def test_verify_domain_error_names_first_lattice_point(tmp_path, capsys):
+    """A lattice is evaluated in one batch; a point outside a coordinate
+    map's domain is reported as the first such point in lattice order,
+    while a one-point query keeps its message without a point."""
+    imm = tmp_path / "log.imm"
+    imm.write_text(
+        "name: log\nparams: u v\nx1: u\nx2: v\nx3: log(u)\nx4: 0\n"
+        "domain: u -1 1 v -1 1\nperiodic: false false\n"
+    )
+    assert main(["verify", str(imm), "--grid", "3x3"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: domain error in 'log(u)': log of a non-positive value "
+        "at s = (-0.5, -0.5)\n"
+    )
+    assert main(["frame", str(imm), "--at", "-0.5", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: domain error in 'log(u)': log of a non-positive value\n"
 
 
 def test_no_step_option():

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from dirac_surface.clifford import GAMMA, basis_square, gauge_rotation
+from dirac_surface import dirac
 from dirac_surface.dirac import (
     DimensionCapError,
     NonPeriodicDomainError,
@@ -352,3 +354,11 @@ def test_integration_by_parts_converges(ring_torus):
 def test_integration_by_parts_flat_exact(clifford):
     # constant coefficients: the defect sits at the rounding floor
     assert _ibp_defect(clifford, 8) <= 1e-10
+
+
+def test_operator_type_hints_resolve():
+    """The annotations of the grid operator resolve without scipy bound
+    in the module, which loads it only inside the spectrum functions."""
+    hints = typing.get_type_hints(dirac.DiscreteOperator)
+    assert hints["matrix"] is typing.Any
+    assert hints["weight"] is np.ndarray

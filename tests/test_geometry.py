@@ -272,12 +272,15 @@ def test_tube_metrics_share_one_center_frame(sphere, monkeypatch):
     pt = (1.0, 0.7)
     offsets = [(0.0, 0.0), (0.02, 0.0), (0.01, -0.03)]
     single = [tube_metric_at(sphere, pt, q) for q in offsets]
-    calls = []
-    frame = geometry.frame_at
-    monkeypatch.setattr(geometry, "frame_at", lambda *a: calls.append(a) or frame(*a))
+    batches = []
+    frames = geometry.frames_at
+    monkeypatch.setattr(
+        geometry, "frames_at", lambda spec, S: batches.append(np.shape(S)) or frames(spec, S)
+    )
     shared = tube_metrics_at(sphere, pt, offsets)
-    # one center frame, then the 8-frame density stencil per non-zero offset
-    assert len(calls) == 1 + 8 * 2
+    # one batch of 9 frame rows: the center and the 8-frame density
+    # stencil, shared by every offset
+    assert batches == [(9, 2)]
     for a, b in zip(single, shared):
         assert np.array_equal(a.g_tube, b.g_tube)
         assert (a.rho_exact, a.rho_leading) == (b.rho_exact, b.rho_leading)
