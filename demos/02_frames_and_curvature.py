@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 
-from dirac_surface import connection_at, frame_at, gauge_at, tube_metric_at
+from dirac_surface import frame_at, gauge_at, tube_metrics_at
 from dirac_surface.corpus import load_corpus
+from dirac_surface.geometry import connection_from_frame
 
 for name, pt in (("sphere", (1.0, 0.7)), ("clifford", (0.4, 0.9))):
     spec = load_corpus(name)
     fr = frame_at(spec, pt)
-    conn = connection_at(spec, pt)
+    conn = connection_from_frame(fr)
     gd = gauge_at(conn)
     print(f"--- {name} at {pt} ---")
     print("metric        :", np.round(fr.g, 12).tolist())
@@ -29,11 +30,12 @@ for name, pt in (("sphere", (1.0, 0.7)), ("clifford", (0.4, 0.9))):
     print("hatted trace  : %.12f (second trace gauged to zero)" % gd.hat_trace3)
     print()
 
-# the tube chart: metric and density at a small normal offset
+# the tube chart: metric and density at small normal offsets, all of
+# them read from one batch of frames
 spec = load_corpus("clifford")
-for eps in (0.04, 0.02, 0.01):
-    q = eps * np.array([1.0, 1.0]) / math.sqrt(2.0)
-    ts = tube_metric_at(spec, (0.4, 0.9), q)
+eps_values = (0.04, 0.02, 0.01)
+offsets = [eps * np.array([1.0, 1.0]) / math.sqrt(2.0) for eps in eps_values]
+for eps, ts in zip(eps_values, tube_metrics_at(spec, (0.4, 0.9), offsets)):
     print(
         "offset %.2f: density %.10f  first-order model %.10f  gap %.3e"
         % (eps, ts.rho_exact, ts.rho_leading, abs(ts.rho_exact - ts.rho_leading))

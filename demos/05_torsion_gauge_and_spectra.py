@@ -13,20 +13,22 @@ import numpy as np
 
 from dirac_surface import (
     assemble_grid_operator,
-    connection_at,
     dirac_symbol,
     eigenvalues,
+    frame_at,
     gauge_at,
     gauged_dirac_symbol,
 )
 from dirac_surface.corpus import load_corpus
 from dirac_surface.dirac import fourier_eigenvalues, multiset_distance
+from dirac_surface.geometry import connection_from_frame
 
 base = load_corpus("clifford")
 rot = load_corpus("clifford-rotated")
 pt = (0.4, 0.9)
 
-cb, cr = connection_at(base, pt), connection_at(rot, pt)
+cb = connection_from_frame(frame_at(base, pt))
+cr = connection_from_frame(frame_at(rot, pt))
 print("torsion, plain frame  :", np.round(cb.torsion, 9).tolist())
 print("torsion, rotated frame:", np.round(cr.torsion, 9).tolist())
 print("   rotating by the first parameter shifted it by exactly (1, 0)")

@@ -31,11 +31,9 @@ from .geometry import (
     FrameData,
     GaugeData,
     TubeSample,
-    connection_at,
     frame_at,
     frames_at,
     gauge_at,
-    tube_metric_at,
     tube_metrics_at,
 )
 from .clifford import (
@@ -57,17 +55,13 @@ from .dirac import (
     OperatorSymbol,
     SpectrumInvariantError,
     SpinConnection2D,
-    apply_pointwise,
     assemble_grid_operator,
     dirac_symbol,
     eigenvalues,
     gauged_dirac_symbol,
-    spin_connection_at,
 )
 from .weierstrass import (
-    KernelBasis,
     ReconstructionReport,
-    kernel_basis_at,
     reconstruct,
 )
 

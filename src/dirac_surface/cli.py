@@ -44,7 +44,7 @@ from .expr import ExprError, ImmersionSpec, load_immersion, unparse
 from .geometry import (
     GeometryError,
     connection_from_frame,
-    frame_at,
+    frames_at,
     gauge_at,
     tube_metrics_at,
 )
@@ -57,6 +57,9 @@ _DEFAULT_RESIDUAL_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 # most points a --grid lattice may hold for frame and verify
 MAX_LATTICE_POINTS = 65536
+
+# lattice points per batch of frame
+_FRAME_CHUNK = 512
 
 # tolerances for the pass/fail flags, mirrored by the acceptance tests
 TOL = {
@@ -247,47 +250,74 @@ def _finish(report, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _frame_records(spec: ImmersionSpec, points) -> list:
+    """The ``frame`` records at ``points``, built in one batch."""
+    # a single point stays a (2,) array, which eval_jets serves on plain floats
+    one = len(points) == 1
+    S = np.array(points[0] if one else points)
+    frame = frames_at(spec, S)
+    conn = connection_from_frame(frame)
+    gd = gauge_at(conn)
+    R = frame.rotation()
+    gram = R.swapaxes(-1, -2) @ R
+    anti = conn.gamma_nor + conn.gamma_nor.swapaxes(-1, -2)
+    # one entry per point, in plain Python numbers
+    columns = zip(points, *(
+        [a.tolist()] if one else a.tolist()
+        for a in (
+            frame.x, frame.ehat, frame.n, frame.g, frame.det_g, conn.trace3,
+            conn.trace4, conn.gamma_tan, conn.gamma_nor, conn.torsion, gd.theta,
+            gd.hat_trace3, gd.hat_torsion, gd.degenerate,
+            np.abs(gram - np.eye(4)).max(axis=(-2, -1)),
+            np.abs(np.linalg.det(R) - 1.0),
+            np.abs(anti).max(axis=(-3, -2, -1)),
+        )
+    ))
+    return [
+        {
+            "s": list(pt),
+            "x": x,
+            "ehat": ehat,
+            "n": n,
+            "g": g,
+            "det_g": det_g,
+            "trace3": t3,
+            "trace4": t4,
+            # hat_trace3 is the C library's hypot of the two traces
+            "trace_invariant": hat_t3,
+            "gamma_tan": gamma_tan,
+            "gamma_nor": gamma_nor,
+            "torsion": torsion,
+            "theta": theta,
+            "hat_trace3": hat_t3,
+            "hat_trace4": gd.hat_trace4,
+            "hat_torsion": hat_torsion,
+            "gauge_degenerate": degenerate,
+            "orthonormality_defect": ortho,
+            "det_rotation_defect": det_defect,
+            "torsion_antisymmetry_defect": anti_defect,
+            # the C library's cos and sin, as for the gauge angle's atan2
+            "gauge_relation_defect": max(
+                abs(t3 - hat_t3 * math.cos(theta)),
+                abs(t4 + hat_t3 * math.sin(theta)),
+            ),
+        }
+        for (
+            pt, x, ehat, n, g, det_g, t3, t4, gamma_tan, gamma_nor, torsion, theta,
+            hat_t3, hat_torsion, degenerate, ortho, det_defect, anti_defect,
+        ) in columns
+    ]
+
+
 def _cmd_frame(args) -> int:
     spec = load_immersion(args.file)
     points = _points_from_args(spec, args, default_grid=(3, 3))
-
-    def worker(pt):
-        frame = frame_at(spec, pt)
-        conn = connection_from_frame(frame)
-        gd = gauge_at(conn)
-        R = frame.rotation()
-        gram = R.T @ R
-        record = {
-            "s": list(pt),
-            "x": frame.x.tolist(),
-            "ehat": frame.ehat.tolist(),
-            "n": frame.n.tolist(),
-            "g": frame.g.tolist(),
-            "det_g": frame.det_g,
-            "trace3": conn.trace3,
-            "trace4": conn.trace4,
-            "trace_invariant": math.hypot(conn.trace3, conn.trace4),
-            "gamma_tan": conn.gamma_tan.tolist(),
-            "gamma_nor": conn.gamma_nor.tolist(),
-            "torsion": conn.torsion.tolist(),
-            "theta": gd.theta,
-            "hat_trace3": gd.hat_trace3,
-            "hat_trace4": gd.hat_trace4,
-            "hat_torsion": gd.hat_torsion.tolist(),
-            "gauge_degenerate": bool(gd.degenerate),
-            "orthonormality_defect": float(np.max(np.abs(gram - np.eye(4)))),
-            "det_rotation_defect": float(abs(np.linalg.det(R) - 1.0)),
-            "torsion_antisymmetry_defect": float(
-                np.max(np.abs(conn.gamma_nor + conn.gamma_nor.transpose(0, 2, 1)))
-            ),
-            "gauge_relation_defect": max(
-                abs(conn.trace3 - gd.hat_trace3 * math.cos(gd.theta)),
-                abs(conn.trace4 + gd.hat_trace3 * math.sin(gd.theta)),
-            ),
-        }
-        return record
-
-    records = [worker(pt) for pt in points]
+    # passes of a fixed number of points bound the arrays held at once
+    records = [
+        record
+        for i in range(0, len(points), _FRAME_CHUNK)
+        for record in _frame_records(spec, points[i : i + _FRAME_CHUNK])
+    ]
     checks = [
         _check(
             "frame_orthonormality",

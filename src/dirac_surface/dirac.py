@@ -54,7 +54,6 @@ from .geometry import (
     GaugeData,
     align_frame,
     connection_from_frame,
-    frame_at,
     frames_at,
     gauge_angle,
     gauge_at,
@@ -69,11 +68,9 @@ __all__ = [
     "SpinConnection2D",
     "OperatorSymbol",
     "DiscreteOperator",
-    "spin_connection_at",
     "spin_connection_from_frame",
     "dirac_symbol",
     "gauged_dirac_symbol",
-    "apply_pointwise",
     "assemble_grid_operator",
     "eigenvalues",
     "is_constant_coefficient",
@@ -176,11 +173,6 @@ def spin_connection_from_frame(frame: FrameData) -> SpinConnection2D:
     return SpinConnection2D(f=f, f_inv=np.linalg.inv(f), omega=omega)
 
 
-def spin_connection_at(spec: ImmersionSpec, s) -> SpinConnection2D:
-    """Zweibein and Levi-Civita spin connection of the induced metric."""
-    return spin_connection_from_frame(frame_at(spec, s))
-
-
 # ---------------------------------------------------------------------------
 # Pointwise symbols
 # ---------------------------------------------------------------------------
@@ -223,35 +215,23 @@ def _symbol(
 
 
 def dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
-    """Pointwise surface Dirac symbol in the working normal frame."""
-    frame = frame_at(spec, s)
+    """Pointwise surface Dirac symbol in the working normal frame.
+
+    ``s`` is one point (2,) or a stack (..., 2), which gives a stack of
+    symbols.
+    """
+    frame = frames_at(spec, s)
     return _symbol(connection_from_frame(frame), spin_connection_from_frame(frame))
 
 
 def gauged_dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
-    """Pointwise symbol in the gauge-fixed frame (torsion as gauge field)."""
-    frame = frame_at(spec, s)
+    """Pointwise symbol in the gauge-fixed frame (torsion as gauge field).
+
+    ``s`` is one point (2,) or a stack (..., 2), as for ``dirac_symbol``.
+    """
+    frame = frames_at(spec, s)
     conn = connection_from_frame(frame)
     return _symbol(conn, spin_connection_from_frame(frame), gauge_at(conn))
-
-
-def apply_pointwise(symbol: OperatorSymbol, psi_field, s, h: float) -> np.ndarray:
-    """Apply the symbol to a spinor field by central differences at s.
-
-    ``psi_field`` maps a parameter point to a spinor (or a stack of
-    spinor columns); the result is A^alpha (psi(s+h e_alpha) -
-    psi(s-h e_alpha)) / (2h) + B psi(s).
-    """
-    s = np.asarray(s, dtype=float)
-    out = symbol.B @ np.asarray(psi_field(s), dtype=complex)
-    for alpha in range(2):
-        step = np.zeros(2)
-        step[alpha] = h
-        diff = np.asarray(psi_field(s + step), dtype=complex) - np.asarray(
-            psi_field(s - step), dtype=complex
-        )
-        out = out + symbol.A[alpha] @ diff / (2.0 * h)
-    return out
 
 
 # ---------------------------------------------------------------------------

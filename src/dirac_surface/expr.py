@@ -70,16 +70,16 @@ class ExprSyntaxError(ExprError):
 class DomainEvalError(ExprError):
     """Evaluation outside a function's real domain (log, sqrt, division).
 
-    On a stack of points, ``index`` is the flat position of the first
-    offending point and the message names it; on one point ``index`` is
-    None.
+    The message names the offending point, on a stack of points the first
+    in (C) order; ``index`` is its flat position in the stack (0 for one
+    point).
     """
 
-    def __init__(self, detail: str, node: "ExprAst", index=None, point=None):
+    def __init__(self, detail: str, node: "ExprAst", index, point):
         self.node = node
         self.index = index
-        where = "" if point is None else f" at s = {_point(point)}"
-        super().__init__(f"domain error in '{unparse(node)}': {detail}{where}")
+        self._without_point = f"domain error in '{unparse(node)}': {detail}"
+        super().__init__(f"{self._without_point} at s = {_point(point)}")
 
 
 def _point(s) -> str:
@@ -391,8 +391,6 @@ def _check_domain(bad, detail, node, s):
     if not np.count_nonzero(bad):
         return
     u, v = np.broadcast_arrays(*s)
-    if u.ndim == 0:
-        raise DomainEvalError(detail, node)
     i = int(np.argmax(np.broadcast_to(bad, u.shape)))
     raise DomainEvalError(detail, node, i, (u.flat[i], v.flat[i]))
 
@@ -592,6 +590,9 @@ def _const_value(text: str, line_no: int) -> float:
     try:
         ast = parse_expression(text, ("_a", "_b"))
         return eval_jet2(ast, (0.0, 0.0)).value
+    except DomainEvalError as exc:
+        # a constant depends on no parameter point
+        raise ImmersionFileError(f"line {line_no}: bad constant {text!r}: {exc._without_point}")
     except ExprError as exc:
         raise ImmersionFileError(f"line {line_no}: bad constant {text!r}: {exc}")
 

@@ -55,11 +55,9 @@ __all__ = [
     "frames_at",
     "frame_at",
     "align_frame",
-    "connection_at",
     "connection_from_frame",
     "gauge_at",
     "gauge_angle",
-    "tube_metric_at",
     "tube_metrics_at",
 ]
 
@@ -400,11 +398,6 @@ def connection_from_frame(frame: FrameData) -> ConnectionData:
     )
 
 
-def connection_at(spec: ImmersionSpec, s) -> ConnectionData:
-    """Second-fundamental-form and torsion coefficients at a point."""
-    return connection_from_frame(frame_at(spec, s))
-
-
 # ---------------------------------------------------------------------------
 # Gauge angle
 # ---------------------------------------------------------------------------
@@ -545,8 +538,3 @@ def tube_metrics_at(spec: ImmersionSpec, s, offsets) -> list:
             )
         )
     return samples
-
-
-def tube_metric_at(spec: ImmersionSpec, s, q) -> TubeSample:
-    """Tube metric and density cross-check at one normal offset q."""
-    return tube_metrics_at(spec, s, [q])[0]

@@ -34,10 +34,8 @@ from .clifford import basis_round, gauge_rotation, match_sign, spin_lift
 from .dirac import spin_connection_from_frame, _coordinate_gammas, _symbol
 from .expr import ImmersionSpec
 from .geometry import (
-    FrameData,
     align_frame,
     connection_from_frame,
-    frame_at,
     frames_at,
     gauge_angle,
     gauge_at,
@@ -47,9 +45,7 @@ from .geometry import (
 
 
 __all__ = [
-    "KernelBasis",
     "ReconstructionReport",
-    "kernel_basis_at",
     "reconstruct",
     "safe_ratio",
     "RESIDUAL_FLOOR",
@@ -63,25 +59,6 @@ RESIDUAL_FLOOR = 1e-13
 _CHUNK = 512
 
 _ROUND = np.column_stack(basis_round())
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Frame-derived spinor basis at a point.
-
-    ``psi_square`` and ``psi_round`` hold the four spinors as columns;
-    cospinors are their Hermitian conjugates.
-    """
-
-    s: np.ndarray
-    frame: FrameData
-    U: np.ndarray
-    psi_square: np.ndarray  # (4, 4), column a is U Psi^[a]
-    psi_round: np.ndarray   # (4, 4), column i is U Psi^(i)
-    theta: float | None = None
-
-    def cospinor_square(self) -> np.ndarray:
-        return self.psi_square.conj()
 
 
 @dataclass(frozen=True)
@@ -117,28 +94,10 @@ def safe_ratio(coarse, fine, floor: float = RESIDUAL_FLOOR):
     return np.where(fine <= floor, math.inf, coarse / np.maximum(fine, floor))[()]
 
 
-def kernel_basis_at(spec: ImmersionSpec, s, gauged: bool = False) -> KernelBasis:
-    """Spin-lift the adapted frame (gauge-fixed if ``gauged``) at s."""
-    return _basis_from_frame(frame_at(spec, s), gauged)
-
-
 def _lift(rotation, theta=None) -> np.ndarray:
     """Spin lift of frame rotations, gauge-fixed by the angles ``theta`` if given."""
     U = spin_lift(rotation).matrix
     return U if theta is None else gauge_rotation(-theta / 2.0).matrix @ U
-
-
-def _basis_from_frame(frame: FrameData, gauged: bool) -> KernelBasis:
-    theta = gauge_angle(frame)[0] if gauged else None
-    U = _lift(frame.rotation(), theta)
-    return KernelBasis(
-        s=frame.s,
-        frame=frame,
-        U=U,
-        psi_square=U.copy(),
-        psi_round=U @ _ROUND,
-        theta=theta,
-    )
 
 
 def _lattice_pass(spec: ImmersionSpec, S, gauged: bool, steps) -> dict:

@@ -4,8 +4,9 @@ These are the frame construction, the spin lift and the residual probe
 the library ran point by point before ``frames_at``, ``spin_lift`` and
 ``reconstruct`` worked on stacks of points: a pivoted Gram-Schmidt that
 loops over the ambient basis until two normals are found, a spin lift of
-one 4x4 matrix, and a spinor field that builds, aligns and lifts one
-probe frame per call.
+one 4x4 matrix, a spinor field that builds, aligns and lifts one probe
+frame per call, and the central-difference application of a symbol to
+such a field.
 """
 
 import math
@@ -13,12 +14,7 @@ import math
 import numpy as np
 
 from dirac_surface.clifford import _BLOCKS, _QUATERNIONS, gauge_rotation, match_sign
-from dirac_surface.dirac import (
-    _coordinate_gammas,
-    _symbol,
-    apply_pointwise,
-    spin_connection_from_frame,
-)
+from dirac_surface.dirac import _coordinate_gammas, _symbol, spin_connection_from_frame
 from dirac_surface.expr import eval_jet2
 from dirac_surface.geometry import (
     _GS_TOL,
@@ -105,6 +101,25 @@ def spin_lift(R):
     U[:2, :2] = P
     U[2:, 2:] = Q
     return U
+
+
+def apply_pointwise(symbol, psi_field, s, h):
+    """Apply the symbol to a spinor field by central differences at s.
+
+    ``psi_field`` maps a parameter point to a spinor (or a stack of
+    spinor columns); the result is A^alpha (psi(s+h e_alpha) -
+    psi(s-h e_alpha)) / (2h) + B psi(s).
+    """
+    s = np.asarray(s, dtype=float)
+    out = symbol.B @ np.asarray(psi_field(s), dtype=complex)
+    for alpha in range(2):
+        step = np.zeros(2)
+        step[alpha] = h
+        diff = np.asarray(psi_field(s + step), dtype=complex) - np.asarray(
+            psi_field(s - step), dtype=complex
+        )
+        out = out + symbol.A[alpha] @ diff / (2.0 * h)
+    return out
 
 
 def basis_field(spec, s, gauged):

@@ -23,7 +23,6 @@ from dirac_surface.clifford import (
 from dirac_surface.cli import main
 from dirac_surface.corpus import corpus_path, load_corpus
 from dirac_surface.dirac import (
-    apply_pointwise,
     assemble_grid_operator,
     dirac_symbol,
     eigenvalues,
@@ -31,15 +30,16 @@ from dirac_surface.dirac import (
     multiset_distance,
 )
 from dirac_surface.geometry import (
-    connection_at,
+    connection_from_frame,
     frame_at,
     gauge_angle,
     gauge_at,
-    tube_metric_at,
+    tube_metrics_at,
     _wrap_angle,
 )
 from dirac_surface.weierstrass import reconstruct, safe_ratio
 from conftest import RING_TORUS, interior_lattice, rng_seed
+from pointwise_oracles import apply_pointwise
 from dirac_surface.expr import parse_immersion_file
 
 
@@ -133,7 +133,7 @@ def test_criterion_3_geometry():
             worst_trace = 0.0
             worst_anti = 0.0
             for pt in interior_lattice(spec, 9, 9):
-                conn = connection_at(spec, pt)
+                conn = connection_from_frame(frame_at(spec, pt))
                 worst_trace = max(
                     worst_trace, abs(math.hypot(conn.trace3, conn.trace4) - 2.0)
                 )
@@ -155,8 +155,8 @@ def test_criterion_3_geometry():
         worst_shift = 0.0
         worst_invariance = 0.0
         for pt in interior_lattice(base, 5, 5):
-            cb = connection_at(base, pt)
-            cr = connection_at(rotated, pt)
+            cb = connection_from_frame(frame_at(base, pt))
+            cr = connection_from_frame(frame_at(rotated, pt))
             worst_shift = max(
                 worst_shift,
                 float(np.max(np.abs(cr.torsion - cb.torsion - [1.0, 0.0]))),
@@ -185,7 +185,7 @@ def test_criterion_4_tube_density():
             spec = load_corpus(name)
             diffs = []
             for e in eps:
-                ts = tube_metric_at(spec, pt, e * direction)
+                ts = tube_metrics_at(spec, pt, [e * direction])[0]
                 diffs.append(abs(ts.rho_exact - ts.rho_leading))
             slope = float(np.polyfit(np.log(eps), np.log(diffs), 1)[0])
             c.check(slope >= 1.9, f"{name} slope {slope:.3f}")
@@ -193,7 +193,7 @@ def test_criterion_4_tube_density():
         plane = load_corpus("plane")
         worst = 0.0
         for q in ((0.0, 0.0), (0.2, -0.4), (0.7, 0.1)):
-            ts = tube_metric_at(plane, (0.1, 0.2), q)
+            ts = tube_metrics_at(plane, (0.1, 0.2), [q])[0]
             worst = max(worst, abs(ts.rho_exact - 1.0))
         c.check(worst <= 1e-12, f"plane density defect {worst:.2e}")
 
@@ -244,7 +244,7 @@ def test_criterion_6_gauged_weierstrass():
             s0 = np.asarray(s0, dtype=float)
             sym_g = gauged_dirac_symbol(spec, s0)
             sym_p = dirac_symbol(spec, s0)
-            th0 = gauge_at(connection_at(spec, s0)).theta
+            th0 = gauge_at(connection_from_frame(frame_at(spec, s0))).theta
             coef = np.array([1.0, 0.3j, -0.2, 0.5 + 0.1j])
 
             def psi(s):

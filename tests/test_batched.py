@@ -1,8 +1,8 @@
 """The batched pointwise pipeline against its one-point oracles.
 
-``frames_at``, ``spin_lift`` and ``reconstruct`` work on stacks of
-points; ``tests/pointwise_oracles.py`` keeps the one-point code they
-replaced.
+``frames_at``, ``spin_lift``, ``reconstruct`` and the operator symbols
+work on stacks of points; ``tests/pointwise_oracles.py`` keeps the
+one-point code they replaced.
 """
 
 import math
@@ -12,10 +12,11 @@ import pytest
 
 import pointwise_oracles as oracle
 from conftest import interior_lattice
-from dirac_surface import weierstrass
+from dirac_surface import cli, weierstrass
 from dirac_surface.cli import main
 from dirac_surface.clifford import spin_lift
 from dirac_surface.corpus import corpus_path, load_corpus
+from dirac_surface.dirac import dirac_symbol, gauged_dirac_symbol
 from dirac_surface.expr import DomainEvalError, parse_immersion_file
 from dirac_surface.geometry import (
     _GS_TOL,
@@ -94,6 +95,21 @@ def test_reconstruct_lattice_matches_pointwise_oracle(name, gauged):
         assert ratio == expected or abs(ratio - expected) <= 1e-6 * expected
 
 
+@pytest.mark.parametrize("symbol", [dirac_symbol, gauged_dirac_symbol])
+@pytest.mark.parametrize("name", ["graph", "sphere", "clifford-rotated"])
+def test_symbol_stack_matches_point_symbols(name, symbol):
+    spec = load_corpus(name)
+    S = np.array(interior_lattice(spec, 3, 3)).reshape(3, 3, 2)
+    stack = symbol(spec, S)
+    assert stack.B.shape == (3, 3, 4, 4)
+    degenerate = np.broadcast_to(stack.degenerate_gauge, (3, 3))
+    for idx in np.ndindex(3, 3):
+        one = symbol(spec, S[idx])
+        for field in ("A", "B", "mass"):
+            assert np.max(np.abs(getattr(stack, field)[idx] - getattr(one, field))) <= 1e-14
+        assert degenerate[idx] == one.degenerate_gauge
+
+
 def test_reconstruct_one_point_keeps_scalar_fields(graph):
     rep = reconstruct(graph, (0.3, 0.2), steps=(1e-2, 5e-3))
     assert rep.W.shape == (2, 4) and rep.residual_dirac.shape == (2,)
@@ -102,12 +118,17 @@ def test_reconstruct_one_point_keeps_scalar_fields(graph):
 
 
 def test_chunked_lattice_gives_identical_report(tmp_path, monkeypatch):
-    argv = ["verify", str(corpus_path("clifford-rotated")), "--grid", "4x5", "--gauged"]
-    whole, chunked = tmp_path / "whole.json", tmp_path / "chunked.json"
-    assert main([*argv, "--out", str(whole)]) == 0
-    monkeypatch.setattr(weierstrass, "_CHUNK", 3)
-    assert main([*argv, "--out", str(chunked)]) == 0
-    assert whole.read_bytes() == chunked.read_bytes()
+    # frame's 16 points in passes of 3 end on a one-point pass
+    for argv, module, chunk in (
+        (["verify", str(corpus_path("clifford-rotated")), "--grid", "4x5", "--gauged"],
+         weierstrass, "_CHUNK"),
+        (["frame", str(corpus_path("clifford-rotated")), "--grid", "4x4"], cli, "_FRAME_CHUNK"),
+    ):
+        whole, chunked = tmp_path / "whole.json", tmp_path / "chunked.json"
+        assert main([*argv, "--out", str(whole)]) == 0
+        monkeypatch.setattr(module, chunk, 3)
+        assert main([*argv, "--out", str(chunked)]) == 0
+        assert whole.read_bytes() == chunked.read_bytes()
 
 
 def test_degenerate_point_named_in_stack():

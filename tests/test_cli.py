@@ -56,6 +56,7 @@ def test_frame_clifford_hat_trace(tmp_path):
         (("verify", CLIFFORD_ROTATED), 13),
         (("verify", CLIFFORD_ROTATED, "--gauged"), 13),
         (("tube", SPHERE), 9),
+        (("frame", SPHERE, "--grid", "3x4"), 1),
     ],
 )
 def test_frame_at_calls_per_point(tmp_path, monkeypatch, argv, rows_per_point):
@@ -64,16 +65,37 @@ def test_frame_at_calls_per_point(tmp_path, monkeypatch, argv, rows_per_point):
     the 12 frames of the three-step residual probe, and a tube query the
     8 frames of its density stencil.  Every frame row is counted, however
     the rows are batched."""
-    from dirac_surface import geometry, weierstrass
+    from dirac_surface import cli, geometry, weierstrass
 
     rows = []
     frames = geometry.frames_at
     counted = lambda spec, S: rows.append(np.prod(np.shape(S)[:-1])) or frames(spec, S)
-    for module in (dirac, geometry, weierstrass):
+    for module in (cli, dirac, geometry, weierstrass):
         monkeypatch.setattr(module, "frames_at", counted)
-    code, _ = run(tmp_path, *argv, "--at", "0.3" if argv[0] != "tube" else "1.0", "0.2")
+    points = 12
+    if "--grid" not in argv:
+        argv += ("--at", "0.3" if argv[0] != "tube" else "1.0", "0.2")
+        points = 1
+    code, _ = run(tmp_path, *argv)
     assert code == 0
-    assert sum(rows) == rows_per_point
+    assert sum(rows) == rows_per_point * points
+
+
+@pytest.mark.parametrize("path", [GRAPH, SPHERE, CLIFFORD_ROTATED])
+def test_frame_lattice_records_match_point_queries(tmp_path, path):
+    """A lattice's frames are built in one batch and a single point on
+    plain floats; each lattice record renders exactly as the record of a
+    query at its point."""
+    from dirac_surface.cli import _render_json
+
+    code, text = run(tmp_path, "frame", path, "--grid", "3x4")
+    assert code == 0
+    records = json.loads(text)["records"]
+    assert len(records) == 12
+    for rec in records:
+        code, text = run(tmp_path, "frame", path, "--at", *map(repr, rec["s"]))
+        assert code == 0
+        assert _render_json(json.loads(text)["records"][0]) == _render_json(rec)
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -254,7 +276,7 @@ def test_branch_error_names_queried_point(capsys):
 def test_verify_domain_error_names_first_lattice_point(tmp_path, capsys):
     """A lattice is evaluated in one batch; a point outside a coordinate
     map's domain is reported as the first such point in lattice order,
-    while a one-point query keeps its message without a point."""
+    and a one-point query names its point."""
     imm = tmp_path / "log.imm"
     imm.write_text(
         "name: log\nparams: u v\nx1: u\nx2: v\nx3: log(u)\nx4: 0\n"
@@ -266,9 +288,18 @@ def test_verify_domain_error_names_first_lattice_point(tmp_path, capsys):
         "error: domain error in 'log(u)': log of a non-positive value "
         "at s = (-0.5, -0.5)\n"
     )
+    assert main(["frame", str(imm), "--grid", "3x3"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: domain error in 'log(u)': log of a non-positive value "
+        "at s = (-0.5, -0.5)\n"
+    )
     assert main(["frame", str(imm), "--at", "-0.5", "0.3"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: domain error in 'log(u)': log of a non-positive value\n"
+    assert err == (
+        "error: domain error in 'log(u)': log of a non-positive value "
+        "at s = (-0.5, 0.3)\n"
+    )
 
 
 def test_no_step_option():

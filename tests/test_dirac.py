@@ -13,7 +13,6 @@ from dirac_surface.dirac import (
     SpectrumInvariantError,
     _chiral_blocks,
     _near_kernel_eigenvalues,
-    apply_pointwise,
     assemble_grid_operator,
     dirac_symbol,
     eigenvalues,
@@ -21,29 +20,30 @@ from dirac_surface.dirac import (
     gauged_dirac_symbol,
     is_constant_coefficient,
     multiset_distance,
-    spin_connection_at,
+    spin_connection_from_frame,
 )
-from dirac_surface.geometry import connection_at, frame_at, gauge_at, _wrap_angle
+from dirac_surface.geometry import connection_from_frame, frame_at, gauge_at, _wrap_angle
 from grid_oracles import dense_eigenvalues, dense_grid_matrix
+from pointwise_oracles import apply_pointwise
 
 
 # --- spin connection ---------------------------------------------------------
 
 
 def test_spin_connection_plane(plane):
-    sc = spin_connection_at(plane, (0.2, -0.3))
+    sc = spin_connection_from_frame(frame_at(plane, (0.2, -0.3)))
     assert np.max(np.abs(sc.omega)) == 0.0
     assert np.array_equal(sc.f, np.eye(2))
 
 
 def test_spin_connection_clifford_constant_metric(clifford):
-    sc = spin_connection_at(clifford, (0.4, 0.9))
+    sc = spin_connection_from_frame(frame_at(clifford, (0.4, 0.9)))
     assert np.max(np.abs(sc.omega)) <= 1e-10
     assert np.allclose(sc.f, np.eye(2) / math.sqrt(2.0), atol=1e-14)
 
 
 def test_spin_connection_sphere_closed_form(sphere):
-    sc = spin_connection_at(sphere, (1.0, 0.7))
+    sc = spin_connection_from_frame(frame_at(sphere, (1.0, 0.7)))
     assert abs(sc.omega[0]) <= 1e-8
     assert abs(abs(sc.omega[1]) - abs(math.cos(1.0))) <= 1e-6
 
@@ -51,7 +51,7 @@ def test_spin_connection_sphere_closed_form(sphere):
 def test_zweibein_reproduces_metric(graph, sphere):
     for spec, pt in ((graph, (0.3, 0.2)), (sphere, (1.2, 2.0))):
         fr = frame_at(spec, pt)
-        sc = spin_connection_at(spec, pt)
+        sc = spin_connection_from_frame(fr)
         assert np.max(np.abs(sc.f.T @ sc.f - fr.g)) <= 1e-12
         assert np.max(np.abs(sc.f @ sc.f_inv - np.eye(2))) <= 1e-12
 
@@ -143,7 +143,7 @@ def test_gauge_covariance_of_symbols(clifford_rotated, graph):
         s0 = np.asarray(s0, dtype=float)
         sym_g = gauged_dirac_symbol(spec, s0)
         sym_p = dirac_symbol(spec, s0)
-        th0 = gauge_at(connection_at(spec, s0)).theta
+        th0 = gauge_at(connection_from_frame(frame_at(spec, s0))).theta
         c = np.array([1.0, 0.3j, -0.2, 0.5 + 0.1j])
 
         def psi(s):

@@ -154,8 +154,8 @@ def test_jets_match_finite_differences(text, u, v):
 
 
 def test_domain_errors():
-    with pytest.raises(DomainEvalError, match="division by zero"):
-        ev("1/u", (0.0, 0.0))
+    with pytest.raises(DomainEvalError, match=r"division by zero at s = \(0\.0, 0\.5\)"):
+        ev("1/u", (0.0, 0.5))
     with pytest.raises(DomainEvalError, match="sqrt"):
         ev("sqrt(u)", (-1.0, 0.0))
     with pytest.raises(DomainEvalError, match="log"):
@@ -269,6 +269,14 @@ def test_malformed_domain():
     )
     with pytest.raises(ImmersionFileError, match="malformed domain"):
         parse_immersion_file(text)
+
+
+def test_domain_error_in_constant_names_no_point():
+    text = "name: c\nparams: u v\nx1: u\nx2: v\nx3: 0\nx4: 0\n" \
+        "domain: u log(0) 1 v -1 1\nperiodic: false false\n"
+    with pytest.raises(ImmersionFileError) as info:
+        parse_immersion_file(text)
+    assert str(info.value).endswith("log of a non-positive value")
 
 
 def test_domain_accepts_constant_expressions():

@@ -8,10 +8,9 @@ from dirac_surface.expr import parse_immersion_file
 from dirac_surface.geometry import (
     DegenerateImmersionError,
     align_frame,
-    connection_at,
+    connection_from_frame,
     frame_at,
     gauge_at,
-    tube_metric_at,
     tube_metrics_at,
 )
 import dirac_surface.geometry as geometry
@@ -123,20 +122,20 @@ def test_align_frame_reports_branch_jump(clifford):
 
 
 def test_plane_connection_vanishes(plane):
-    conn = connection_at(plane, (0.3, 0.3))
+    conn = connection_from_frame(frame_at(plane, (0.3, 0.3)))
     assert np.max(np.abs(conn.gamma_tan)) == 0.0
     assert np.max(np.abs(conn.gamma_nor)) <= 1e-14
 
 
 def test_clifford_trace_invariant(clifford):
     for pt in interior_lattice(clifford, 5, 5):
-        conn = connection_at(clifford, pt)
+        conn = connection_from_frame(frame_at(clifford, pt))
         assert math.hypot(conn.trace3, conn.trace4) == pytest.approx(2.0, abs=1e-8)
         assert np.max(np.abs(conn.torsion)) <= 1e-6
 
 
 def test_sphere_trace_invariant(sphere):
-    conn = connection_at(sphere, (math.pi / 2, 0.0))
+    conn = connection_from_frame(frame_at(sphere, (math.pi / 2, 0.0)))
     assert math.hypot(conn.trace3, conn.trace4) == pytest.approx(2.0, abs=1e-8)
     assert np.max(np.abs(conn.torsion)) <= 1e-6
 
@@ -144,7 +143,7 @@ def test_sphere_trace_invariant(sphere):
 def test_torsion_antisymmetry(graph, sphere, clifford_rotated):
     for spec in (graph, sphere, clifford_rotated):
         for pt in interior_lattice(spec, 4, 4):
-            conn = connection_at(spec, pt)
+            conn = connection_from_frame(frame_at(spec, pt))
             anti = conn.gamma_nor + conn.gamma_nor.transpose(0, 2, 1)
             assert np.max(np.abs(anti)) == 0.0
 
@@ -154,7 +153,7 @@ def test_gauss_relation_fd_consistency(clifford, sphere, graph):
     at second order: the error must drop by >= 3.5 when h halves."""
     for spec, pt in ((clifford, (0.4, 0.9)), (sphere, (1.0, 0.7)), (graph, (0.3, 0.2))):
         fr = frame_at(spec, pt)
-        conn = connection_at(spec, pt)
+        conn = connection_from_frame(frame_at(spec, pt))
 
         def fd_error(h):
             worst = 0.0
@@ -175,8 +174,8 @@ def test_frame_rotation_covariance(clifford, clifford_rotated):
     """Declaring a frame rotation shifts the measured torsion by its
     gradient and leaves the mean-curvature magnitude invariant."""
     for pt in interior_lattice(clifford, 3, 3):
-        base = connection_at(clifford, pt)
-        rot = connection_at(clifford_rotated, pt)
+        base = connection_from_frame(frame_at(clifford, pt))
+        rot = connection_from_frame(frame_at(clifford_rotated, pt))
         assert np.max(np.abs(rot.torsion - [1.0, 0.0])) <= 1e-12
         assert np.max(np.abs(base.torsion)) <= 1e-12
         assert math.hypot(rot.trace3, rot.trace4) == pytest.approx(
@@ -193,8 +192,8 @@ def test_frame_rotation_covariance_general_angle(clifford):
         "frame_rotation: 0.3*u - 0.7*v\n"
     )
     pt = (2.0, 1.1)
-    base = connection_at(clifford, pt)
-    rot = connection_at(rotated, pt)
+    base = connection_from_frame(frame_at(clifford, pt))
+    rot = connection_from_frame(frame_at(rotated, pt))
     assert np.max(np.abs(rot.torsion - base.torsion - [0.3, -0.7])) <= 1e-6
 
 
@@ -246,7 +245,7 @@ def test_hat_torsion_invariant_under_frame_rotation(clifford, clifford_rotated):
     on both presentations of this torus."""
     for pt in [(0.4, 0.9), (2.0, 4.0)]:
         for spec in (clifford, clifford_rotated):
-            gd = gauge_at(connection_at(spec, pt))
+            gd = gauge_at(connection_from_frame(frame_at(spec, pt)))
             assert np.max(np.abs(gd.hat_torsion)) <= 1e-14
 
 
@@ -255,7 +254,7 @@ def test_hat_torsion_invariant_under_frame_rotation(clifford, clifford_rotated):
 
 def test_tube_plane_density_exact(plane):
     for q in ((0.0, 0.0), (0.3, -0.2), (0.05, 0.8)):
-        ts = tube_metric_at(plane, (0.1, 0.2), q)
+        ts = tube_metrics_at(plane, (0.1, 0.2), [q])[0]
         assert abs(ts.rho_exact - 1.0) <= 1e-12
         assert np.max(np.abs(ts.g_tube - np.eye(2))) <= 1e-15
 
@@ -263,7 +262,7 @@ def test_tube_plane_density_exact(plane):
 def test_tube_zero_offset_exact(clifford, graph):
     for spec, pt in ((clifford, (0.4, 0.9)), (graph, (0.3, 0.2))):
         fr = frame_at(spec, pt)
-        ts = tube_metric_at(spec, pt, (0.0, 0.0))
+        ts = tube_metrics_at(spec, pt, [(0.0, 0.0)])[0]
         assert ts.rho_exact == 1.0
         assert np.max(np.abs(ts.g_tube - fr.g)) == 0.0
 
@@ -271,7 +270,7 @@ def test_tube_zero_offset_exact(clifford, graph):
 def test_tube_metrics_share_one_center_frame(sphere, monkeypatch):
     pt = (1.0, 0.7)
     offsets = [(0.0, 0.0), (0.02, 0.0), (0.01, -0.03)]
-    single = [tube_metric_at(sphere, pt, q) for q in offsets]
+    single = [tube_metrics_at(sphere, pt, [q])[0] for q in offsets]
     batches = []
     frames = geometry.frames_at
     monkeypatch.setattr(
@@ -289,8 +288,8 @@ def test_tube_metrics_share_one_center_frame(sphere, monkeypatch):
 
 def test_tube_clifford_leading_density(clifford):
     pt = (0.4, 0.9)
-    conn = connection_at(clifford, pt)
-    ts = tube_metric_at(clifford, pt, (0.01, 0.0))
+    conn = connection_from_frame(frame_at(clifford, pt))
+    ts = tube_metrics_at(clifford, pt, [(0.01, 0.0)])[0]
     assert ts.rho_leading == pytest.approx((1 + 0.01 * conn.trace3) ** 2, abs=1e-14)
     assert abs(ts.rho_exact - ts.rho_leading) <= 1e-3
 
@@ -309,7 +308,7 @@ def test_tube_density_quadratic_error(name, pt, direction, request):
     eps = (0.04, 0.02, 0.01)
     diffs = []
     for e in eps:
-        ts = tube_metric_at(spec, pt, e * direction)
+        ts = tube_metrics_at(spec, pt, [e * direction])[0]
         diffs.append(abs(ts.rho_exact - ts.rho_leading))
     slope = np.polyfit(np.log(eps), np.log(diffs), 1)[0]
     assert slope >= 1.9
@@ -325,14 +324,15 @@ def test_connections_match_fd_oracles(name, request, rng):
     """Closed-form torsion, spin connection and gauge-fixed torsion agree
     with the aligned Richardson stencils (away from the graph origin,
     where the pivoted normal frame turns too fast for any stencil)."""
-    from dirac_surface.dirac import spin_connection_at
+    from dirac_surface.dirac import spin_connection_from_frame
     import fd_oracles
 
     spec = request.getfixturevalue(name)
     for pt in fd_oracles.random_points(spec, 8, rng, avoid=(0.0, 0.0), radius=0.3):
-        conn = connection_at(spec, pt)
+        fr = frame_at(spec, pt)
+        conn = connection_from_frame(fr)
         assert np.max(np.abs(conn.gamma_nor - fd_oracles.normal_connection(spec, pt))) <= 1e-8
-        omega = spin_connection_at(spec, pt).omega
+        omega = spin_connection_from_frame(fr).omega
         assert np.max(np.abs(omega - fd_oracles.spin_connection(spec, pt))) <= 1e-8
         hat = gauge_at(conn).hat_torsion
         assert np.max(np.abs(hat - fd_oracles.hat_torsion(spec, pt))) <= 1e-8
@@ -349,7 +349,7 @@ def test_hat_torsion_third_partials_match_fd_oracle():
         x3="0.3*u^3 + 0.2*sin(u*v)", x4="0.2*v*cosh(u) - 0.1*v^3", rotation="0.4*u*v"
     )
     for pt in [(0.3, 0.2), (-0.5, 0.4), (0.1, -0.7), (0.6, 0.6)]:
-        hat = gauge_at(connection_at(spec, pt)).hat_torsion
+        hat = gauge_at(connection_from_frame(frame_at(spec, pt))).hat_torsion
         assert np.max(np.abs(hat - fd_oracles.hat_torsion(spec, pt))) <= 1e-8
 
 

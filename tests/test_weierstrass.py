@@ -5,13 +5,10 @@ import pytest
 
 from dirac_surface.clifford import basis_square, gauge_rotation
 from dirac_surface.dirac import dirac_symbol
-from dirac_surface.geometry import frame_at
-from dirac_surface.weierstrass import (
-    kernel_basis_at,
-    reconstruct,
-    safe_ratio,
-)
+from dirac_surface.geometry import frame_at, gauge_angle
+from dirac_surface.weierstrass import _lift, reconstruct, safe_ratio
 from conftest import interior_lattice
+from pointwise_oracles import apply_pointwise, basis_field
 
 STEPS = (1e-2, 5e-3, 2.5e-3)
 CORPUS = ["plane", "plane_torus", "graph", "sphere", "clifford", "clifford_rotated"]
@@ -21,24 +18,26 @@ CORPUS = ["plane", "plane_torus", "graph", "sphere", "clifford", "clifford_rotat
 
 
 def test_plane_basis_is_constant(plane):
-    basis = kernel_basis_at(plane, (0.3, 0.4))
-    assert np.allclose(basis.U, np.eye(4), atol=1e-14)
+    U = _lift(frame_at(plane, (0.3, 0.4)).rotation())
+    assert np.allclose(U, np.eye(4), atol=1e-14)
     for a, psi in enumerate(basis_square()):
-        assert np.allclose(basis.psi_square[:, a], psi, atol=1e-14)
+        assert np.allclose(U[:, a], psi, atol=1e-14)
 
 
 @pytest.mark.parametrize("gauged", [False, True])
 def test_basis_orthonormality(clifford, gauged):
-    basis = kernel_basis_at(clifford, (0.0, 0.0), gauged=gauged)
-    gram = basis.cospinor_square().T @ basis.psi_square
-    assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
+    rep = reconstruct(clifford, (0.0, 0.0), gauged=gauged)
+    assert rep.orthonormality <= 1e-12
 
 
 def test_gauged_basis_is_half_angle_rotation(clifford_rotated):
-    plain = kernel_basis_at(clifford_rotated, (0.4, 0.9))
-    gauged = kernel_basis_at(clifford_rotated, (0.4, 0.9), gauged=True)
-    expected = gauge_rotation(-gauged.theta / 2.0).matrix @ plain.U
-    assert np.max(np.abs(gauged.U - expected)) == 0.0
+    frame = frame_at(clifford_rotated, (0.4, 0.9))
+    theta, degenerate = gauge_angle(frame)
+    assert not degenerate
+    plain = _lift(frame.rotation())
+    gauged = _lift(frame.rotation(), theta)
+    expected = gauge_rotation(-theta / 2.0).matrix @ plain
+    assert np.max(np.abs(gauged - expected)) == 0.0
 
 
 # --- Dirac residual ----------------------------------------------------------
@@ -73,9 +72,6 @@ def test_residual_linearity_of_combinations(clifford, rng):
     s = np.asarray((0.4, 0.9))
     h = 1e-2
     symbol = dirac_symbol(clifford, s)
-    from pointwise_oracles import basis_field
-    from dirac_surface.dirac import apply_pointwise
-
     field, _, _ = basis_field(clifford, s, False)
     columns = apply_pointwise(symbol, field, s, h)
     basis_residual = float(np.sum(np.linalg.norm(columns, axis=0)))
