@@ -24,6 +24,7 @@ itself draws no random numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from decimal import Decimal, InvalidOperation
@@ -621,6 +622,9 @@ _COMMANDS = {
 }
 
 
+# built once per process: parsing leaves no state on the parser, and
+# in-process callers would otherwise rebuild five subparsers per call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirac-surface",

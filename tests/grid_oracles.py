@@ -4,8 +4,12 @@ These are the assembly and the eigensolve the library used before the
 operator was stored sparse and diagonalized through its chiral blocks:
 a Python double loop over block rows writing into a dense matrix, with
 the symbol built site by site, the gauge conjugation as one dense einsum over all pairs of sites, and
-``scipy.linalg.eigvals`` of the whole matrix.
+``scipy.linalg.eigvals`` of the whole matrix.  The Fourier-mode oracle
+is the mode loop the library used before it solved the mode symbols as
+one stack.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -63,4 +67,19 @@ def dense_grid_matrix(spec, n1, n2, gauged=False):
 def dense_eigenvalues(matrix):
     """Every eigenvalue of a dense matrix, sorted by real then imaginary part."""
     vals = scipy.linalg.eigvals(matrix)
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def fourier_eigenvalues_by_mode(op):
+    """The Fourier-mode spectrum, one 4x4 ``eigvals`` call per mode (m, n)."""
+    A = op.site_A[0]
+    B = op.site_B[0]
+    vals = []
+    for m in range(op.n1):
+        for n in range(op.n2):
+            k1 = math.sin(2.0 * math.pi * m / op.n1) / op.h1
+            k2 = math.sin(2.0 * math.pi * n / op.n2) / op.h2
+            sym = 1j * (k1 * A[0] + k2 * A[1]) + B
+            vals.extend(np.linalg.eigvals(sym))
+    vals = np.asarray(vals)
     return vals[np.lexsort((vals.imag, vals.real))]

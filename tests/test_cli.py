@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -438,3 +439,44 @@ def test_pointwise_commands_do_not_import_scipy(tmp_path):
         assert loaded == [], name
     assert command == "spectrum" and code == 0
     assert "scipy.linalg" in modules
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    """Repeated in-process calls share one parser, and a refused call
+    leaves nothing behind: each call prints and exits exactly as it does
+    in a fresh process."""
+    from dirac_surface import cli
+
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        ["frame", PLANE, "--gauged"],
+        ["frame", PLANE, "--at", "0.1", "0.2"],
+        ["spectrum", CLIFFORD, "--at", "0.1", "0.2"],
+        ["parse-check", CLIFFORD_ROTATED],
+        ["frame", PLANE, "--at", "0.1", "0.2", "--grid", "3x3"],
+        ["frame", PLANE, "--at", "0.1", "0.2"],
+    ]
+    src = str(Path(dirac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "dirac_surface.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    # built by the first call, unless an earlier test in this process did
+    assert built in ([], ["dirac-surface"])
+    assert cli._build_parser() is cli._build_parser()

@@ -12,6 +12,7 @@ from dirac_surface.dirac import (
     NonPeriodicDomainError,
     SpectrumInvariantError,
     _chiral_blocks,
+    _decoupled_blocks,
     _near_kernel_eigenvalues,
     assemble_grid_operator,
     dirac_symbol,
@@ -23,7 +24,7 @@ from dirac_surface.dirac import (
     spin_connection_from_frame,
 )
 from dirac_surface.geometry import connection_from_frame, frame_at, gauge_at, _wrap_angle
-from grid_oracles import dense_eigenvalues, dense_grid_matrix
+from grid_oracles import dense_eigenvalues, dense_grid_matrix, fourier_eigenvalues_by_mode
 from pointwise_oracles import apply_pointwise
 
 
@@ -226,10 +227,13 @@ def test_sparse_assembly_matches_dense_oracle(name, gauged, request):
         ("clifford", 8, True, 0),
         ("clifford", 12, False, 0),
         ("clifford", 12, True, 0),
+        ("clifford", 16, False, 0),
         ("clifford_rotated", 8, False, 0),
         ("clifford_rotated", 8, True, 0),
         ("clifford_rotated", 12, False, 0),
         ("clifford_rotated", 12, True, 0),
+        ("ring_torus", 12, False, 0),
+        ("ring_torus", 12, True, 0),
         # zero modes: sqrt of the squares alone would leave them at ~3e-8
         ("plane_torus", 8, False, 16),
         ("plane_torus", 9, False, 4),
@@ -244,6 +248,50 @@ def test_chiral_eigenvalues_match_dense_oracle(name, n, gauged, zeros, request):
     near_zero = np.abs(vals) < 1e-10
     assert int(np.sum(near_zero)) == zeros
     assert np.all(np.abs(vals[near_zero]) <= 1e-14)
+
+
+@pytest.mark.parametrize(
+    "name,n,gauged,blocks",
+    [
+        ("clifford", 16, False, 8),
+        ("clifford_rotated", 16, False, 2),
+        ("clifford_rotated", 16, True, 2),
+        ("clifford_rotated", 9, False, 1),
+        ("ring_torus", 12, False, 1),
+    ],
+)
+def test_decoupled_block_counts(name, n, gauged, blocks, request):
+    """The squared operator splits into the sublattices its hoppings
+    cancel between: parity and spin sublattices on the flat Clifford
+    torus, two on the rotated one at even size, none on the rotated one
+    at odd size or with a spin connection."""
+    op = assemble_grid_operator(request.getfixturevalue(name), n, n, gauged=gauged)
+    X, Y = _chiral_blocks(op.matrix)
+    labels = _decoupled_blocks(X @ Y)
+    sizes = np.bincount(labels)
+    assert len(sizes) == blocks
+    assert np.all(sizes == op.dim // 2 // blocks)
+
+
+def test_real_coupling_is_never_dropped(clifford):
+    """A cross-sublattice coupling of 1e-9 of the largest entry, added in
+    chiral form, merges the blocks it bridges, and the spectrum still
+    matches the dense solve of the perturbed operator.  The eigenvalues
+    move by only ~1e-13 under it, so the merge is what shows that the
+    coupling was kept."""
+    op = assemble_grid_operator(clifford, 8, 8)
+    X, Y = _chiral_blocks(op.matrix)
+    before = np.bincount(_decoupled_blocks(X @ Y)).size
+    perturbed = op.matrix.tolil()
+    # row: site 0, chirality + component 0; column: site 9, chirality -
+    # component 2, a diagonal neighbour on another parity sublattice
+    perturbed[0, 4 * 9 + 2] = 1e-9 * abs(op.matrix).max()
+    perturbed = dataclasses.replace(op, matrix=perturbed.tocsr())
+    X, Y = _chiral_blocks(perturbed.matrix)
+    after = np.bincount(_decoupled_blocks(X @ Y)).size
+    assert before == 8 and after < before
+    dense = dense_eigenvalues(perturbed.matrix.toarray())
+    assert multiset_distance(eigenvalues(perturbed), dense) <= 1e-12
 
 
 def test_eigenvalues_reject_same_chirality_entry(clifford):
@@ -281,6 +329,17 @@ def test_clifford_spectrum_closed_form(clifford):
     assert multiset_distance(vals, predicted) <= 1e-10
     # and the general Fourier oracle agrees
     assert multiset_distance(vals, fourier_eigenvalues(op)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name,n1,n2", [("clifford", 16, 16), ("clifford", 8, 12), ("plane_torus", 9, 9)]
+)
+def test_fourier_eigenvalues_match_mode_loop(name, n1, n2, request):
+    op = assemble_grid_operator(request.getfixturevalue(name), n1, n2)
+    stacked = fourier_eigenvalues(op)
+    by_mode = fourier_eigenvalues_by_mode(op)
+    assert stacked.shape == by_mode.shape == (op.dim,)
+    assert np.max(np.abs(stacked - by_mode)) <= 1e-14
 
 
 def test_plane_torus_spectrum(plane_torus):
