@@ -120,8 +120,11 @@ def so4_pairing(psi_bar, psi) -> np.ndarray:
 _BLOCKS = np.array([g[:2, 2:] for g in GAMMA])
 _QUATERNIONS = np.array([_I2] + [1j * t for t in TAU[:3]])
 
+# largest defect of R^T R = I and det R = 1 that ``spin_lift`` accepts
+_SO4_TOL = 1e-10
 
-def spin_lift(rotation, tol: float = 1e-10) -> SpinMatrix:
+
+def spin_lift(rotation) -> SpinMatrix:
     """Lift a special orthogonal 4x4 matrix to the spin group.
 
     The lift is block-diagonal, U = diag(P, Q) with P, Q in SU(2), and
@@ -142,13 +145,13 @@ def spin_lift(rotation, tol: float = 1e-10) -> SpinMatrix:
     if R.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {R.shape}")
     ortho_defect = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(4)))
-    if ortho_defect > tol:
+    if ortho_defect > _SO4_TOL:
         raise ValueError(
             f"matrix is not orthogonal (defect {ortho_defect:.3e})"
         )
     det = np.ravel(np.linalg.det(R))
     worst = int(np.argmax(np.abs(det - 1.0)))
-    if abs(det[worst] - 1.0) > tol:
+    if abs(det[worst] - 1.0) > _SO4_TOL:
         raise ValueError(f"matrix is not special orthogonal (det {det[worst]:.12f})")
 
     c = np.einsum("...im,mab->...iab", R, _BLOCKS)

@@ -7,8 +7,7 @@ order: D = A^alpha d_alpha + B with
   from the inverse zweibein of the induced metric,
 * B collecting the tangent spin connection, the normal-bundle (torsion)
   connection and the mean-curvature mass terms, all read exactly from
-  the 3-jet of the immersion (the gauged variant also from the exact
-  gradient of the gauge angle, see ``geometry.gauge_at``),
+  the 2-jet of the immersion and the frame's torsion,
 
       B = sum_alpha A^alpha ( 1/2 omega_alpha iota_r(tau1 tau2)
                             + 1/2 Gamma^3_{alpha 4} sigma34 )
@@ -16,18 +15,20 @@ order: D = A^alpha d_alpha + B with
 
 The normal-connection term makes the frame-derived kernel spinors close
 for every adapted frame, torsion-free or not; it vanishes identically on
-torsion-free frames.  The gauged variant rewrites the same operator in
-the gauge-fixed normal frame: the mass collapses to
-1/2 hat_trace3 gamma^3 and the invariant hat torsion remains as a U(1)
-gauge field,
+torsion-free frames.  The gauged symbol is this same symbol in the
+gauge-fixed frame, whose normals are turned by the gauge angle theta
+(see ``geometry.gauge_at``): there trace4 vanishes, trace3 becomes
+hat_trace3 and the torsion becomes the invariant hat torsion, which
+remains as a U(1) gauge field,
 
       B_gauged = sum_alpha A^alpha ( 1/2 omega_alpha iota_r(tau1 tau2)
                                    + 1/2 hat_torsion_alpha sigma34 )
                  + 1/2 hat_trace3 gamma^3.
 
-The two symbols are exactly intertwined by the half-angle spinor gauge
-rotation: D_gauged = U(-theta/2) D U(theta/2) with U = gauge_rotation
-and theta the gauge angle field.
+The two symbols are intertwined by the half-angle spinor gauge
+rotation, D_gauged = U(-theta/2) D U(theta/2) with U = gauge_rotation,
+since U(-theta/2) lifts the turn of the normals.  The grid assembly
+applies that conjugation site by site.
 
 The grid operator is [[0, X], [Y, 0]] in chiral order, and its
 spectrum is +-sqrt of that of the half-size square XY.  XY couples a
@@ -62,13 +63,13 @@ from .expr import ImmersionSpec
 from .geometry import (
     ConnectionData,
     FrameData,
-    GaugeData,
-    align_frame,
     connection_from_frame,
     frames_at,
     gauge_angle,
     gauge_at,
+    _nearest_normals,
     _norm,
+    _turned,
 )
 
 
@@ -134,8 +135,6 @@ class OperatorSymbol:
     A: np.ndarray     # (2, 4, 4) complex
     B: np.ndarray     # (4, 4) complex
     mass: np.ndarray  # (4, 4) complex, Hermitian
-    gauged: bool = False
-    degenerate_gauge: bool = False
 
 
 @dataclass(frozen=True)
@@ -199,30 +198,17 @@ def _scaled(c, matrix):
     return np.asarray(c)[..., None, None] * matrix
 
 
-def _symbol(
-    conn: ConnectionData, sc: SpinConnection2D, gauge: GaugeData | None = None
-) -> OperatorSymbol:
-    """The plain symbol, or the gauged one when ``gauge`` is given.
+def _symbol(conn: ConnectionData, sc: SpinConnection2D) -> OperatorSymbol:
+    """The symbol of the frame of ``conn``.
 
     Stacks of connections give a stack of symbols.
     """
     A = _coordinate_gammas(sc.f_inv)
-    if gauge is None:
-        torsion = conn.torsion
-        mass = _scaled(0.5 * conn.trace3, GAMMA[2]) + _scaled(0.5 * conn.trace4, GAMMA[3])
-    else:
-        torsion = gauge.hat_torsion
-        mass = _scaled(0.5 * gauge.hat_trace3, GAMMA[2])
+    mass = _scaled(0.5 * conn.trace3, GAMMA[2]) + _scaled(0.5 * conn.trace4, GAMMA[3])
     connection = _scaled(0.5 * sc.omega, TANGENT_SPIN_GENERATOR) \
-        + _scaled(0.5 * torsion, SIGMA34)
+        + _scaled(0.5 * conn.torsion, SIGMA34)
     B = np.einsum("...aij,...ajk->...ik", A, connection) + mass
-    return OperatorSymbol(
-        A=A,
-        B=B,
-        mass=mass,
-        gauged=gauge is not None,
-        degenerate_gauge=gauge is not None and gauge.degenerate,
-    )
+    return OperatorSymbol(A=A, B=B, mass=mass)
 
 
 def dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
@@ -238,11 +224,13 @@ def dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
 def gauged_dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
     """Pointwise symbol in the gauge-fixed frame (torsion as gauge field).
 
-    ``s`` is one point (2,) or a stack (..., 2), as for ``dirac_symbol``.
+    This is the plain symbol of the gauge-fixed frame.  ``s`` is one
+    point (2,) or a stack (..., 2), as for ``dirac_symbol``.
     """
     frame = frames_at(spec, s)
-    conn = connection_from_frame(frame)
-    return _symbol(conn, spin_connection_from_frame(frame), gauge_at(conn))
+    gauge = gauge_at(connection_from_frame(frame))
+    fixed = _turned(frame, gauge.theta, gauge.hat_torsion)
+    return _symbol(connection_from_frame(fixed), spin_connection_from_frame(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +247,8 @@ def _aligned_grid_frames(spec: ImmersionSpec, n1: int, n2: int):
     parameter torus; the sweep, which aligns each site to the one before
     it in its row (the first site of a row to the first of the row
     before), resolves those discrete jumps so the frame field is smooth
-    across the grid whenever a smooth periodic frame exists.
+    across the grid whenever a smooth periodic frame exists.  No limit
+    is checked, so a frame jump between neighbouring sites goes unreported.
     """
     (lo1, hi1), (lo2, hi2) = spec.domain
     h1 = (hi1 - lo1) / n1
@@ -269,7 +258,7 @@ def _aligned_grid_frames(spec: ImmersionSpec, n1: int, n2: int):
     n = frames.n.copy()
     for p in range(1, n1 * n2):
         ref = p - 1 if p % n2 else p - n2
-        n[p] = align_frame(frames[p], replace(frames[ref], n=n[ref]), limit=2.0).n
+        n[p] = _nearest_normals(n[p], n[ref])[0]
     return replace(frames, n=n), h1, h2
 
 
@@ -304,7 +293,8 @@ def assemble_grid_operator(
     frames, h1, h2 = _aligned_grid_frames(spec, n1, n2)
     nsites = n1 * n2
 
-    sym = _symbol(connection_from_frame(frames), spin_connection_from_frame(frames))
+    conn = connection_from_frame(frames)
+    sym = _symbol(conn, spin_connection_from_frame(frames))
     A_site, B_site, mass_site = sym.A, sym.B, sym.mass
     weight = np.repeat(np.sqrt(frames.det_g), 4)
 
@@ -326,7 +316,7 @@ def assemble_grid_operator(
     blocks = np.stack([B_site, hop1, -hop1, hop2, -hop2], axis=1)
 
     if gauged:
-        V_site = gauge_rotation(gauge_angle(frames)[0] / 2.0).matrix
+        V_site = gauge_rotation(gauge_angle(conn)[0] / 2.0).matrix
         blocks = np.einsum("pba,pxbc,pxcd->pxad", V_site.conj(), blocks, V_site[cols])
         A_site = np.einsum("sba,sxbc,scd->sxad", V_site.conj(), A_site, V_site)
         B_site = np.einsum("sba,sbc,scd->sad", V_site.conj(), B_site, V_site)
@@ -461,11 +451,15 @@ def eigenvalues(op: DiscreteOperator, return_squares: bool = False):
     return (vals, mu) if return_squares else vals
 
 
-def is_constant_coefficient(op: DiscreteOperator, tol: float = 1e-10) -> bool:
-    """True when the per-site symbol blocks agree across the whole grid."""
+_CONSTANT_TOL = 1e-10
+
+
+def is_constant_coefficient(op: DiscreteOperator) -> bool:
+    """True when the per-site symbol blocks agree across the whole grid,
+    entry by entry to ``_CONSTANT_TOL``."""
     return (
-        float(np.max(np.abs(op.site_A - op.site_A[0]))) <= tol
-        and float(np.max(np.abs(op.site_B - op.site_B[0]))) <= tol
+        float(np.max(np.abs(op.site_A - op.site_A[0]))) <= _CONSTANT_TOL
+        and float(np.max(np.abs(op.site_B - op.site_B[0]))) <= _CONSTANT_TOL
     )
 
 

@@ -13,7 +13,7 @@ one-point case):
   first normal is the normalised projection P_N E_p of an ambient pivot
   vector, whose derivative follows from the second partials, and a
   declared frame rotation adds the gradient of its angle,
-* the gauge angle that rotates the normal pair so the second
+* the gauge angle theta that turns the normal pair so the second
   mean-curvature trace vanishes, and the torsion of that gauge-fixed
   frame, in closed form from the third partials, and
 * the first-order tube metric and volume density of the normal
@@ -29,6 +29,11 @@ The pivoted normal construction is canonical only up to discrete jumps
 ambient pivot vector grazes the tangent plane.  ``align_frame`` resolves
 that ambiguity against a reference frame; none of the four candidates
 changes the torsion.
+
+Gauging is a choice of frame: a declared frame rotation and the gauge
+fix are the same turn of the normal pair (``_turned``), and the
+gauge-fixed frame is the working frame turned by theta, with torsion
+``hat_torsion``.
 
 A check that fails on a stack of points names the first offending point
 in the stack's (C) order.
@@ -191,6 +196,9 @@ _ARANGE4 = np.arange(4)
 # signs taking the swapped normal pair (n4, n3) to (n4, -n3)
 _QUARTER_TURN = np.array([[1.0], [-1.0]])
 
+# largest deviation from its reference that an aligned normal pair may keep
+_BRANCH_LIMIT = 0.5
+
 # sign pattern of the adjugate of a 2x2 matrix
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -306,20 +314,24 @@ def _frames(spec: ImmersionSpec, S) -> FrameData:
     ep = _take(np.swapaxes(e, -1, -2), pivot)
     torsion = (k4 @ g_inv @ ep[..., None])[..., 0] / pivot_norm[..., None]
 
-    if spec.frame_rotation is not None:
-        # turn the normal pair: (c n3 - s n4, s n3 + c n4); a zero angle
-        # leaves both exactly as they are
-        angle = eval_jets(spec.frame_rotation, S)
-        c = np.cos(angle[..., :1])
-        si = np.sin(angle[..., :1])
-        n3, n4 = n[..., 0, :], n[..., 1, :]
-        n = np.stack([c * n3 - si * n4, si * n3 + c * n4], axis=-2)
-        torsion = torsion + angle[..., 1:3]
-
-    return FrameData(
+    frame = FrameData(
         s=S, x=x, e=e, d2x=d2x, d3x=d3x, ehat=ehat, n=n,
         g=g, g_inv=g_inv, det_g=det_g, torsion=torsion,
     )
+    if spec.frame_rotation is not None:
+        angle = eval_jets(spec.frame_rotation, S)
+        frame = _turned(frame, angle[..., 0], torsion + angle[..., 1:3])
+    return frame
+
+
+def _turned(frame: FrameData, angle, torsion) -> FrameData:
+    """``frame`` with its normals turned, (n3, n4) -> (c n3 - s n4, s n3 + c n4),
+    and carrying ``torsion``; a zero angle leaves both normals as they are."""
+    c = np.cos(angle)[..., None]
+    si = np.sin(angle)[..., None]
+    n3, n4 = frame.n[..., 0, :], frame.n[..., 1, :]
+    n = np.stack([c * n3 - si * n4, si * n3 + c * n4], axis=-2)
+    return replace(frame, n=n, torsion=torsion)
 
 
 def frame_at(spec: ImmersionSpec, s) -> FrameData:
@@ -330,40 +342,43 @@ def frame_at(spec: ImmersionSpec, s) -> FrameData:
     return frames_at(spec, np.reshape(np.asarray(s, dtype=float), 2))
 
 
-def align_frame(frame: FrameData, ref: FrameData, limit: float = 0.5) -> FrameData:
+def _nearest_normals(n, ref_n) -> tuple:
+    """The candidate of each normal pair nearest to ``ref_n`` (``n`` itself
+    when none changes) and its largest component deviation from it.  The
+    candidates, joint sign flips and quarter-turn pivot trades, all
+    preserve orientation and the torsion."""
+    # (n3, n4), (-n3, -n4), (n4, -n3), (-n4, n3)
+    swapped = n[..., ::-1, :]
+    cands = np.stack([n, -n, swapped * _QUARTER_TURN, swapped * -_QUARTER_TURN])
+    dev = np.max(np.abs(cands - ref_n), axis=(-2, -1))
+    best = np.argmin(dev, axis=0)
+    if np.any(best):
+        n = np.take_along_axis(cands, best[None, ..., None, None], axis=0)[0]
+    return n, np.min(dev, axis=0)
+
+
+def align_frame(frame: FrameData, ref: FrameData) -> FrameData:
     """Resolve the discrete normal-frame ambiguity against a reference.
 
-    The pivoted construction is unique up to joint sign flips and
-    quarter-turn pivot trades of the normal pair (the four candidates all
-    preserve orientation and the torsion).  The candidate nearest to
-    ``ref`` is selected; if every candidate still differs from the
-    reference by more than ``limit`` in some component, the frame field
-    has a genuine branch jump between the two points and
-    ``FrameBranchError`` is raised, naming the reference point.
+    The candidate normal pair nearest to ``ref`` is selected; if every
+    candidate still differs from the reference by more than
+    ``_BRANCH_LIMIT`` in some component, the frame field has a genuine
+    branch jump between the two points and ``FrameBranchError`` is
+    raised, naming the reference point.
 
     ``frame`` and ``ref`` may be stacks whose leading shapes broadcast;
     each frame is aligned to its own reference, and an error names the
     first reference point in the stack where alignment fails.
     """
-    # (n3, n4), (-n3, -n4), (n4, -n3), (-n4, n3)
-    swapped = frame.n[..., ::-1, :]
-    cands = np.stack(
-        [frame.n, -frame.n, swapped * _QUARTER_TURN, swapped * -_QUARTER_TURN]
-    )
-    dev = np.max(np.abs(cands - ref.n), axis=(-2, -1))
-    best = np.argmin(dev, axis=0)
-    best_dev = np.min(dev, axis=0)
-    i = _first(best_dev > limit)
+    n, best_dev = _nearest_normals(frame.n, ref.n)
+    i = _first(best_dev > _BRANCH_LIMIT)
     if i is not None:
         s_ref = np.broadcast_to(ref.s, best_dev.shape + (2,)).reshape(-1, 2)[i]
         raise FrameBranchError(
             f"normal frame next to s = {_point(s_ref)} differs from the frame "
             f"there by {np.ravel(best_dev)[i]:.3f} after sign alignment"
         )
-    if not np.any(best):
-        return frame
-    n = np.take_along_axis(cands, best[None, ..., None, None], axis=0)[0]
-    return replace(frame, n=n)
+    return frame if n is frame.n else replace(frame, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +392,13 @@ def _mixed_coefficients(frame: FrameData) -> np.ndarray:
     return -np.einsum("...bg,...nag->...nab", frame.g_inv, nd2)
 
 
-def _traces(gamma_tan) -> tuple:
-    """trace3 and trace4 of the mixed coefficients."""
-    return tuple(np.moveaxis(np.trace(gamma_tan, axis1=-2, axis2=-1), -1, 0))
-
-
 def connection_from_frame(frame: FrameData) -> ConnectionData:
     """Connection data of a frame: exact mixed coefficients and torsion."""
     gamma_tan = _mixed_coefficients(frame)
     gamma_nor = np.zeros(frame.torsion.shape + (2, 2))
     gamma_nor[..., 0, 1] = frame.torsion
     gamma_nor[..., 1, 0] = -frame.torsion
-    trace3, trace4 = _traces(gamma_tan)
+    trace3, trace4 = np.moveaxis(np.trace(gamma_tan, axis1=-2, axis2=-1), -1, 0)
     return ConnectionData(
         gamma_tan=gamma_tan,
         gamma_nor=gamma_nor,
@@ -401,10 +411,6 @@ def connection_from_frame(frame: FrameData) -> ConnectionData:
 # ---------------------------------------------------------------------------
 # Gauge angle
 # ---------------------------------------------------------------------------
-
-
-def _wrap_angle(a):
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 _GAUGE_TOL = 1e-12
@@ -423,19 +429,16 @@ _ATAN2 = _elementwise(math.atan2)
 _HYPOT = _elementwise(math.hypot)
 
 
-def _angle_from_traces(t3, t4) -> tuple:
-    degenerate = _HYPOT(t3, t4) < _GAUGE_TOL
-    return np.where(degenerate, 0.0, _ATAN2(-t4, t3))[()], degenerate
-
-
-def gauge_angle(frame: FrameData) -> tuple:
-    """Gauge angle of a frame from its exact mean-curvature traces.
+def gauge_angle(conn: ConnectionData) -> tuple:
+    """Gauge angle of a connection from its exact mean-curvature traces.
 
     Returns ``(theta, degenerate)``; cheaper than ``gauge_at`` when the
     hatted torsion is not needed, e.g. for the gauge rotations of grid
-    assembly.
+    assembly and the probe frames of a gauged ``reconstruct``.
     """
-    return _angle_from_traces(*_traces(_mixed_coefficients(frame)))
+    t3, t4 = np.asarray(conn.trace3), np.asarray(conn.trace4)
+    degenerate = _HYPOT(t3, t4) < _GAUGE_TOL
+    return np.where(degenerate, 0.0, _ATAN2(-t4, t3))[()], degenerate
 
 
 def gauge_at(conn: ConnectionData) -> GaugeData:
@@ -458,7 +461,7 @@ def gauge_at(conn: ConnectionData) -> GaugeData:
     every field is a stack, point by point.
     """
     t3, t4 = np.asarray(conn.trace3), np.asarray(conn.trace4)
-    theta, degenerate = _angle_from_traces(t3, t4)
+    theta, degenerate = gauge_angle(conn)
     hat_torsion = conn.torsion
     if not np.all(degenerate):
         fr = conn.frame

@@ -16,22 +16,23 @@ verifications:
 point and at its 4 probe points per step are built, aligned and
 spin-lifted in one batch, ``_CHUNK`` points at a time.
 
-In the gauged variant the basis is built from the gauge-fixed frame:
-U_hat = gauge_rotation(-theta/2) U, which is the spin lift of the
-normal frame rotated by the gauge angle theta.  Because the gauge
-rotation commutes with every tangent gamma, the reconstruction is
-unchanged by gauging.
+The gauged variant is the same construction on the gauge-fixed frame,
+whose normals are turned by the gauge angle theta and whose torsion is
+the hatted one: its spin lift is gauge_rotation(-theta/2) U up to sign,
+and the symbol it is probed with is the plain symbol of that frame.
+The turn leaves the tangents alone, so the reconstruction is unchanged
+by gauging.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clifford import basis_round, gauge_rotation, match_sign, spin_lift
-from .dirac import spin_connection_from_frame, _coordinate_gammas, _symbol
+from .clifford import basis_round, match_sign, spin_lift
+from .dirac import spin_connection_from_frame, _symbol
 from .expr import ImmersionSpec
 from .geometry import (
     align_frame,
@@ -40,7 +41,7 @@ from .geometry import (
     gauge_angle,
     gauge_at,
     _stencil,
-    _wrap_angle,
+    _turned,
 )
 
 
@@ -85,31 +86,27 @@ class ReconstructionReport:
     gauged: bool = False
 
 
-def safe_ratio(coarse, fine, floor: float = RESIDUAL_FLOOR):
-    """Convergence ratio that treats residuals at the noise floor as converged.
+def safe_ratio(coarse, fine):
+    """Convergence ratio that treats residuals at ``RESIDUAL_FLOOR`` as converged.
 
     Elementwise on arrays.
     """
     fine = np.asarray(fine, dtype=float)
-    return np.where(fine <= floor, math.inf, coarse / np.maximum(fine, floor))[()]
-
-
-def _lift(rotation, theta=None) -> np.ndarray:
-    """Spin lift of frame rotations, gauge-fixed by the angles ``theta`` if given."""
-    U = spin_lift(rotation).matrix
-    return U if theta is None else gauge_rotation(-theta / 2.0).matrix @ U
+    converged = fine <= RESIDUAL_FLOOR
+    return np.where(converged, math.inf, coarse / np.maximum(fine, RESIDUAL_FLOOR))[()]
 
 
 def _lattice_pass(spec: ImmersionSpec, S, gauged: bool, steps) -> dict:
     """The report fields at the points S (n, 2), as arrays over n.
 
     Each point's probe frames (at s +- h e_alpha for every step h) are
-    aligned to the frame at s, the gauge angle is branch-unwrapped
-    against the angle at s and the spin matrix sign sheet is matched to
-    the one at s, so the spinor field is the smooth local continuation
-    the derivative needs.  For each step the residual is the worst column
-    norm of A^alpha (U(s+h) - U(s-h)) / (2h) + B U(s); the ratio is
-    infinite when a residual sits at the floating-point floor.
+    aligned to the frame at s, turned by their own gauge angles in a
+    gauged pass (a degenerate probe by the angle at s), and the spin
+    matrix sign sheet is matched to the one at s, so the spinor field is
+    the smooth local continuation the derivative needs.  For each step
+    the residual is the worst column norm of A^alpha (U(s+h) - U(s-h))
+    / (2h) + B U(s); the ratio is infinite when a residual sits at the
+    floating-point floor.
     """
     points = S[:, None]
     if steps is not None:
@@ -117,23 +114,25 @@ def _lattice_pass(spec: ImmersionSpec, S, gauged: bool, steps) -> dict:
         points = np.concatenate([points, probes], axis=1)
     frames = frames_at(spec, points)
     frames = align_frame(frames, frames[:, :1])
-    frame = frames[:, 0]
-    theta = None
+    conn = working = connection_from_frame(frames[:, 0])
+    gauge = gauge_at(working)
     if gauged:
-        raw, degenerate = gauge_angle(frames)
-        center = raw[:, :1]
-        theta = np.where(degenerate, center, center + _wrap_angle(raw - center))
+        # a turn has period 2 pi: no angle is unwrapped.  Only the frame at
+        # s is read for more than its rotation, so it alone is hatted
+        theta, degenerate = gauge_angle(connection_from_frame(frames))
+        frames = _turned(frames, np.where(degenerate, theta[:, :1], theta), frames.torsion)
+        conn = connection_from_frame(replace(frames[:, 0], torsion=gauge.hat_torsion))
+    frame = conn.frame
     rotation = frames.rotation()
     # beyond their rotations the probe frames are not needed: freeing them
     # before the spin lift keeps the pass's peak memory down
     del frames
-    U = _lift(rotation, theta)
+    U = spin_lift(rotation).matrix
     U = match_sign(U, U[:, :1])
 
-    sc = spin_connection_from_frame(frame)
-    A = _coordinate_gammas(sc.f_inv)
+    symbol = _symbol(conn, spin_connection_from_frame(frame))
     psi = U[:, 0] @ _ROUND
-    bil = np.einsum("...ji,...bjk,...ki->...bi", psi.conj(), A, psi)
+    bil = np.einsum("...ji,...bjk,...ki->...bi", psi.conj(), symbol.A, psi)
     lowered = frame.g @ bil
     W = np.real(lowered)
     gram = np.swapaxes(U[:, 0].conj(), -1, -2) @ U[:, 0]
@@ -145,9 +144,6 @@ def _lattice_pass(spec: ImmersionSpec, S, gauged: bool, steps) -> dict:
         "orthonormality": np.max(np.abs(gram - np.eye(4)), axis=(-2, -1)),
     }
     if steps is not None:
-        conn = connection_from_frame(frame)
-        gauge = gauge_at(conn)
-        symbol = _symbol(conn, sc, gauge if gauged else None)
         h = np.asarray(steps, dtype=float)[:, None, None]
         probe_U = U[:, 1:].reshape(len(S), len(steps), 2, 2, 4, 4)
         diff = probe_U[..., 0, :, :] - probe_U[..., 1, :, :]
@@ -160,7 +156,7 @@ def _lattice_pass(spec: ImmersionSpec, S, gauged: bool, steps) -> dict:
             convergence_ratio=np.min(
                 safe_ratio(residuals[:, :-1], residuals[:, 1:]), axis=-1
             ) if len(steps) > 1 else None,
-            torsion=conn.torsion,
+            torsion=working.torsion,
             hat_torsion=gauge.hat_torsion,
         )
     return out

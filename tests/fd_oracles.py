@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from dirac_surface.geometry import align_frame, frame_at, gauge_angle, _wrap_angle
+from dirac_surface.geometry import align_frame, connection_from_frame, frame_at, gauge_angle
+from pointwise_oracles import _wrap_angle
 
 
 def _richardson(estimate, h):
@@ -88,7 +89,7 @@ def spin_connection(spec, s, h=1e-3):
 def hat_torsion(spec, s, h=1e-3):
     """Working-frame torsion plus the differenced, unwrapped gauge angle."""
     frame = frame_at(spec, s)
-    theta, degenerate = gauge_angle(frame)
+    theta, degenerate = gauge_angle(connection_from_frame(frame))
     torsion = normal_connection(spec, s, h)[:, 0, 1]
     if degenerate:
         return torsion
@@ -100,7 +101,7 @@ def hat_torsion(spec, s, h=1e-3):
             angles = []
             for sign in (-1.0, 1.0):
                 fr = align_frame(frame_at(spec, frame.s + sign * hh * step), frame)
-                raw, _ = gauge_angle(fr)
+                raw, _ = gauge_angle(connection_from_frame(fr))
                 angles.append(theta + _wrap_angle(raw - theta))
             return (angles[1] - angles[0]) / (2.0 * hh)
 

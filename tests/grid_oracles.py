@@ -42,7 +42,7 @@ def dense_grid_matrix(spec, n1, n2, gauged=False):
         A_site[p] = sym.A
         B_site[p] = sym.B
         if gauged:
-            V_site[p] = gauge_rotation(gauge_angle(fr)[0] / 2.0).matrix
+            V_site[p] = gauge_rotation(gauge_angle(connection_from_frame(fr))[0] / 2.0).matrix
 
     M = np.zeros((dim, dim), dtype=complex)
     for j in range(n1):

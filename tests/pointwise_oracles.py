@@ -7,14 +7,37 @@ loops over the ambient basis until two normals are found, a spin lift of
 one 4x4 matrix, a spinor field that builds, aligns and lifts one probe
 frame per call, and the central-difference application of a symbol to
 such a field.
+
+The gauged path the library ran before gauging became a turn of the
+normal frame is kept here too: ``half_angle_lift`` and
+``half_angle_field`` multiply the plain lift by gauge_rotation(-theta/2),
+with theta unwrapped against the angle at the centre because that
+rotation has period 4 pi, and ``hatted_symbol`` writes the gauged symbol
+with the hatted torsion and mass.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
-from dirac_surface.clifford import _BLOCKS, _QUATERNIONS, gauge_rotation, match_sign
-from dirac_surface.dirac import _coordinate_gammas, _symbol, spin_connection_from_frame
+from dirac_surface import clifford
+from dirac_surface.clifford import (
+    _BLOCKS,
+    _QUATERNIONS,
+    GAMMA,
+    SIGMA34,
+    TANGENT_SPIN_GENERATOR,
+    gauge_rotation,
+    match_sign,
+)
+from dirac_surface.dirac import (
+    OperatorSymbol,
+    _coordinate_gammas,
+    _scaled,
+    _symbol,
+    spin_connection_from_frame,
+)
 from dirac_surface.expr import eval_jet2
 from dirac_surface.geometry import (
     _GS_TOL,
@@ -25,9 +48,12 @@ from dirac_surface.geometry import (
     connection_from_frame,
     gauge_angle,
     gauge_at,
-    _wrap_angle,
 )
 from dirac_surface.weierstrass import _ROUND, safe_ratio
+
+
+def _wrap_angle(a):
+    return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _project_out(v, basis):
@@ -103,6 +129,25 @@ def spin_lift(R):
     return U
 
 
+def half_angle_lift(rotation, theta=None):
+    """Spin lift of frame rotations, times gauge_rotation(-theta/2) if
+    ``theta`` is given."""
+    U = clifford.spin_lift(rotation).matrix
+    return U if theta is None else gauge_rotation(-theta / 2.0).matrix @ U
+
+
+def hatted_symbol(conn, sc, gauge):
+    """The gauged symbol written with the hatted torsion and mass:
+    B = A^alpha (1/2 omega_alpha iota_r(tau1 tau2) + 1/2 hat_torsion_alpha
+    sigma34) + 1/2 hat_trace3 gamma^3."""
+    A = _coordinate_gammas(sc.f_inv)
+    mass = _scaled(0.5 * gauge.hat_trace3, GAMMA[2])
+    connection = _scaled(0.5 * sc.omega, TANGENT_SPIN_GENERATOR) \
+        + _scaled(0.5 * gauge.hat_torsion, SIGMA34)
+    B = np.einsum("...aij,...ajk->...ik", A, connection) + mass
+    return OperatorSymbol(A=A, B=B, mass=mass)
+
+
 def apply_pointwise(symbol, psi_field, s, h):
     """Apply the symbol to a spinor field by central differences at s.
 
@@ -122,32 +167,63 @@ def apply_pointwise(symbol, psi_field, s, h):
     return out
 
 
+def turn(frame, theta, torsion):
+    """``frame`` with its normals turned by theta, (n3, n4) ->
+    (c n3 - s n4, s n3 + c n4), and carrying ``torsion``."""
+    c, si = math.cos(theta), math.sin(theta)
+    n = np.vstack([c * frame.n[0] - si * frame.n[1], si * frame.n[0] + c * frame.n[1]])
+    return dataclasses.replace(frame, n=n, torsion=torsion)
+
+
 def basis_field(spec, s, gauged):
-    """The spinor-basis field around s and the basis matrix at s.
+    """The spinor-basis field around s, the frame at s and the basis matrix at s.
 
     The field builds the frame at a probe point, aligns it to the frame
-    at s, lifts it, unwraps its gauge angle against the one at s and
-    matches its sign sheet to the matrix at s.
+    at s, lifts it and matches its sign sheet to the matrix at s.  A
+    gauged field turns every frame by its own gauge angle before the
+    lift, a degenerate probe's by the angle at s; the frame at s it
+    returns is then the gauge-fixed one, carrying the hatted torsion.
+    """
+    working = frame_at(spec, s)
+    center = working
+    if gauged:
+        gauge = gauge_at(connection_from_frame(working))
+        center = turn(working, gauge.theta, gauge.hat_torsion)
+    U0 = spin_lift(center.rotation())
+
+    def field(sp):
+        if np.allclose(sp, center.s):
+            return U0
+        fr = align_frame(frame_at(spec, sp), working)
+        if gauged:
+            raw, degenerate = gauge_angle(connection_from_frame(fr))
+            fr = turn(fr, gauge.theta if degenerate else raw, fr.torsion)
+        return match_sign(spin_lift(fr.rotation()), U0)
+
+    return field, center, U0
+
+
+def half_angle_field(spec, s):
+    """The gauged spinor-basis field of the half-angle path around s, and
+    the basis matrix at s.
+
+    The field lifts the working frame at a probe point, aligned to the
+    frame at s, times gauge_rotation(-theta/2) with theta unwrapped
+    against the angle at s, and matches its sign sheet to the matrix at s.
     """
     center = frame_at(spec, s)
-    U0 = spin_lift(center.rotation())
-    theta0 = None
-    if gauged:
-        theta0, _ = gauge_angle(center)
-        U0 = gauge_rotation(-theta0 / 2.0).matrix @ U0
+    theta0, _ = gauge_angle(connection_from_frame(center))
+    U0 = half_angle_lift(center.rotation(), theta0)
 
     def field(sp):
         if np.allclose(sp, center.s):
             return U0
         fr = align_frame(frame_at(spec, sp), center)
-        U = spin_lift(fr.rotation())
-        if gauged:
-            raw, degenerate = gauge_angle(fr)
-            theta = theta0 if degenerate else theta0 + _wrap_angle(raw - theta0)
-            U = gauge_rotation(-theta / 2.0).matrix @ U
-        return match_sign(U, U0)
+        raw, degenerate = gauge_angle(connection_from_frame(fr))
+        theta = theta0 if degenerate else theta0 + _wrap_angle(raw - theta0)
+        return match_sign(half_angle_lift(fr.rotation(), theta), U0)
 
-    return field, center, U0
+    return field, U0
 
 
 def reconstruct(spec, s, gauged, steps):
@@ -161,14 +237,14 @@ def reconstruct(spec, s, gauged, steps):
         for beta in range(2):
             bil[beta, i] = psi_round[:, i].conj() @ A[beta] @ psi_round[:, i]
     W = np.real(frame.g @ bil)
-    conn = connection_from_frame(frame)
-    gauge = gauge_at(conn)
-    symbol = _symbol(conn, sc, gauge if gauged else None)
+    symbol = _symbol(connection_from_frame(frame), sc)
     residuals = [
         float(np.max(np.linalg.norm(apply_pointwise(symbol, field, frame.s, h), axis=0)))
         for h in steps
     ]
     ratio = min(safe_ratio(residuals[i], residuals[i + 1]) for i in range(len(steps) - 1))
+    conn = connection_from_frame(frame_at(spec, s))
+    gauge = gauge_at(conn)
     return {
         "W": W,
         "T": frame.e,

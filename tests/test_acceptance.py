@@ -35,11 +35,10 @@ from dirac_surface.geometry import (
     gauge_angle,
     gauge_at,
     tube_metrics_at,
-    _wrap_angle,
 )
 from dirac_surface.weierstrass import reconstruct, safe_ratio
 from conftest import RING_TORUS, interior_lattice, rng_seed
-from pointwise_oracles import apply_pointwise
+from pointwise_oracles import _wrap_angle, apply_pointwise
 from dirac_surface.expr import parse_immersion_file
 
 
@@ -251,7 +250,7 @@ def test_criterion_6_gauged_weierstrass():
                 return np.exp(1j * (0.7 * s[0] + 0.4 * s[1])) * coef
 
             def rotated(s):
-                raw, degenerate = gauge_angle(frame_at(spec, s))
+                raw, degenerate = gauge_angle(connection_from_frame(frame_at(spec, s)))
                 th = th0 if degenerate else th0 + _wrap_angle(raw - th0)
                 return gauge_rotation(th / 2.0).matrix @ psi(s)
 

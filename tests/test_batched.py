@@ -23,8 +23,10 @@ from dirac_surface.geometry import (
     DegenerateImmersionError,
     FrameBranchError,
     align_frame,
+    connection_from_frame,
     frame_at,
     frames_at,
+    gauge_at,
 )
 from dirac_surface.weierstrass import reconstruct
 from fd_oracles import random_points
@@ -102,12 +104,13 @@ def test_symbol_stack_matches_point_symbols(name, symbol):
     S = np.array(interior_lattice(spec, 3, 3)).reshape(3, 3, 2)
     stack = symbol(spec, S)
     assert stack.B.shape == (3, 3, 4, 4)
-    degenerate = np.broadcast_to(stack.degenerate_gauge, (3, 3))
+    degenerate = gauge_at(connection_from_frame(frames_at(spec, S))).degenerate
+    assert degenerate.shape == (3, 3)
     for idx in np.ndindex(3, 3):
         one = symbol(spec, S[idx])
         for field in ("A", "B", "mass"):
             assert np.max(np.abs(getattr(stack, field)[idx] - getattr(one, field))) <= 1e-14
-        assert degenerate[idx] == one.degenerate_gauge
+        assert degenerate[idx] == gauge_at(connection_from_frame(frame_at(spec, S[idx]))).degenerate
 
 
 def test_reconstruct_one_point_keeps_scalar_fields(graph):

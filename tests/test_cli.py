@@ -82,13 +82,14 @@ def test_frame_at_calls_per_point(tmp_path, monkeypatch, argv, rows_per_point):
     assert sum(rows) == rows_per_point * points
 
 
-@pytest.mark.parametrize("path", [GRAPH, SPHERE, CLIFFORD_ROTATED])
-def test_frame_lattice_records_match_point_queries(tmp_path, path):
+@pytest.mark.parametrize("name", ["graph", "sphere", "clifford-rotated"])
+def test_frame_lattice_records_match_point_queries(tmp_path, name):
     """A lattice's frames are built in one batch and a single point on
     plain floats; each lattice record renders exactly as the record of a
     query at its point."""
     from dirac_surface.cli import _render_json
 
+    path = str(corpus_path(name))
     code, text = run(tmp_path, "frame", path, "--grid", "3x4")
     assert code == 0
     records = json.loads(text)["records"]

@@ -23,9 +23,12 @@ from dirac_surface.dirac import (
     multiset_distance,
     spin_connection_from_frame,
 )
-from dirac_surface.geometry import connection_from_frame, frame_at, gauge_at, _wrap_angle
+from dirac_surface.corpus import load_corpus
+from dirac_surface.geometry import connection_from_frame, frame_at, frames_at, gauge_at
+from conftest import rng_seed
+from fd_oracles import random_points
 from grid_oracles import dense_eigenvalues, dense_grid_matrix, fourier_eigenvalues_by_mode
-from pointwise_oracles import apply_pointwise
+from pointwise_oracles import _wrap_angle, apply_pointwise, hatted_symbol
 
 
 # --- spin connection ---------------------------------------------------------
@@ -102,7 +105,7 @@ def test_symbol_hermitian_iff_torsion_free(clifford_rotated, clifford):
 def test_gauged_symbol_plane_equals_plain(plane):
     plain = dirac_symbol(plane, (0.1, 0.1))
     gauged = gauged_dirac_symbol(plane, (0.1, 0.1))
-    assert gauged.degenerate_gauge
+    assert gauge_at(connection_from_frame(frame_at(plane, (0.1, 0.1)))).degenerate
     assert np.max(np.abs(plain.B - gauged.B)) == 0.0
     assert np.max(np.abs(plain.A - gauged.A)) == 0.0
 
@@ -113,6 +116,23 @@ def test_gauged_symbol_clifford_rotated(clifford_rotated):
     sym = gauged_dirac_symbol(clifford_rotated, (0.4, 0.9))
     assert np.max(np.abs(sym.B - sym.B.conj().T)) <= 1e-6
     assert np.max(np.abs(sym.mass - GAMMA[2])) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "name", ["plane", "plane-torus", "graph", "sphere", "clifford", "clifford-rotated"]
+)
+def test_gauged_symbol_matches_hatted_formula(name):
+    """The plain symbol of the gauge-fixed frame is the gauged symbol
+    written with the hatted torsion and mass."""
+    spec = load_corpus(name)
+    S = np.array(random_points(spec, 200, np.random.default_rng(rng_seed())))
+    frames = frames_at(spec, S)
+    conn = connection_from_frame(frames)
+    ref = hatted_symbol(conn, spin_connection_from_frame(frames), gauge_at(conn))
+    sym = gauged_dirac_symbol(spec, S)
+    assert np.array_equal(sym.A, ref.A)
+    assert np.max(np.abs(sym.B - ref.B)) <= 1e-15
+    assert np.max(np.abs(sym.mass - ref.mass)) <= 1e-15
 
 
 def test_apply_constant_field_on_plane(plane):
@@ -153,7 +173,7 @@ def test_gauge_covariance_of_symbols(clifford_rotated, graph):
         def rotated(s):
             from dirac_surface.geometry import gauge_angle
 
-            raw, degenerate = gauge_angle(frame_at(spec, s))
+            raw, degenerate = gauge_angle(connection_from_frame(frame_at(spec, s)))
             th = th0 if degenerate else th0 + _wrap_angle(raw - th0)
             return gauge_rotation(th / 2.0).matrix @ psi(s)
 
