@@ -12,9 +12,13 @@ Every command also takes ``[--json | --csv] [--out PATH]``; an option
 a command does not read is refused with exit code 2.
 
 Exit codes: 0 every check passed, 1 an invariant failed (or a numeric
-field came out non-finite), 2 input error, 3 resource cap exceeded.
+field came out non-finite), 2 input error, 3 resource cap exceeded.  An
+error is printed as ``error: <command>: <message>``.
 
-Reports are deterministic: field order is fixed and floats are printed
+``main`` loads the immersion file and hands it to the command, which
+returns the config, records, summary and checks of its report; only
+``_finish`` builds a report, sets ``all_finite`` and ``pass``, renders it
+and writes it.  Reports are deterministic: field order is fixed and floats are printed
 with 17 significant digits, so identical inputs yield byte-identical
 output.  The environment variable ``DIRAC_SURFACE_SEED`` seeds the RNG
 used by the random-rotation property tests in the test suite; the CLI
@@ -141,9 +145,9 @@ def _flatten(prefix, value, out):
         out[prefix] = value
 
 
-def _render_csv(report) -> str:
+def _render_csv(records) -> str:
     rows = []
-    for record in report["records"]:
+    for record in records:
         flat = {}
         _flatten("", record, flat)
         rows.append(flat)
@@ -196,17 +200,11 @@ def _check(name, value, threshold, kind="max") -> dict:
 
 
 def _interior_lattice(spec: ImmersionSpec, n1: int, n2: int):
+    """The n1 x n2 interior lattice of the domain, row by row, as (n1 n2, 2)."""
     (lo1, hi1), (lo2, hi2) = spec.domain
-    points = []
-    for i in range(n1):
-        for j in range(n2):
-            points.append(
-                (
-                    lo1 + (hi1 - lo1) * (i + 1) / (n1 + 1),
-                    lo2 + (hi2 - lo2) * (j + 1) / (n2 + 1),
-                )
-            )
-    return points
+    u = lo1 + (hi1 - lo1) * np.arange(1, n1 + 1) / (n1 + 1)
+    v = lo2 + (hi2 - lo2) * np.arange(1, n2 + 1) / (n2 + 1)
+    return np.stack(np.meshgrid(u, v, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _in_domain(spec, pt):
@@ -218,8 +216,9 @@ def _in_domain(spec, pt):
 
 
 def _points_from_args(spec, args, default_grid):
+    """The queried points as an (n, 2) array: the ``--at`` point or a lattice."""
     if args.at is not None:
-        return [_in_domain(spec, args.at)]
+        return np.array([_in_domain(spec, args.at)])
     n1, n2 = args.grid if args.grid is not None else default_grid
     if n1 * n2 > MAX_LATTICE_POINTS:
         raise DimensionCapError(
@@ -229,13 +228,28 @@ def _points_from_args(spec, args, default_grid):
     return _interior_lattice(spec, n1, n2)
 
 
-def _finish(report, args) -> int:
-    checks = report["checks"]
+def _records(points, columns) -> list:
+    """One record per point: its coordinates ``s``, then an entry per column."""
+    keys = ("s", *columns)
+    return [dict(zip(keys, row)) for row in zip(points.tolist(), *columns.values())]
+
+
+def _finish(args, spec, config, records, summary, checks) -> int:
+    """Build the report of a command, write it, and return the exit code."""
+    report = {
+        "command": args.command,
+        "spec": spec.name,
+        "file": args.file,
+        "config": config,
+        "records": records,
+        "summary": summary,
+        "checks": checks,
+    }
     finite = _all_finite(report)
     report["all_finite"] = finite
     report["pass"] = bool(finite and all(c["pass"] for c in checks))
     if args.format == "csv":
-        text = _render_csv(report)
+        text = _render_csv(records)
     else:
         text = _render_json(report) + "\n"
     if args.out:
@@ -247,192 +261,123 @@ def _finish(report, args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns the config, records, summary and checks of its report
 # ---------------------------------------------------------------------------
 
 
-def _frame_records(spec: ImmersionSpec, points) -> list:
-    """The ``frame`` records at ``points``, built in one batch."""
+# frame checks: name, the column whose largest entry it bounds, tolerance
+_FRAME_CHECKS = (
+    ("frame_orthonormality", "orthonormality_defect", "orthonormality"),
+    ("frame_orientation", "det_rotation_defect", "det_rotation"),
+    ("torsion_antisymmetry", "torsion_antisymmetry_defect", "torsion_antisymmetry"),
+    ("gauge_relations", "gauge_relation_defect", "gauge_relations"),
+)
+
+
+def _gauge_relation_defect(t3, t4, hat_t3, theta) -> float:
+    # the C library's cos and sin, as for the gauge angle's atan2
+    return max(abs(t3 - hat_t3 * math.cos(theta)), abs(t4 + hat_t3 * math.sin(theta)))
+
+
+def _frame_columns(spec: ImmersionSpec, points) -> dict:
+    """The ``frame`` columns at ``points``, built in one batch; a column
+    holds one entry per point, in plain Python numbers."""
     # a single point stays a (2,) array, which eval_jets serves on plain floats
     one = len(points) == 1
-    S = np.array(points[0] if one else points)
-    frame = frames_at(spec, S)
+    listed = (lambda a: [a.tolist()]) if one else (lambda a: a.tolist())
+    frame = frames_at(spec, points[0] if one else points)
     conn = connection_from_frame(frame)
     gd = gauge_at(conn)
     R = frame.rotation()
     gram = R.swapaxes(-1, -2) @ R
     anti = conn.gamma_nor + conn.gamma_nor.swapaxes(-1, -2)
-    # one entry per point, in plain Python numbers
-    columns = zip(points, *(
-        [a.tolist()] if one else a.tolist()
-        for a in (
-            frame.x, frame.ehat, frame.n, frame.g, frame.det_g, conn.trace3,
-            conn.trace4, conn.gamma_tan, conn.gamma_nor, conn.torsion, gd.theta,
-            gd.hat_trace3, gd.hat_torsion, gd.degenerate,
-            np.abs(gram - np.eye(4)).max(axis=(-2, -1)),
-            np.abs(np.linalg.det(R) - 1.0),
-            np.abs(anti).max(axis=(-3, -2, -1)),
-        )
-    ))
-    return [
-        {
-            "s": list(pt),
-            "x": x,
-            "ehat": ehat,
-            "n": n,
-            "g": g,
-            "det_g": det_g,
-            "trace3": t3,
-            "trace4": t4,
-            # hat_trace3 is the C library's hypot of the two traces
-            "trace_invariant": hat_t3,
-            "gamma_tan": gamma_tan,
-            "gamma_nor": gamma_nor,
-            "torsion": torsion,
-            "theta": theta,
-            "hat_trace3": hat_t3,
-            "hat_trace4": gd.hat_trace4,
-            "hat_torsion": hat_torsion,
-            "gauge_degenerate": degenerate,
-            "orthonormality_defect": ortho,
-            "det_rotation_defect": det_defect,
-            "torsion_antisymmetry_defect": anti_defect,
-            # the C library's cos and sin, as for the gauge angle's atan2
-            "gauge_relation_defect": max(
-                abs(t3 - hat_t3 * math.cos(theta)),
-                abs(t4 + hat_t3 * math.sin(theta)),
-            ),
-        }
-        for (
-            pt, x, ehat, n, g, det_g, t3, t4, gamma_tan, gamma_nor, torsion, theta,
-            hat_t3, hat_torsion, degenerate, ortho, det_defect, anti_defect,
-        ) in columns
-    ]
-
-
-def _cmd_frame(args) -> int:
-    spec = load_immersion(args.file)
-    points = _points_from_args(spec, args, default_grid=(3, 3))
-    # passes of a fixed number of points bound the arrays held at once
-    records = [
-        record
-        for i in range(0, len(points), _FRAME_CHUNK)
-        for record in _frame_records(spec, points[i : i + _FRAME_CHUNK])
-    ]
-    checks = [
-        _check(
-            "frame_orthonormality",
-            max(r["orthonormality_defect"] for r in records),
-            TOL["orthonormality"],
-        ),
-        _check(
-            "frame_orientation",
-            max(r["det_rotation_defect"] for r in records),
-            TOL["det_rotation"],
-        ),
-        _check(
-            "torsion_antisymmetry",
-            max(r["torsion_antisymmetry_defect"] for r in records),
-            TOL["torsion_antisymmetry"],
-        ),
-        _check(
-            "gauge_relations",
-            max(r["gauge_relation_defect"] for r in records),
-            TOL["gauge_relations"],
-        ),
-    ]
-    report = {
-        "command": "frame",
-        "spec": spec.name,
-        "file": args.file,
-        "config": {"points": len(records)},
-        "records": records,
-        "summary": {
-            "max_trace_invariant": max(r["trace_invariant"] for r in records),
-            "min_trace_invariant": min(r["trace_invariant"] for r in records),
-        },
-        "checks": checks,
+    # hat_trace3 is the C library's hypot of the two traces
+    t3, t4, hat_t3, theta = map(listed, (conn.trace3, conn.trace4, gd.hat_trace3, gd.theta))
+    return {
+        "x": listed(frame.x),
+        "ehat": listed(frame.ehat),
+        "n": listed(frame.n),
+        "g": listed(frame.g),
+        "det_g": listed(frame.det_g),
+        "trace3": t3,
+        "trace4": t4,
+        "trace_invariant": hat_t3,
+        "gamma_tan": listed(conn.gamma_tan),
+        "gamma_nor": listed(conn.gamma_nor),
+        "torsion": listed(conn.torsion),
+        "theta": theta,
+        "hat_trace3": hat_t3,
+        "hat_trace4": [gd.hat_trace4] * len(points),
+        "hat_torsion": listed(gd.hat_torsion),
+        "gauge_degenerate": listed(gd.degenerate),
+        "orthonormality_defect": listed(np.abs(gram - np.eye(4)).max(axis=(-2, -1))),
+        "det_rotation_defect": listed(np.abs(np.linalg.det(R) - 1.0)),
+        "torsion_antisymmetry_defect": listed(np.abs(anti).max(axis=(-3, -2, -1))),
+        "gauge_relation_defect": list(map(_gauge_relation_defect, t3, t4, hat_t3, theta)),
     }
-    return _finish(report, args)
 
 
-def _cmd_verify(args) -> int:
-    spec = load_immersion(args.file)
+def _cmd_frame(spec, args):
+    points = _points_from_args(spec, args, default_grid=(3, 3))
+    records = []
+    # the columns that the checks and the summary read, over every pass
+    kept = {key: [] for key in ("trace_invariant", *(key for _, key, _ in _FRAME_CHECKS))}
+    # passes of a fixed number of points bound the arrays held at once
+    for i in range(0, len(points), _FRAME_CHUNK):
+        chunk = points[i : i + _FRAME_CHUNK]
+        columns = _frame_columns(spec, chunk)
+        records += _records(chunk, columns)
+        for key, column in kept.items():
+            column += columns[key]
+    checks = [_check(name, max(kept[key]), TOL[tol]) for name, key, tol in _FRAME_CHECKS]
+    summary = {
+        "max_trace_invariant": max(kept["trace_invariant"]),
+        "min_trace_invariant": min(kept["trace_invariant"]),
+    }
+    return {"points": len(points)}, records, summary, checks
+
+
+def _cmd_verify(spec, args):
     points = _points_from_args(spec, args, default_grid=(5, 5))
     steps = _DEFAULT_RESIDUAL_STEPS
     rep = reconstruct(spec, points, gauged=args.gauged, steps=steps)
-    columns = zip(
-        points,
-        *(
-            getattr(rep, key).tolist()
-            for key in (
-                "residual_bilinear", "max_imag", "orthonormality", "residual_dirac",
-                "convergence_ratio", "torsion", "hat_torsion", "W", "T",
-            )
-        ),
-    )
-    del rep
-    records = [
-        {
-            "s": list(pt),
-            "residual_bilinear": bil,
-            "max_imag": imag,
-            "orthonormality": ortho,
-            "residual_dirac": residuals,
-            # residuals at the floating-point floor give an infinite ratio;
-            # the cap keeps every numeric field of the report finite
-            "convergence_ratio": min(ratio, 1e6),
-            "torsion": torsion,
-            "hat_torsion": hat_torsion,
-            "W": W,
-            "T": T,
-        }
-        for pt, bil, imag, ortho, residuals, ratio, torsion, hat_torsion, W, T in columns
-    ]
-    worst_ratio = min(r["convergence_ratio"] for r in records)
+    columns = {
+        key: getattr(rep, key)
+        for key in (
+            "residual_bilinear", "max_imag", "orthonormality", "residual_dirac",
+            "convergence_ratio", "torsion", "hat_torsion", "W", "T",
+        )
+    }
+    # residuals at the floating-point floor give an infinite ratio;
+    # the cap keeps every numeric field of the report finite
+    columns["convergence_ratio"] = np.minimum(columns["convergence_ratio"], 1e6)
+    columns = {key: a.tolist() for key, a in columns.items()}
+    worst_bilinear = max(columns["residual_bilinear"])
+    worst_ratio = min(columns["convergence_ratio"])
     checks = [
+        _check("weierstrass_identity", worst_bilinear, TOL["bilinear"]),
         _check(
-            "weierstrass_identity",
-            max(r["residual_bilinear"] for r in records),
-            TOL["bilinear"],
-        ),
-        _check(
-            "bilinear_imaginary_parts",
-            max(r["max_imag"] for r in records),
-            TOL["bilinear_imag"],
+            "bilinear_imaginary_parts", max(columns["max_imag"]), TOL["bilinear_imag"]
         ),
         _check(
             "spinor_orthonormality",
-            max(r["orthonormality"] for r in records),
+            max(columns["orthonormality"]),
             TOL["spinor_orthonormality"],
         ),
         _check(
             "dirac_residual_ratio", worst_ratio, TOL["residual_ratio"], kind="min"
         ),
     ]
-    report = {
-        "command": "verify",
-        "spec": spec.name,
-        "file": args.file,
-        "config": {
-            "gauged": args.gauged,
-            "residual_steps": list(steps),
-            "points": len(records),
-        },
-        "records": records,
-        "summary": {
-            "max_residual_bilinear": max(r["residual_bilinear"] for r in records),
-            "worst_convergence_ratio": worst_ratio,
-        },
-        "checks": checks,
+    config = {"gauged": args.gauged, "residual_steps": list(steps), "points": len(points)}
+    summary = {
+        "max_residual_bilinear": worst_bilinear,
+        "worst_convergence_ratio": worst_ratio,
     }
-    return _finish(report, args)
+    return config, _records(points, columns), summary, checks
 
 
-def _cmd_spectrum(args) -> int:
-    spec = load_immersion(args.file)
-    grid = args.grid if args.grid is not None else (8, 8)
-    n1, n2 = grid
+def _cmd_spectrum(spec, args):
+    n1, n2 = args.grid if args.grid is not None else (8, 8)
     op = assemble_grid_operator(spec, n1, n2, gauged=args.gauged)
     vals, squares = eigenvalues(op, return_squares=True)
     # every coefficient of the operator is real, so the antiunitary
@@ -454,32 +399,18 @@ def _cmd_spectrum(args) -> int:
         checks.append(
             _check("fourier_oracle_match", fourier_dist, TOL["fourier_match"])
         )
-    records = [
-        {"re": float(v.real), "im": float(v.imag)} for v in vals
-    ]
-    report = {
-        "command": "spectrum",
-        "spec": spec.name,
-        "file": args.file,
-        "config": {
-            "grid": [n1, n2],
-            "gauged": args.gauged,
-            "dimension": op.dim,
-        },
-        "records": records,
-        "summary": {
-            "constant_coefficient": constant,
-            "fourier_oracle_distance": fourier_dist,
-            "zero_eigenvalues": int(np.sum(np.abs(vals) < 1e-10)),
-            "max_abs": float(np.max(np.abs(vals))),
-        },
-        "checks": checks,
+    config = {"grid": [n1, n2], "gauged": args.gauged, "dimension": op.dim}
+    records = [{"re": v.real, "im": v.imag} for v in vals.tolist()]
+    summary = {
+        "constant_coefficient": constant,
+        "fourier_oracle_distance": fourier_dist,
+        "zero_eigenvalues": int(np.sum(np.abs(vals) < 1e-10)),
+        "max_abs": float(np.max(np.abs(vals))),
     }
-    return _finish(report, args)
+    return config, records, summary, checks
 
 
-def _cmd_tube(args) -> int:
-    spec = load_immersion(args.file)
+def _cmd_tube(spec, args):
     if args.at is not None:
         pt = _in_domain(spec, args.at)
     else:
@@ -495,26 +426,19 @@ def _cmd_tube(args) -> int:
     offsets = [(0.0, 0.0)] + [e * d for d in directions.values() for e in eps]
     samples = iter(tube_metrics_at(spec, pt, offsets))
     zero = next(samples)
+    g_defect = float(np.max(np.abs(zero.g_tube - zero.frame.g)))
     records = [
         {
             "direction": "origin",
             "eps": 0.0,
             "rho_exact": zero.rho_exact,
             "rho_leading": zero.rho_leading,
-            "g_tube_defect": float(np.max(np.abs(zero.g_tube - zero.frame.g))),
+            "g_tube_defect": g_defect,
         }
     ]
     checks = [
-        _check(
-            "density_at_zero_offset",
-            abs(zero.rho_exact - 1.0),
-            TOL["tube_exact"],
-        ),
-        _check(
-            "metric_at_zero_offset",
-            records[0]["g_tube_defect"],
-            TOL["tube_exact"],
-        ),
+        _check("density_at_zero_offset", abs(zero.rho_exact - 1.0), TOL["tube_exact"]),
+        _check("metric_at_zero_offset", g_defect, TOL["tube_exact"]),
     ]
     slopes = {}
     for label in directions:
@@ -544,20 +468,10 @@ def _cmd_tube(args) -> int:
             checks.append(
                 _check(f"exact_agreement_{label}", max(diffs), TOL["tube_floor"])
             )
-    report = {
-        "command": "tube",
-        "spec": spec.name,
-        "file": args.file,
-        "config": {"at": list(pt), "eps": list(eps)},
-        "records": records,
-        "summary": {"slopes": slopes},
-        "checks": checks,
-    }
-    return _finish(report, args)
+    return {"at": list(pt), "eps": list(eps)}, records, {"slopes": slopes}, checks
 
 
-def _cmd_parse_check(args) -> int:
-    spec = load_immersion(args.file)
+def _cmd_parse_check(spec, args):
     record = {
         "name": spec.name,
         "params": list(spec.param_names),
@@ -570,16 +484,7 @@ def _cmd_parse_check(args) -> int:
             else unparse(spec.frame_rotation, spec.param_names)
         ),
     }
-    report = {
-        "command": "parse-check",
-        "spec": spec.name,
-        "file": args.file,
-        "config": {},
-        "records": [record],
-        "summary": {},
-        "checks": [],
-    }
-    return _finish(report, args)
+    return {}, [record], {}, []
 
 
 # ---------------------------------------------------------------------------
@@ -694,17 +599,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_positional_at(argv))
     try:
-        return _COMMANDS[args.command][0](args)
+        spec = load_immersion(args.file)
+        return _finish(args, spec, *_COMMANDS[args.command][0](spec, args))
     except DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
     except (ExprError, NonPeriodicDomainError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
     except (GeometryError, SpectrumInvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+        code, error = 1, exc
+    print(f"error: {args.command}: {error}", file=sys.stderr)
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -152,7 +152,6 @@ class DiscreteOperator:
     site_A: np.ndarray     # (n1 n2, 2, 4, 4) leading symbol per site
     site_B: np.ndarray     # (n1 n2, 4, 4) zeroth-order block per site
     site_mass: np.ndarray  # (n1 n2, 4, 4) Hermitian mass block per site
-    gauged: bool = False
 
     @property
     def dim(self) -> int:
@@ -340,7 +339,6 @@ def assemble_grid_operator(
         site_A=A_site,
         site_B=B_site,
         site_mass=mass_site,
-        gauged=gauged,
     )
 
 

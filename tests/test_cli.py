@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import interior_lattice
 from dirac_surface import dirac
 from dirac_surface.cli import main
 from dirac_surface.clifford import GAMMA
@@ -98,6 +99,18 @@ def test_frame_lattice_records_match_point_queries(tmp_path, name):
         code, text = run(tmp_path, "frame", path, "--at", *map(repr, rec["s"]))
         assert code == 0
         assert _render_json(json.loads(text)["records"][0]) == _render_json(rec)
+
+
+@pytest.mark.parametrize("name", ["plane", "clifford-rotated", "graph", "sphere"])
+def test_interior_lattice_matches_point_loop(name):
+    """The lattice is built in numpy with the arithmetic of the loop over
+    its points, so every coordinate is the same float."""
+    from dirac_surface.cli import _interior_lattice
+    from dirac_surface.corpus import load_corpus
+
+    spec = load_corpus(name)
+    for n1, n2 in [(1, 1), (3, 4), (9, 9), (200, 7)]:
+        assert np.array_equal(_interior_lattice(spec, n1, n2), interior_lattice(spec, n1, n2))
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -237,6 +250,32 @@ def test_csv_export(tmp_path):
     assert len(lines) == 5  # header + four lattice points
 
 
+REPORT_KEYS = [
+    "command", "spec", "file", "config", "records", "summary", "checks", "all_finite", "pass",
+]
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("command", ["frame", "verify", "spectrum", "tube", "parse-check"])
+def test_every_command_shares_one_report_layout(tmp_path, command, fmt):
+    """Every command's report has the same top-level keys in the same
+    order, passes exactly when it is finite and every check passes, exits
+    0 exactly when it passes, and exports one CSV row per record."""
+    argv = (command, CLIFFORD, *(("--grid", "8x8") if command == "spectrum" else ()))
+    code, text = run(tmp_path, *argv, fmt)
+    json_code, json_text = (code, text) if fmt == "--json" else run(tmp_path, *argv)
+    report = json.loads(json_text)
+    assert list(report) == REPORT_KEYS
+    assert (report["command"], report["file"]) == (command, CLIFFORD)
+    assert report["pass"] == (report["all_finite"] and all(c["pass"] for c in report["checks"]))
+    assert code == json_code == (0 if report["pass"] else 1)
+    if fmt == "--csv":
+        header, *rows = text.splitlines()
+        # the first column is the first record's first field, flattened
+        assert header.split(",")[0].startswith(next(iter(report["records"][0])))
+        assert len(rows) == len(report["records"])
+
+
 def test_point_outside_domain(capsys):
     assert main(["frame", PLANE, "--at", "5", "0"]) == 2
 
@@ -287,19 +326,19 @@ def test_verify_domain_error_names_first_lattice_point(tmp_path, capsys):
     assert main(["verify", str(imm), "--grid", "3x3"]) == 2
     err = capsys.readouterr().err
     assert err == (
-        "error: domain error in 'log(u)': log of a non-positive value "
+        "error: verify: domain error in 'log(u)': log of a non-positive value "
         "at s = (-0.5, -0.5)\n"
     )
     assert main(["frame", str(imm), "--grid", "3x3"]) == 2
     err = capsys.readouterr().err
     assert err == (
-        "error: domain error in 'log(u)': log of a non-positive value "
+        "error: frame: domain error in 'log(u)': log of a non-positive value "
         "at s = (-0.5, -0.5)\n"
     )
     assert main(["frame", str(imm), "--at", "-0.5", "0.3"]) == 2
     err = capsys.readouterr().err
     assert err == (
-        "error: domain error in 'log(u)': log of a non-positive value "
+        "error: frame: domain error in 'log(u)': log of a non-positive value "
         "at s = (-0.5, 0.3)\n"
     )
 
@@ -382,7 +421,7 @@ def test_same_chirality_entry_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dirac, "_symbol", chirality_even_mass)
     assert main(["spectrum", CLIFFORD, "--grid", "8x8", "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: grid operator does not anticommute with gamma^5")
+    assert err.startswith("error: spectrum: grid operator does not anticommute with gamma^5")
     assert "Traceback" not in err
 
 
@@ -398,7 +437,7 @@ def test_unseparated_near_kernel_cluster_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "schur", overselecting_schur)
     assert main(["spectrum", PLANE_TORUS, "--grid", "9x9", "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: near-kernel cluster of 2 squared eigenvalues")
+    assert err.startswith("error: spectrum: near-kernel cluster of 2 squared eigenvalues")
     assert "Traceback" not in err
 
 
