@@ -12,13 +12,13 @@ import math
 
 import numpy as np
 
-from dirac_surface import frame_at, gauge_at, tube_metrics_at
+from dirac_surface import frames_at, gauge_at, tube_metrics_at
 from dirac_surface.corpus import load_corpus
 from dirac_surface.geometry import connection_from_frame
 
 for name, pt in (("sphere", (1.0, 0.7)), ("clifford", (0.4, 0.9))):
     spec = load_corpus(name)
-    fr = frame_at(spec, pt)
+    fr = frames_at(spec, pt)
     conn = connection_from_frame(fr)
     gd = gauge_at(conn)
     print(f"--- {name} at {pt} ---")

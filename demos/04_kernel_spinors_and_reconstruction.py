@@ -17,7 +17,7 @@ np.set_printoptions(precision=10, suppress=True)
 spec = load_corpus("clifford")
 pt = (0.4, 0.9)
 
-rep = reconstruct(spec, pt, steps=(1e-2, 5e-3, 2.5e-3))
+rep = reconstruct(spec, pt)
 print("spinor Gram matrix defect:", rep.orthonormality)
 print("Dirac residuals over halved steps:", ["%.3e" % r for r in rep.residual_dirac])
 print("decay ratio (4 = clean second order):", round(rep.convergence_ratio, 4))

@@ -15,7 +15,7 @@ from dirac_surface import (
     assemble_grid_operator,
     dirac_symbol,
     eigenvalues,
-    frame_at,
+    frames_at,
     gauge_at,
     gauged_dirac_symbol,
 )
@@ -27,8 +27,8 @@ base = load_corpus("clifford")
 rot = load_corpus("clifford-rotated")
 pt = (0.4, 0.9)
 
-cb = connection_from_frame(frame_at(base, pt))
-cr = connection_from_frame(frame_at(rot, pt))
+cb = connection_from_frame(frames_at(base, pt))
+cr = connection_from_frame(frames_at(rot, pt))
 print("torsion, plain frame  :", np.round(cb.torsion, 9).tolist())
 print("torsion, rotated frame:", np.round(cr.torsion, 9).tolist())
 print("   rotating by the first parameter shifted it by exactly (1, 0)")

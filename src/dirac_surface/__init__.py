@@ -31,7 +31,6 @@ from .geometry import (
     FrameData,
     GaugeData,
     TubeSample,
-    frame_at,
     frames_at,
     gauge_at,
     tube_metrics_at,

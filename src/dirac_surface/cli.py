@@ -9,7 +9,10 @@
     dirac-surface parse-check <file>
 
 Every command also takes ``[--json | --csv] [--out PATH]``; an option
-a command does not read is refused with exit code 2.
+a command does not read is refused with exit code 2.  The CSV export
+writes one row per record, flattened, under the union of the records'
+columns, and quotes a cell that holds a comma, a quote or a line break
+as Python's ``csv`` module does.
 
 Exit codes: 0 every check passed, 1 an invariant failed (or a numeric
 field came out non-finite), 2 input error, 3 resource cap exceeded.  An
@@ -53,12 +56,10 @@ from .geometry import (
     gauge_at,
     tube_metrics_at,
 )
-from .weierstrass import reconstruct
+from .weierstrass import RESIDUAL_STEPS, reconstruct
 
 
 __all__ = ["main"]
-
-_DEFAULT_RESIDUAL_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 # most points a --grid lattice may hold for frame and verify
 MAX_LATTICE_POINTS = 65536
@@ -99,13 +100,15 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# a JSON string escapes the quote, the backslash and every control character
+_JSON_ESCAPES = {
+    ord('"'): '\\"',
+    ord("\\"): "\\\\",
+    **{c: f"\\u{c:04x}" for c in range(0x20)},
+}
+
+
 def _render_json(obj, indent=0) -> str:
-    # numpy arrays and complex numbers are rendered in place, so a large
-    # report is never copied into plain containers first
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    elif isinstance(obj, complex):
-        obj = {"re": obj.real, "im": obj.imag}
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -118,7 +121,7 @@ def _render_json(obj, indent=0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple, np.ndarray, complex)) for v in obj)
+        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
             return "[" + ", ".join(_render_json(v) for v in obj) + "]"
         items = [f"{pad}  {_render_json(v, indent + 1)}" for v in obj]
@@ -131,7 +134,7 @@ def _render_json(obj, indent=0) -> str:
         return _fmt_float(float(obj))
     if obj is None:
         return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + str(obj).translate(_JSON_ESCAPES) + '"'
 
 
 def _flatten(prefix, value, out):
@@ -145,30 +148,30 @@ def _flatten(prefix, value, out):
         out[prefix] = value
 
 
+def _csv_cell(val) -> str:
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    if isinstance(val, (float, np.floating)):
+        return _fmt_float(float(val)).strip('"')
+    return str(val)
+
+
 def _render_csv(records) -> str:
+    # only a CSV export loads the csv module
+    import csv
+    import io
+
     rows = []
     for record in records:
         flat = {}
         _flatten("", record, flat)
         rows.append(flat)
-    columns = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for key in columns:
-            val = row.get(key, "")
-            if isinstance(val, bool):
-                cells.append("true" if val else "false")
-            elif isinstance(val, (float, np.floating)):
-                cells.append(_fmt_float(float(val)).strip('"'))
-            else:
-                cells.append(str(val))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row.get(key, "")) for key in columns] for row in rows)
+    return text.getvalue()
 
 
 def _all_finite(value) -> bool:
@@ -339,8 +342,7 @@ def _cmd_frame(spec, args):
 
 def _cmd_verify(spec, args):
     points = _points_from_args(spec, args, default_grid=(5, 5))
-    steps = _DEFAULT_RESIDUAL_STEPS
-    rep = reconstruct(spec, points, gauged=args.gauged, steps=steps)
+    rep = reconstruct(spec, points, gauged=args.gauged)
     columns = {
         key: getattr(rep, key)
         for key in (
@@ -368,7 +370,7 @@ def _cmd_verify(spec, args):
             "dirac_residual_ratio", worst_ratio, TOL["residual_ratio"], kind="min"
         ),
     ]
-    config = {"gauged": args.gauged, "residual_steps": list(steps), "points": len(points)}
+    config = {"gauged": args.gauged, "residual_steps": list(RESIDUAL_STEPS), "points": len(points)}
     summary = {
         "max_residual_bilinear": worst_bilinear,
         "worst_convergence_ratio": worst_ratio,

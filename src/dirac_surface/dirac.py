@@ -238,7 +238,7 @@ def gauged_dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
 
 
 def _aligned_grid_frames(spec: ImmersionSpec, n1: int, n2: int):
-    """Frames at every grid site, sign-aligned by a serpentine sweep.
+    """Frames at every grid site, sign-aligned by a sweep over the grid.
 
     Site p = j n2 + k sits at (lo1 + j h1, lo2 + k h2); the frames are
     built in one batch and returned as a stack over p.  The pivoted
@@ -246,19 +246,22 @@ def _aligned_grid_frames(spec: ImmersionSpec, n1: int, n2: int):
     parameter torus; the sweep, which aligns each site to the one before
     it in its row (the first site of a row to the first of the row
     before), resolves those discrete jumps so the frame field is smooth
-    across the grid whenever a smooth periodic frame exists.  No limit
-    is checked, so a frame jump between neighbouring sites goes unreported.
+    across the grid whenever a smooth periodic frame exists.  Only the
+    first column links the rows, so it is aligned site by site and every
+    later column in one call over all rows.  No limit is checked, so a
+    frame jump between neighbouring sites goes unreported.
     """
     (lo1, hi1), (lo2, hi2) = spec.domain
     h1 = (hi1 - lo1) / n1
     h2 = (hi2 - lo2) / n2
     j, k = np.divmod(np.arange(n1 * n2), n2)
     frames = frames_at(spec, np.stack([lo1 + j * h1, lo2 + k * h2], axis=-1))
-    n = frames.n.copy()
-    for p in range(1, n1 * n2):
-        ref = p - 1 if p % n2 else p - n2
-        n[p] = _nearest_normals(n[p], n[ref])[0]
-    return replace(frames, n=n), h1, h2
+    n = frames.n.reshape(n1, n2, 2, 4).copy()
+    for row in range(1, n1):
+        n[row, 0] = _nearest_normals(n[row, 0], n[row - 1, 0])[0]
+    for col in range(1, n2):
+        n[:, col] = _nearest_normals(n[:, col], n[:, col - 1])[0]
+    return replace(frames, n=n.reshape(-1, 2, 4)), h1, h2
 
 
 def assemble_grid_operator(
@@ -423,10 +426,6 @@ def eigenvalues(op: DiscreteOperator, return_squares: bool = False):
     XY.  With ``return_squares`` the eigenvalues mu of XY (unsorted,
     2 n1 n2 of them) are returned as well.
     """
-    if op.dim > DEFAULT_EIG_CAP:
-        raise DimensionCapError(
-            f"operator dimension {op.dim} exceeds the cap {DEFAULT_EIG_CAP}"
-        )
     import scipy.linalg
 
     X, Y = _chiral_blocks(op.matrix)

@@ -1,8 +1,7 @@
 """Moving frames and extrinsic curvature for surfaces immersed in 4-space.
 
-From an immersion x(s1, s2) in E^4 this module computes, pointwise and
-on whole stacks of points at once (``frames_at``; ``frame_at`` is its
-one-point case):
+From an immersion x(s1, s2) in E^4 this module computes, at one point
+or on a whole stack of points at once (``frames_at``):
 
 * an orthonormal adapted frame (two tangents from Gram-Schmidt, two
   normals from pivoted Gram-Schmidt over the ambient basis, orientation
@@ -58,7 +57,6 @@ __all__ = [
     "GaugeData",
     "TubeSample",
     "frames_at",
-    "frame_at",
     "align_frame",
     "connection_from_frame",
     "gauge_at",
@@ -332,14 +330,6 @@ def _turned(frame: FrameData, angle, torsion) -> FrameData:
     n3, n4 = frame.n[..., 0, :], frame.n[..., 1, :]
     n = np.stack([c * n3 - si * n4, si * n3 + c * n4], axis=-2)
     return replace(frame, n=n, torsion=torsion)
-
-
-def frame_at(spec: ImmersionSpec, s) -> FrameData:
-    """Compute position, jets, orthonormal frame, metric and torsion at s.
-
-    This is ``frames_at`` on the single point s.
-    """
-    return frames_at(spec, np.reshape(np.asarray(s, dtype=float), 2))
 
 
 def _nearest_normals(n, ref_n) -> tuple:

@@ -8,9 +8,10 @@ verifications:
 * it recovers the coordinate tangents from the metric-lowered bilinears
   W^i_alpha = g_{alpha beta} Re[ conj(psi^(i)) iota_g(sigma^beta) psi^(i) ]
   and compares them with the exact tangents from the jets;
-* with probe ``steps`` given, it differentiates the constructed spinor
-  fields with central differences and applies the assembled pointwise
-  symbol; the residual must vanish at second order in the probe step.
+* it differentiates the constructed spinor fields with central
+  differences at each probe step of ``RESIDUAL_STEPS`` and applies the
+  assembled pointwise symbol; the residual must vanish at second order
+  in the probe step.
 
 ``reconstruct`` takes one point or a whole lattice: the frames at every
 point and at its 4 probe points per step are built, aligned and
@@ -50,13 +51,17 @@ __all__ = [
     "reconstruct",
     "safe_ratio",
     "RESIDUAL_FLOOR",
+    "RESIDUAL_STEPS",
 ]
 
 
 RESIDUAL_FLOOR = 1e-13
 
-# points per batch of ``reconstruct``: with steps, each point brings 1 + 4
-# len(steps) frames, so memory stays bounded on the largest lattice
+# the probe steps of the Dirac residual, halved from one to the next
+RESIDUAL_STEPS = (1e-2, 5e-3, 2.5e-3)
+
+# points per batch of ``reconstruct``: each point brings 1 + 4
+# len(RESIDUAL_STEPS) frames, so memory stays bounded on the largest lattice
 _CHUNK = 512
 
 _ROUND = np.column_stack(basis_round())
@@ -66,23 +71,22 @@ _ROUND = np.column_stack(basis_round())
 class ReconstructionReport:
     """Tangent reconstruction and Dirac-residual diagnostics at a point.
 
-    With the residual, the report also carries the torsion of the working
-    normal frame and of the gauge-fixed one.  The shapes are those of one
-    point; for a stack of points every field but ``steps`` and ``gauged``
-    carries the stack's leading shape.
+    The report also carries the torsion of the working normal frame and
+    of the gauge-fixed one.  The shapes are those of one point; for a
+    stack of points every field but ``gauged`` carries the stack's
+    leading shape.
     """
 
     s: np.ndarray
-    W: np.ndarray | None = None              # (2, 4) reconstructed tangents
-    T: np.ndarray | None = None              # (2, 4) exact tangents
-    residual_bilinear: float | None = None   # max |W - T|
-    max_imag: float | None = None            # largest imaginary bilinear part
-    orthonormality: float | None = None      # max |conj(psi)psi - delta|
-    residual_dirac: np.ndarray | None = None  # (len(steps),) per-step residuals
-    steps: tuple | None = None
-    convergence_ratio: float | None = None   # worst consecutive ratio
-    torsion: np.ndarray | None = None        # (2,) Gamma^3_{alpha 4}
-    hat_torsion: np.ndarray | None = None    # (2,) gauge-fixed torsion
+    W: np.ndarray                 # (2, 4) reconstructed tangents
+    T: np.ndarray                 # (2, 4) exact tangents
+    residual_bilinear: float      # max |W - T|
+    max_imag: float               # largest imaginary bilinear part
+    orthonormality: float         # max |conj(psi)psi - delta|
+    residual_dirac: np.ndarray    # (len(RESIDUAL_STEPS),) per-step residuals
+    convergence_ratio: float      # worst consecutive ratio
+    torsion: np.ndarray           # (2,) Gamma^3_{alpha 4}
+    hat_torsion: np.ndarray       # (2,) gauge-fixed torsion
     gauged: bool = False
 
 
@@ -96,10 +100,10 @@ def safe_ratio(coarse, fine):
     return np.where(converged, math.inf, coarse / np.maximum(fine, RESIDUAL_FLOOR))[()]
 
 
-def _lattice_pass(spec: ImmersionSpec, S, gauged: bool, steps) -> dict:
+def _lattice_pass(spec: ImmersionSpec, S, gauged: bool) -> dict:
     """The report fields at the points S (n, 2), as arrays over n.
 
-    Each point's probe frames (at s +- h e_alpha for every step h) are
+    Each point's probe frames (at s +- h e_alpha for every probe step h) are
     aligned to the frame at s, turned by their own gauge angles in a
     gauged pass (a degenerate probe by the angle at s), and the spin
     matrix sign sheet is matched to the one at s, so the spinor field is
@@ -108,11 +112,8 @@ def _lattice_pass(spec: ImmersionSpec, S, gauged: bool, steps) -> dict:
     / (2h) + B U(s); the ratio is infinite when a residual sits at the
     floating-point floor.
     """
-    points = S[:, None]
-    if steps is not None:
-        probes = S[:, None] + _stencil(steps).reshape(-1, 2)
-        points = np.concatenate([points, probes], axis=1)
-    frames = frames_at(spec, points)
+    probes = S[:, None] + _stencil(RESIDUAL_STEPS).reshape(-1, 2)
+    frames = frames_at(spec, np.concatenate([S[:, None], probes], axis=1))
     frames = align_frame(frames, frames[:, :1])
     conn = working = connection_from_frame(frames[:, 0])
     gauge = gauge_at(working)
@@ -136,62 +137,44 @@ def _lattice_pass(spec: ImmersionSpec, S, gauged: bool, steps) -> dict:
     lowered = frame.g @ bil
     W = np.real(lowered)
     gram = np.swapaxes(U[:, 0].conj(), -1, -2) @ U[:, 0]
-    out = {
+
+    h = np.asarray(RESIDUAL_STEPS)[:, None, None]
+    probe_U = U[:, 1:].reshape(len(S), len(RESIDUAL_STEPS), 2, 2, 4, 4)
+    diff = probe_U[..., 0, :, :] - probe_U[..., 1, :, :]
+    res = (symbol.B @ U[:, 0])[:, None]
+    for alpha in range(2):
+        res = res + symbol.A[:, None, alpha] @ diff[:, :, alpha] / (2.0 * h)
+    residuals = np.max(np.linalg.norm(res, axis=-2), axis=-1)
+    return {
         "W": W,
         "T": frame.e,
         "residual_bilinear": np.max(np.abs(W - frame.e), axis=(-2, -1)),
         "max_imag": np.max(np.abs(np.imag(lowered)), axis=(-2, -1)),
         "orthonormality": np.max(np.abs(gram - np.eye(4)), axis=(-2, -1)),
+        "residual_dirac": residuals,
+        "convergence_ratio": np.min(safe_ratio(residuals[:, :-1], residuals[:, 1:]), axis=-1),
+        "torsion": working.torsion,
+        "hat_torsion": gauge.hat_torsion,
     }
-    if steps is not None:
-        h = np.asarray(steps, dtype=float)[:, None, None]
-        probe_U = U[:, 1:].reshape(len(S), len(steps), 2, 2, 4, 4)
-        diff = probe_U[..., 0, :, :] - probe_U[..., 1, :, :]
-        res = (symbol.B @ U[:, 0])[:, None]
-        for alpha in range(2):
-            res = res + symbol.A[:, None, alpha] @ diff[:, :, alpha] / (2.0 * h)
-        residuals = np.max(np.linalg.norm(res, axis=-2), axis=-1)
-        out.update(
-            residual_dirac=residuals,
-            convergence_ratio=np.min(
-                safe_ratio(residuals[:, :-1], residuals[:, 1:]), axis=-1
-            ) if len(steps) > 1 else None,
-            torsion=working.torsion,
-            hat_torsion=gauge.hat_torsion,
-        )
-    return out
 
 
-def reconstruct(
-    spec: ImmersionSpec,
-    s,
-    gauged: bool = False,
-    steps=None,
-) -> ReconstructionReport:
+def reconstruct(spec: ImmersionSpec, s, gauged: bool = False) -> ReconstructionReport:
     """Recover the tangents from spinor bilinears and compare with jets.
 
-    With ``steps`` given, the Dirac residual diagnostics and both torsions
-    are filled in as well, from the same frame and basis; otherwise only
-    the bilinear part of the report is populated.  ``s`` is one point
+    The Dirac residual at every probe step of ``RESIDUAL_STEPS`` and both
+    torsions come from the same frame and basis.  ``s`` is one point
     (2,) or a stack of points (..., 2), e.g. a whole lattice; a failure
     names the first offending point of the stack.
     """
     s = np.asarray(s, dtype=float)
     flat = s.reshape(-1, 2)
     passes = [
-        _lattice_pass(spec, flat[i : i + _CHUNK], gauged, steps)
+        _lattice_pass(spec, flat[i : i + _CHUNK], gauged)
         for i in range(0, len(flat), _CHUNK)
     ]
     lead = s.shape[:-1]
     fields = {
-        key: None if value is None else np.concatenate(
-            [p[key] for p in passes]
-        ).reshape(lead + value.shape[1:])[()]
+        key: np.concatenate([p[key] for p in passes]).reshape(lead + value.shape[1:])[()]
         for key, value in passes[0].items()
     }
-    return ReconstructionReport(
-        s=s,
-        steps=None if steps is None else tuple(steps),
-        gauged=gauged,
-        **fields,
-    )
+    return ReconstructionReport(s=s, gauged=gauged, **fields)

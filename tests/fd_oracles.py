@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from dirac_surface.geometry import align_frame, connection_from_frame, frame_at, gauge_angle
+from dirac_surface.geometry import align_frame, connection_from_frame, frames_at, gauge_angle
 from pointwise_oracles import _wrap_angle
 
 
@@ -29,14 +29,14 @@ def normal_connection(spec, s, h=1e-3, center=None):
     """gamma_nor[alpha, a, b] = n_a . d_alpha n_b from frames aligned to
     ``center``, by default the frame at s."""
     if center is None:
-        center = frame_at(spec, s)
+        center = frames_at(spec, s)
     out = np.zeros((2, 2, 2))
     for alpha in range(2):
         step = _axis(alpha)
 
         def estimate(hh):
-            fp = align_frame(frame_at(spec, center.s + hh * step), center)
-            fm = align_frame(frame_at(spec, center.s - hh * step), center)
+            fp = align_frame(frames_at(spec, center.s + hh * step), center)
+            fm = align_frame(frames_at(spec, center.s - hh * step), center)
             return np.einsum("ai,bi->ab", center.n, (fp.n - fm.n) / (2.0 * hh))
 
         out[alpha] = _richardson(estimate, h)
@@ -62,7 +62,7 @@ def _christoffel(frame):
 
 def spin_connection(spec, s, h=1e-3):
     """omega_alpha from differenced inverse zweibeins and exact Christoffels."""
-    frame = frame_at(spec, s)
+    frame = frames_at(spec, s)
     f, f_inv = _zweibein(frame.g)
     chris = _christoffel(frame)
     dfinv = np.zeros((2, 2, 2))
@@ -70,8 +70,8 @@ def spin_connection(spec, s, h=1e-3):
         step = _axis(alpha)
 
         def estimate(hh):
-            fp = _zweibein(frame_at(spec, frame.s + hh * step).g)[1]
-            fm = _zweibein(frame_at(spec, frame.s - hh * step).g)[1]
+            fp = _zweibein(frames_at(spec, frame.s + hh * step).g)[1]
+            fm = _zweibein(frames_at(spec, frame.s - hh * step).g)[1]
             return (fp - fm) / (2.0 * hh)
 
         dfinv[alpha] = _richardson(estimate, h)
@@ -88,7 +88,7 @@ def spin_connection(spec, s, h=1e-3):
 
 def hat_torsion(spec, s, h=1e-3):
     """Working-frame torsion plus the differenced, unwrapped gauge angle."""
-    frame = frame_at(spec, s)
+    frame = frames_at(spec, s)
     theta, degenerate = gauge_angle(connection_from_frame(frame))
     torsion = normal_connection(spec, s, h)[:, 0, 1]
     if degenerate:
@@ -100,7 +100,7 @@ def hat_torsion(spec, s, h=1e-3):
         def estimate(hh):
             angles = []
             for sign in (-1.0, 1.0):
-                fr = align_frame(frame_at(spec, frame.s + sign * hh * step), frame)
+                fr = align_frame(frames_at(spec, frame.s + sign * hh * step), frame)
                 raw, _ = gauge_angle(connection_from_frame(fr))
                 angles.append(theta + _wrap_angle(raw - theta))
             return (angles[1] - angles[0]) / (2.0 * hh)

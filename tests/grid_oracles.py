@@ -6,10 +6,12 @@ a Python double loop over block rows writing into a dense matrix, with
 the symbol built site by site, the gauge conjugation as one dense einsum over all pairs of sites, and
 ``scipy.linalg.eigvals`` of the whole matrix.  The Fourier-mode oracle
 is the mode loop the library used before it solved the mode symbols as
-one stack.
+one stack, and the site sweep is the frame alignment it used before it
+aligned the grid one column at a time.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +22,23 @@ from dirac_surface.dirac import (
     _symbol,
     spin_connection_from_frame,
 )
-from dirac_surface.geometry import connection_from_frame, gauge_angle
+from dirac_surface.geometry import connection_from_frame, frames_at, gauge_angle, _nearest_normals
+
+
+def aligned_grid_frames_by_site(spec, n1, n2):
+    """The grid frames, each site aligned on its own in row order: to the
+    site before it in its row, the first of a row to the first of the row
+    before."""
+    (lo1, hi1), (lo2, hi2) = spec.domain
+    h1 = (hi1 - lo1) / n1
+    h2 = (hi2 - lo2) / n2
+    j, k = np.divmod(np.arange(n1 * n2), n2)
+    frames = frames_at(spec, np.stack([lo1 + j * h1, lo2 + k * h2], axis=-1))
+    n = frames.n.copy()
+    for p in range(1, n1 * n2):
+        ref = p - 1 if p % n2 else p - n2
+        n[p] = _nearest_normals(n[p], n[ref])[0]
+    return replace(frames, n=n), h1, h2
 
 
 def dense_grid_matrix(spec, n1, n2, gauged=False):

@@ -31,7 +31,7 @@ from dirac_surface.dirac import (
 )
 from dirac_surface.geometry import (
     connection_from_frame,
-    frame_at,
+    frames_at,
     gauge_angle,
     gauge_at,
     tube_metrics_at,
@@ -40,9 +40,6 @@ from dirac_surface.weierstrass import reconstruct, safe_ratio
 from conftest import RING_TORUS, interior_lattice, rng_seed
 from pointwise_oracles import _wrap_angle, apply_pointwise
 from dirac_surface.expr import parse_immersion_file
-
-
-RESIDUAL_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 
 class _Criterion:
@@ -132,7 +129,7 @@ def test_criterion_3_geometry():
             worst_trace = 0.0
             worst_anti = 0.0
             for pt in interior_lattice(spec, 9, 9):
-                conn = connection_from_frame(frame_at(spec, pt))
+                conn = connection_from_frame(frames_at(spec, pt))
                 worst_trace = max(
                     worst_trace, abs(math.hypot(conn.trace3, conn.trace4) - 2.0)
                 )
@@ -154,8 +151,8 @@ def test_criterion_3_geometry():
         worst_shift = 0.0
         worst_invariance = 0.0
         for pt in interior_lattice(base, 5, 5):
-            cb = connection_from_frame(frame_at(base, pt))
-            cr = connection_from_frame(frame_at(rotated, pt))
+            cb = connection_from_frame(frames_at(base, pt))
+            cr = connection_from_frame(frames_at(rotated, pt))
             worst_shift = max(
                 worst_shift,
                 float(np.max(np.abs(cr.torsion - cb.torsion - [1.0, 0.0]))),
@@ -201,7 +198,7 @@ def _weierstrass_battery(c, spec, gauged):
     worst_bil = worst_imag = worst_orth = 0.0
     worst_ratio = math.inf
     for pt in interior_lattice(spec, 9, 9):
-        rep = reconstruct(spec, pt, gauged=gauged, steps=RESIDUAL_STEPS)
+        rep = reconstruct(spec, pt, gauged=gauged)
         worst_bil = max(worst_bil, rep.residual_bilinear)
         worst_imag = max(worst_imag, rep.max_imag)
         worst_orth = max(worst_orth, rep.orthonormality)
@@ -243,14 +240,14 @@ def test_criterion_6_gauged_weierstrass():
             s0 = np.asarray(s0, dtype=float)
             sym_g = gauged_dirac_symbol(spec, s0)
             sym_p = dirac_symbol(spec, s0)
-            th0 = gauge_at(connection_from_frame(frame_at(spec, s0))).theta
+            th0 = gauge_at(connection_from_frame(frames_at(spec, s0))).theta
             coef = np.array([1.0, 0.3j, -0.2, 0.5 + 0.1j])
 
             def psi(s):
                 return np.exp(1j * (0.7 * s[0] + 0.4 * s[1])) * coef
 
             def rotated(s):
-                raw, degenerate = gauge_angle(connection_from_frame(frame_at(spec, s)))
+                raw, degenerate = gauge_angle(connection_from_frame(frames_at(spec, s)))
                 th = th0 if degenerate else th0 + _wrap_angle(raw - th0)
                 return gauge_rotation(th / 2.0).matrix @ psi(s)
 

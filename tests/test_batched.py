@@ -24,11 +24,10 @@ from dirac_surface.geometry import (
     FrameBranchError,
     align_frame,
     connection_from_frame,
-    frame_at,
     frames_at,
     gauge_at,
 )
-from dirac_surface.weierstrass import reconstruct
+from dirac_surface.weierstrass import RESIDUAL_STEPS, reconstruct
 from fd_oracles import random_points
 
 CORPUS = ("plane", "plane-torus", "graph", "sphere", "clifford", "clifford-rotated")
@@ -55,7 +54,7 @@ def test_frames_at_rows_match_oracle(name, rng):
     assert stack.n.shape == (3, len(points) // 3, 2, 4)
     for s, row in zip(points, (stack[i, j] for i in range(3) for j in range(len(points) // 3))):
         ref = oracle.frame_at(spec, s)
-        one = frame_at(spec, s)
+        one = frames_at(spec, s)
         for field in FRAME_FIELDS:
             assert np.max(np.abs(getattr(row, field) - getattr(ref, field))) <= 1e-14, field
             assert np.array_equal(getattr(one, field), getattr(ref, field)), field
@@ -84,11 +83,10 @@ def test_spin_lift_stack_matches_oracle(rng):
 @pytest.mark.parametrize("name", CORPUS)
 def test_reconstruct_lattice_matches_pointwise_oracle(name, gauged):
     spec = load_corpus(name)
-    steps = (1e-2, 5e-3, 2.5e-3)
     points = interior_lattice(spec, 3, 3)
-    rep = reconstruct(spec, points, gauged=gauged, steps=steps)
+    rep = reconstruct(spec, points, gauged=gauged)
     for i, s in enumerate(points):
-        ref = oracle.reconstruct(spec, s, gauged, steps)
+        ref = oracle.reconstruct(spec, s, gauged, RESIDUAL_STEPS)
         for key in ("W", "T", "torsion", "hat_torsion", "residual_bilinear", "max_imag"):
             assert np.max(np.abs(getattr(rep, key)[i] - ref[key])) <= 1e-14, key
         assert np.max(np.abs(rep.orthonormality[i] - ref["orthonormality"])) <= 1e-14
@@ -110,12 +108,12 @@ def test_symbol_stack_matches_point_symbols(name, symbol):
         one = symbol(spec, S[idx])
         for field in ("A", "B", "mass"):
             assert np.max(np.abs(getattr(stack, field)[idx] - getattr(one, field))) <= 1e-14
-        assert degenerate[idx] == gauge_at(connection_from_frame(frame_at(spec, S[idx]))).degenerate
+        assert degenerate[idx] == gauge_at(connection_from_frame(frames_at(spec, S[idx]))).degenerate
 
 
 def test_reconstruct_one_point_keeps_scalar_fields(graph):
-    rep = reconstruct(graph, (0.3, 0.2), steps=(1e-2, 5e-3))
-    assert rep.W.shape == (2, 4) and rep.residual_dirac.shape == (2,)
+    rep = reconstruct(graph, (0.3, 0.2))
+    assert rep.W.shape == (2, 4) and rep.residual_dirac.shape == (len(RESIDUAL_STEPS),)
     assert isinstance(rep.residual_bilinear, float)
     assert isinstance(rep.convergence_ratio, float)
 
@@ -161,4 +159,4 @@ def test_domain_error_names_first_failing_point_over_all_maps():
     points = interior_lattice(spec, 3, 3)
     with pytest.raises(DomainEvalError, match=r"'log\(v\)'.* at s = \(-0\.5, -0\.5\)"):
         frames_at(spec, points)
-    assert math.isfinite(frame_at(spec, (-0.5, 0.5)).det_g)
+    assert math.isfinite(frames_at(spec, (-0.5, 0.5)).det_g)

@@ -250,6 +250,40 @@ def test_csv_export(tmp_path):
     assert len(lines) == 5  # header + four lattice points
 
 
+def _flat_immersion(name, x3="0"):
+    return (
+        f"name: {name}\nparams: u v\nx1: u\nx2: v\nx3: {x3}\nx4: 0\n"
+        "domain: u -1 1 v -1 1\nperiodic: false false\n"
+    )
+
+
+def test_csv_quotes_cells_that_hold_commas(tmp_path):
+    import csv
+
+    path = tmp_path / "twist.imm"
+    path.write_text(_flat_immersion("twist, demo", x3="atan2(u, 2)"))
+    out = tmp_path / "report.csv"
+    assert main(["parse-check", str(path), "--csv", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    assert rows[0][header.index("name")] == "twist, demo"
+    assert rows[0][header.index("coords[2]")] == "atan2(u, 2.0)"
+
+
+def test_json_escapes_control_characters(tmp_path):
+    from dirac_surface.cli import _render_json
+
+    path = tmp_path / "tab\tpath.imm"
+    path.write_text(_flat_immersion("tab\tname"))
+    code, text = run(tmp_path, "parse-check", str(path))
+    assert code == 0
+    report = json.loads(text)
+    assert (report["file"], report["spec"]) == (str(path), "tab\tname")
+    every = "".join(map(chr, range(0x20))) + '"\\/'
+    assert json.loads(_render_json(every)) == every
+
+
 REPORT_KEYS = [
     "command", "spec", "file", "config", "records", "summary", "checks", "all_finite", "pass",
 ]

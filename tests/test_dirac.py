@@ -24,10 +24,15 @@ from dirac_surface.dirac import (
     spin_connection_from_frame,
 )
 from dirac_surface.corpus import load_corpus
-from dirac_surface.geometry import connection_from_frame, frame_at, frames_at, gauge_at
+from dirac_surface.geometry import connection_from_frame, frames_at, gauge_at
 from conftest import rng_seed
 from fd_oracles import random_points
-from grid_oracles import dense_eigenvalues, dense_grid_matrix, fourier_eigenvalues_by_mode
+from grid_oracles import (
+    aligned_grid_frames_by_site,
+    dense_eigenvalues,
+    dense_grid_matrix,
+    fourier_eigenvalues_by_mode,
+)
 from pointwise_oracles import _wrap_angle, apply_pointwise, hatted_symbol
 
 
@@ -35,26 +40,26 @@ from pointwise_oracles import _wrap_angle, apply_pointwise, hatted_symbol
 
 
 def test_spin_connection_plane(plane):
-    sc = spin_connection_from_frame(frame_at(plane, (0.2, -0.3)))
+    sc = spin_connection_from_frame(frames_at(plane, (0.2, -0.3)))
     assert np.max(np.abs(sc.omega)) == 0.0
     assert np.array_equal(sc.f, np.eye(2))
 
 
 def test_spin_connection_clifford_constant_metric(clifford):
-    sc = spin_connection_from_frame(frame_at(clifford, (0.4, 0.9)))
+    sc = spin_connection_from_frame(frames_at(clifford, (0.4, 0.9)))
     assert np.max(np.abs(sc.omega)) <= 1e-10
     assert np.allclose(sc.f, np.eye(2) / math.sqrt(2.0), atol=1e-14)
 
 
 def test_spin_connection_sphere_closed_form(sphere):
-    sc = spin_connection_from_frame(frame_at(sphere, (1.0, 0.7)))
+    sc = spin_connection_from_frame(frames_at(sphere, (1.0, 0.7)))
     assert abs(sc.omega[0]) <= 1e-8
     assert abs(abs(sc.omega[1]) - abs(math.cos(1.0))) <= 1e-6
 
 
 def test_zweibein_reproduces_metric(graph, sphere):
     for spec, pt in ((graph, (0.3, 0.2)), (sphere, (1.2, 2.0))):
-        fr = frame_at(spec, pt)
+        fr = frames_at(spec, pt)
         sc = spin_connection_from_frame(fr)
         assert np.max(np.abs(sc.f.T @ sc.f - fr.g)) <= 1e-12
         assert np.max(np.abs(sc.f @ sc.f_inv - np.eye(2))) <= 1e-12
@@ -84,7 +89,7 @@ def test_symbol_clifford_relation(graph):
     rng = np.random.default_rng(7)
     for _ in range(5):
         pt = rng.uniform(-0.8, 0.8, size=2)
-        fr = frame_at(graph, pt)
+        fr = frames_at(graph, pt)
         sym = dirac_symbol(graph, pt)
         for a in range(2):
             for b in range(2):
@@ -105,7 +110,7 @@ def test_symbol_hermitian_iff_torsion_free(clifford_rotated, clifford):
 def test_gauged_symbol_plane_equals_plain(plane):
     plain = dirac_symbol(plane, (0.1, 0.1))
     gauged = gauged_dirac_symbol(plane, (0.1, 0.1))
-    assert gauge_at(connection_from_frame(frame_at(plane, (0.1, 0.1)))).degenerate
+    assert gauge_at(connection_from_frame(frames_at(plane, (0.1, 0.1)))).degenerate
     assert np.max(np.abs(plain.B - gauged.B)) == 0.0
     assert np.max(np.abs(plain.A - gauged.A)) == 0.0
 
@@ -164,7 +169,7 @@ def test_gauge_covariance_of_symbols(clifford_rotated, graph):
         s0 = np.asarray(s0, dtype=float)
         sym_g = gauged_dirac_symbol(spec, s0)
         sym_p = dirac_symbol(spec, s0)
-        th0 = gauge_at(connection_from_frame(frame_at(spec, s0))).theta
+        th0 = gauge_at(connection_from_frame(frames_at(spec, s0))).theta
         c = np.array([1.0, 0.3j, -0.2, 0.5 + 0.1j])
 
         def psi(s):
@@ -173,7 +178,7 @@ def test_gauge_covariance_of_symbols(clifford_rotated, graph):
         def rotated(s):
             from dirac_surface.geometry import gauge_angle
 
-            raw, degenerate = gauge_angle(connection_from_frame(frame_at(spec, s)))
+            raw, degenerate = gauge_angle(connection_from_frame(frames_at(spec, s)))
             th = th0 if degenerate else th0 + _wrap_angle(raw - th0)
             return gauge_rotation(th / 2.0).matrix @ psi(s)
 
@@ -214,6 +219,19 @@ def test_plane_torus_structure(plane_torus):
     assert np.all(per_row <= 5)
     assert np.all(per_row == 4)  # B vanishes on the flat torus
     assert np.max(np.abs(op.site_B)) == 0.0
+
+
+@pytest.mark.parametrize("n1,n2", [(4, 4), (5, 5), (8, 8), (4, 9)])
+@pytest.mark.parametrize("name", ["plane_torus", "clifford", "clifford_rotated", "ring_torus"])
+def test_column_sweep_matches_site_sweep(name, n1, n2, request):
+    """Aligning a whole column per call picks every site's candidate as
+    the site-by-site sweep does, ties included."""
+    spec = request.getfixturevalue(name)
+    frames, h1, h2 = dirac._aligned_grid_frames(spec, n1, n2)
+    ref, r1, r2 = aligned_grid_frames_by_site(spec, n1, n2)
+    assert (h1, h2) == (r1, r2)
+    for field in dataclasses.fields(frames):
+        assert np.array_equal(getattr(frames, field.name), getattr(ref, field.name)), field.name
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from dirac_surface.geometry import (
     DegenerateImmersionError,
     align_frame,
     connection_from_frame,
-    frame_at,
+    frames_at,
     gauge_at,
     tube_metrics_at,
 )
@@ -37,14 +37,14 @@ def _make_spec(x3="0", x4="0", domain="u -1 1 v -1 1", rotation=None):
 
 
 def test_plane_frame(plane):
-    fr = frame_at(plane, (0.37, -0.2))
+    fr = frames_at(plane, (0.37, -0.2))
     assert np.array_equal(fr.ehat, np.eye(4)[:2])
     assert np.array_equal(fr.n, np.eye(4)[2:])
     assert np.array_equal(fr.g, np.eye(2))
 
 
 def test_clifford_frame_at_origin(clifford):
-    fr = frame_at(clifford, (0.0, 0.0))
+    fr = frames_at(clifford, (0.0, 0.0))
     r2 = 1.0 / math.sqrt(2.0)
     assert np.allclose(fr.x, [r2, 0.0, r2, 0.0], atol=1e-12)
     assert np.allclose(fr.e[0], [0.0, r2, 0.0, 0.0], atol=1e-12)
@@ -54,7 +54,7 @@ def test_clifford_frame_at_origin(clifford):
 
 def test_product_graph_normals():
     spec = _make_spec(x3="u*v")
-    fr = frame_at(spec, (0.0, 0.0))
+    fr = frames_at(spec, (0.0, 0.0))
     assert np.allclose(fr.g, np.eye(2), atol=1e-15)
     assert np.allclose(fr.n[0], [0, 0, 1, 0], atol=1e-15)
     assert np.allclose(fr.n[1], [0, 0, 0, 1], atol=1e-15)
@@ -63,12 +63,12 @@ def test_product_graph_normals():
 def test_tangents_match_position_differences():
     spec = _make_spec(x3="u*v", x4="0.2*sinh(u)")
     s = np.array([0.3, -0.4])
-    fr = frame_at(spec, s)
+    fr = frames_at(spec, s)
     h = 1e-5
     for alpha in range(2):
         step = np.zeros(2)
         step[alpha] = h
-        fd = (frame_at(spec, s + step).x - frame_at(spec, s - step).x) / (2 * h)
+        fd = (frames_at(spec, s + step).x - frames_at(spec, s - step).x) / (2 * h)
         assert np.max(np.abs(fd - fr.e[alpha])) <= 1e-9
 
 
@@ -80,9 +80,9 @@ def test_degenerate_immersion_rejected():
         "domain: u -1 1 v -1 1\nperiodic: false false\n"
     )
     with pytest.raises(DegenerateImmersionError):
-        frame_at(bad, (0.1, 0.1))
+        frames_at(bad, (0.1, 0.1))
     # sanity: the good spec is fine
-    frame_at(spec, (0.1, 0.1))
+    frames_at(spec, (0.1, 0.1))
 
 
 @pytest.mark.parametrize(
@@ -91,7 +91,7 @@ def test_degenerate_immersion_rejected():
 def test_frame_orthonormality_on_lattice(name, request):
     spec = request.getfixturevalue(name)
     for pt in interior_lattice(spec, 5, 5):
-        fr = frame_at(spec, pt)
+        fr = frames_at(spec, pt)
         R = fr.rotation()
         assert np.max(np.abs(R.T @ R - np.eye(4))) <= 1e-12
         assert abs(np.linalg.det(R) - 1.0) <= 1e-10
@@ -100,7 +100,7 @@ def test_frame_orthonormality_on_lattice(name, request):
 def test_align_frame_candidates(clifford):
     from dataclasses import replace
 
-    ref = frame_at(clifford, (0.4, 0.9))
+    ref = frames_at(clifford, (0.4, 0.9))
     flipped = align_frame(replace(ref, n=-ref.n), ref)
     assert np.allclose(flipped.n, ref.n, atol=1e-15)
     swapped = align_frame(replace(ref, n=np.vstack([ref.n[1], -ref.n[0]])), ref)
@@ -112,8 +112,8 @@ def test_align_frame_reports_branch_jump(clifford):
 
     # frames at genuinely distant points are not related by any discrete
     # pivot ambiguity: alignment must refuse rather than guess
-    ref = frame_at(clifford, (0.0, 0.0))
-    far = frame_at(clifford, (0.9, 0.9))
+    ref = frames_at(clifford, (0.0, 0.0))
+    far = frames_at(clifford, (0.9, 0.9))
     with pytest.raises(FrameBranchError):
         align_frame(far, ref)
 
@@ -122,20 +122,20 @@ def test_align_frame_reports_branch_jump(clifford):
 
 
 def test_plane_connection_vanishes(plane):
-    conn = connection_from_frame(frame_at(plane, (0.3, 0.3)))
+    conn = connection_from_frame(frames_at(plane, (0.3, 0.3)))
     assert np.max(np.abs(conn.gamma_tan)) == 0.0
     assert np.max(np.abs(conn.gamma_nor)) <= 1e-14
 
 
 def test_clifford_trace_invariant(clifford):
     for pt in interior_lattice(clifford, 5, 5):
-        conn = connection_from_frame(frame_at(clifford, pt))
+        conn = connection_from_frame(frames_at(clifford, pt))
         assert math.hypot(conn.trace3, conn.trace4) == pytest.approx(2.0, abs=1e-8)
         assert np.max(np.abs(conn.torsion)) <= 1e-6
 
 
 def test_sphere_trace_invariant(sphere):
-    conn = connection_from_frame(frame_at(sphere, (math.pi / 2, 0.0)))
+    conn = connection_from_frame(frames_at(sphere, (math.pi / 2, 0.0)))
     assert math.hypot(conn.trace3, conn.trace4) == pytest.approx(2.0, abs=1e-8)
     assert np.max(np.abs(conn.torsion)) <= 1e-6
 
@@ -143,7 +143,7 @@ def test_sphere_trace_invariant(sphere):
 def test_torsion_antisymmetry(graph, sphere, clifford_rotated):
     for spec in (graph, sphere, clifford_rotated):
         for pt in interior_lattice(spec, 4, 4):
-            conn = connection_from_frame(frame_at(spec, pt))
+            conn = connection_from_frame(frames_at(spec, pt))
             anti = conn.gamma_nor + conn.gamma_nor.transpose(0, 2, 1)
             assert np.max(np.abs(anti)) == 0.0
 
@@ -152,16 +152,16 @@ def test_gauss_relation_fd_consistency(clifford, sphere, graph):
     """The exact mixed coefficients match the frame-differencing estimate
     at second order: the error must drop by >= 3.5 when h halves."""
     for spec, pt in ((clifford, (0.4, 0.9)), (sphere, (1.0, 0.7)), (graph, (0.3, 0.2))):
-        fr = frame_at(spec, pt)
-        conn = connection_from_frame(frame_at(spec, pt))
+        fr = frames_at(spec, pt)
+        conn = connection_from_frame(frames_at(spec, pt))
 
         def fd_error(h):
             worst = 0.0
             for alpha in range(2):
                 step = np.zeros(2)
                 step[alpha] = h
-                fp = align_frame(frame_at(spec, np.asarray(pt) + step), fr)
-                fm = align_frame(frame_at(spec, np.asarray(pt) - step), fr)
+                fp = align_frame(frames_at(spec, np.asarray(pt) + step), fr)
+                fm = align_frame(frames_at(spec, np.asarray(pt) - step), fr)
                 dn = (fp.n - fm.n) / (2 * h)
                 fd = np.einsum("ni,gi,gb->nb", dn, fr.e, fr.g_inv)
                 worst = max(worst, float(np.max(np.abs(fd - conn.gamma_tan[:, alpha, :]))))
@@ -174,8 +174,8 @@ def test_frame_rotation_covariance(clifford, clifford_rotated):
     """Declaring a frame rotation shifts the measured torsion by its
     gradient and leaves the mean-curvature magnitude invariant."""
     for pt in interior_lattice(clifford, 3, 3):
-        base = connection_from_frame(frame_at(clifford, pt))
-        rot = connection_from_frame(frame_at(clifford_rotated, pt))
+        base = connection_from_frame(frames_at(clifford, pt))
+        rot = connection_from_frame(frames_at(clifford_rotated, pt))
         assert np.max(np.abs(rot.torsion - [1.0, 0.0])) <= 1e-12
         assert np.max(np.abs(base.torsion)) <= 1e-12
         assert math.hypot(rot.trace3, rot.trace4) == pytest.approx(
@@ -192,8 +192,8 @@ def test_frame_rotation_covariance_general_angle(clifford):
         "frame_rotation: 0.3*u - 0.7*v\n"
     )
     pt = (2.0, 1.1)
-    base = connection_from_frame(frame_at(clifford, pt))
-    rot = connection_from_frame(frame_at(rotated, pt))
+    base = connection_from_frame(frames_at(clifford, pt))
+    rot = connection_from_frame(frames_at(rotated, pt))
     assert np.max(np.abs(rot.torsion - base.torsion - [0.3, -0.7])) <= 1e-6
 
 
@@ -212,7 +212,7 @@ class _FakeConn:
         self.trace3 = t3
         self.trace4 = t4
         self.torsion = np.zeros(2)
-        self.frame = frame_at(_PLANE, (0.1, 0.2))
+        self.frame = frames_at(_PLANE, (0.1, 0.2))
 
 
 @pytest.mark.parametrize(
@@ -245,7 +245,7 @@ def test_hat_torsion_invariant_under_frame_rotation(clifford, clifford_rotated):
     on both presentations of this torus."""
     for pt in [(0.4, 0.9), (2.0, 4.0)]:
         for spec in (clifford, clifford_rotated):
-            gd = gauge_at(connection_from_frame(frame_at(spec, pt)))
+            gd = gauge_at(connection_from_frame(frames_at(spec, pt)))
             assert np.max(np.abs(gd.hat_torsion)) <= 1e-14
 
 
@@ -261,7 +261,7 @@ def test_tube_plane_density_exact(plane):
 
 def test_tube_zero_offset_exact(clifford, graph):
     for spec, pt in ((clifford, (0.4, 0.9)), (graph, (0.3, 0.2))):
-        fr = frame_at(spec, pt)
+        fr = frames_at(spec, pt)
         ts = tube_metrics_at(spec, pt, [(0.0, 0.0)])[0]
         assert ts.rho_exact == 1.0
         assert np.max(np.abs(ts.g_tube - fr.g)) == 0.0
@@ -288,7 +288,7 @@ def test_tube_metrics_share_one_center_frame(sphere, monkeypatch):
 
 def test_tube_clifford_leading_density(clifford):
     pt = (0.4, 0.9)
-    conn = connection_from_frame(frame_at(clifford, pt))
+    conn = connection_from_frame(frames_at(clifford, pt))
     ts = tube_metrics_at(clifford, pt, [(0.01, 0.0)])[0]
     assert ts.rho_leading == pytest.approx((1 + 0.01 * conn.trace3) ** 2, abs=1e-14)
     assert abs(ts.rho_exact - ts.rho_leading) <= 1e-3
@@ -329,7 +329,7 @@ def test_connections_match_fd_oracles(name, request, rng):
 
     spec = request.getfixturevalue(name)
     for pt in fd_oracles.random_points(spec, 8, rng, avoid=(0.0, 0.0), radius=0.3):
-        fr = frame_at(spec, pt)
+        fr = frames_at(spec, pt)
         conn = connection_from_frame(fr)
         assert np.max(np.abs(conn.gamma_nor - fd_oracles.normal_connection(spec, pt))) <= 1e-8
         omega = spin_connection_from_frame(fr).omega
@@ -349,7 +349,7 @@ def test_hat_torsion_third_partials_match_fd_oracle():
         x3="0.3*u^3 + 0.2*sin(u*v)", x4="0.2*v*cosh(u) - 0.1*v^3", rotation="0.4*u*v"
     )
     for pt in [(0.3, 0.2), (-0.5, 0.4), (0.1, -0.7), (0.6, 0.6)]:
-        hat = gauge_at(connection_from_frame(frame_at(spec, pt))).hat_torsion
+        hat = gauge_at(connection_from_frame(frames_at(spec, pt))).hat_torsion
         assert np.max(np.abs(hat - fd_oracles.hat_torsion(spec, pt))) <= 1e-8
 
 
@@ -360,7 +360,7 @@ def test_torsion_survives_alignment(graph):
     import fd_oracles
 
     pt = (0.3, 0.2)
-    fr = frame_at(graph, pt)
+    fr = frames_at(graph, pt)
     for n in (-fr.n, np.vstack([fr.n[1], -fr.n[0]]), np.vstack([-fr.n[1], fr.n[0]])):
         traded = replace(fr, n=n)
         fd = fd_oracles.normal_connection(graph, pt, center=traded)[:, 0, 1]

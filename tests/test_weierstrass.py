@@ -9,14 +9,13 @@ from dirac_surface.dirac import dirac_symbol, spin_connection_from_frame
 from dirac_surface.expr import parse_immersion_file
 from dirac_surface.geometry import (
     connection_from_frame,
-    frame_at,
     frames_at,
     gauge_angle,
     gauge_at,
     _stencil,
     _turned,
 )
-from dirac_surface.weierstrass import reconstruct, safe_ratio
+from dirac_surface.weierstrass import RESIDUAL_STEPS, reconstruct, safe_ratio
 from conftest import interior_lattice, rng_seed
 from fd_oracles import random_points
 from pointwise_oracles import (
@@ -27,7 +26,6 @@ from pointwise_oracles import (
     hatted_symbol,
 )
 
-STEPS = (1e-2, 5e-3, 2.5e-3)
 CORPUS = ["plane", "plane_torus", "graph", "sphere", "clifford", "clifford_rotated"]
 CORPUS_FILES = ["plane", "plane-torus", "graph", "sphere", "clifford", "clifford-rotated"]
 
@@ -49,7 +47,7 @@ periodic: false false
 
 
 def test_plane_basis_is_constant(plane):
-    U = spin_lift(frame_at(plane, (0.3, 0.4)).rotation()).matrix
+    U = spin_lift(frames_at(plane, (0.3, 0.4)).rotation()).matrix
     assert np.allclose(U, np.eye(4), atol=1e-14)
     for a, psi in enumerate(basis_square()):
         assert np.allclose(U[:, a], psi, atol=1e-14)
@@ -62,7 +60,7 @@ def test_basis_orthonormality(clifford, gauged):
 
 
 def test_gauged_basis_is_half_angle_rotation(clifford_rotated):
-    frame = frame_at(clifford_rotated, (0.4, 0.9))
+    frame = frames_at(clifford_rotated, (0.4, 0.9))
     theta, degenerate = gauge_angle(connection_from_frame(frame))
     assert not degenerate
     plain = half_angle_lift(frame.rotation())
@@ -89,7 +87,7 @@ def test_gauge_fixed_lift_is_half_angle_rotation(name):
 
 
 def test_plane_residual_exactly_zero(plane):
-    rep = reconstruct(plane, (0.3, -0.4), steps=STEPS)
+    rep = reconstruct(plane, (0.3, -0.4))
     assert max(rep.residual_dirac) <= 1e-14
     assert rep.convergence_ratio == math.inf
 
@@ -102,12 +100,12 @@ def test_plane_residual_exactly_zero(plane):
 ])
 def test_residual_second_order(name, pt, request):
     spec = request.getfixturevalue(name)
-    rep = reconstruct(spec, pt, steps=(1e-2, 5e-3))
+    rep = reconstruct(spec, pt)
     assert rep.convergence_ratio >= 3.5
 
 
 def test_gauged_residual_second_order(clifford_rotated):
-    rep = reconstruct(clifford_rotated, (0.4, 0.9), steps=STEPS, gauged=True)
+    rep = reconstruct(clifford_rotated, (0.4, 0.9), gauged=True)
     assert rep.convergence_ratio >= 3.5
 
 
@@ -122,14 +120,14 @@ def test_gauged_residual_across_angle_cut(sphere):
         (bowl, [(0.0, 0.1), (0.004, -0.2), (-0.003, 0.3)]),
     ):
         points = np.array(points)
-        probes = points[:, None] + _stencil(STEPS).reshape(-1, 2)
+        probes = points[:, None] + _stencil(RESIDUAL_STEPS).reshape(-1, 2)
         frames = frames_at(spec, np.concatenate([points[:, None], probes], axis=1))
         theta = gauge_angle(connection_from_frame(frames))[0]
         if spec is sphere:
             assert np.any(theta == -math.pi)
         else:
             assert np.all(theta.max(axis=1) > 3.0) and np.all(theta.min(axis=1) < -3.0)
-        rep = reconstruct(spec, points, gauged=True, steps=STEPS)
+        rep = reconstruct(spec, points, gauged=True)
         assert np.min(rep.convergence_ratio) >= 3.5
 
 
@@ -140,15 +138,15 @@ def test_gauged_residuals_match_half_angle_path(name):
     symbol."""
     spec = load_corpus(name)
     points = interior_lattice(spec, 3, 3)
-    rep = reconstruct(spec, points, gauged=True, steps=STEPS)
+    rep = reconstruct(spec, points, gauged=True)
     for i, s in enumerate(points):
-        frame = frame_at(spec, s)
+        frame = frames_at(spec, s)
         conn = connection_from_frame(frame)
         symbol = hatted_symbol(conn, spin_connection_from_frame(frame), gauge_at(conn))
         field, _ = half_angle_field(spec, s)
         residuals = np.array([
             np.max(np.linalg.norm(apply_pointwise(symbol, field, s, h), axis=0))
-            for h in STEPS
+            for h in RESIDUAL_STEPS
         ])
         assert np.all(np.abs(rep.residual_dirac[i] - residuals) <= 1e-4 * residuals + 1e-15)
         expected = min(safe_ratio(residuals[:-1], residuals[1:]))
@@ -213,14 +211,13 @@ def test_gauged_reconstruction_matches_plain(clifford_rotated):
         assert gauged.residual_bilinear <= 1e-8
 
 
-def test_reconstruct_with_steps_fills_residuals(graph):
-    rep = reconstruct(graph, (0.3, 0.2), steps=(1e-2, 5e-3))
-    assert rep.residual_dirac is not None
-    assert len(rep.residual_dirac) == 2
+def test_reconstruct_fills_residuals_at_every_step(graph):
+    rep = reconstruct(graph, (0.3, 0.2))
+    assert len(rep.residual_dirac) == len(RESIDUAL_STEPS)
     assert rep.convergence_ratio >= 3.5
 
 
 def test_reconstruction_tangents_match_frame(sphere):
     pt = (1.2, 2.5)
     rep = reconstruct(sphere, pt)
-    assert np.max(np.abs(rep.T - frame_at(sphere, pt).e)) == 0.0
+    assert np.max(np.abs(rep.T - frames_at(sphere, pt).e)) == 0.0
