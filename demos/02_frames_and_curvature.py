@@ -30,8 +30,8 @@ for name, pt in (("sphere", (1.0, 0.7)), ("clifford", (0.4, 0.9))):
     print("hatted trace  : %.12f (second trace gauged to zero)" % gd.hat_trace3)
     print()
 
-# the tube chart: metric and density at small normal offsets, all of
-# them read from one batch of frames
+# the tube chart: exact metric and density at small normal offsets, in
+# closed form from the one frame at the point
 spec = load_corpus("clifford")
 eps_values = (0.04, 0.02, 0.01)
 offsets = [eps * np.array([1.0, 1.0]) / math.sqrt(2.0) for eps in eps_values]

@@ -211,8 +211,11 @@ def _interior_lattice(spec: ImmersionSpec, n1: int, n2: int):
 
 
 def _in_domain(spec, pt):
-    """``pt`` as a tuple, refused if it leaves a non-periodic domain axis."""
+    """``pt`` as a tuple, refused if a coordinate is not finite or leaves
+    a non-periodic domain axis."""
     for val, (lo, hi), periodic in zip(pt, spec.domain, spec.periodic):
+        if not math.isfinite(val):
+            raise ExprError(f"point coordinate {val} is not finite")
         if not periodic and not (lo <= val <= hi):
             raise ExprError(f"point coordinate {val} outside domain [{lo}, {hi}]")
     return tuple(pt)
@@ -464,8 +467,8 @@ def _cmd_tube(spec, args):
                 _check(f"quadratic_decay_{label}", slope, TOL["tube_slope"], "min")
             )
         else:
-            # differences at the differencing noise floor: the expansion is
-            # exact in this direction and a log-log fit is meaningless
+            # differences at the rounding floor: the expansion is exact in
+            # this direction and a log-log fit is meaningless
             slopes[label] = None
             checks.append(
                 _check(f"exact_agreement_{label}", max(diffs), TOL["tube_floor"])

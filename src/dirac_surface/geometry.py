@@ -15,13 +15,11 @@ or on a whole stack of points at once (``frames_at``):
 * the gauge angle theta that turns the normal pair so the second
   mean-curvature trace vanishes, and the torsion of that gauge-fixed
   frame, in closed form from the third partials, and
-* the first-order tube metric and volume density of the normal
-  exponential chart, together with an independent finite-difference
-  density for cross-checking.
+* the metric and volume density of the normal tube chart
+  x + q^a n_a, in closed form from the mixed coefficients and the
+  torsion, together with the first-order density.
 
-Everything but the tube density cross-check is exact from the 3-jets of
-the coordinate maps.  The cross-check differences the offset map by
-definition, at the step ``_FD_STEP``.
+Everything is exact from the 3-jets of the coordinate maps.
 
 The pivoted normal construction is canonical only up to discrete jumps
 (joint sign flips, occasional pivot trades) along curves where an
@@ -66,9 +64,6 @@ __all__ = [
 
 
 _GS_TOL = 1e-10
-
-# step of the tube density cross-check, the one finite difference kept here
-_FD_STEP = 1e-3
 
 # a partial derivative depends only on how many of its indices are 1, so
 # d2x[a, b] and d3x[a, b, c] gather the jet slots a + b and a + b + c
@@ -174,12 +169,17 @@ class GaugeData:
 
 @dataclass(frozen=True)
 class TubeSample:
-    """Metric and density of the normal tube chart at offset q."""
+    """Metric and density of the normal tube chart at offset q.
+
+    ``g_tube`` is the exact metric of the offset map x + q^a n_a and
+    ``rho_exact`` its density det(g_tube) / det(g); ``rho_leading`` is
+    the first-order density.
+    """
 
     q: np.ndarray
     g_tube: np.ndarray
     rho_leading: float    # (1 + trace_a q^a)^2
-    rho_exact: float      # the finite-difference (exact-map) density
+    rho_exact: float      # det(g_tube) / det(g)
     frame: FrameData      # frame at the base point
 
 
@@ -210,6 +210,10 @@ def _norm(v):
     return np.sqrt(_dot(v, v))
 
 
+def _det2(m):
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 def _project_out(v, basis):
     # two projection passes: classical Gram-Schmidt loses orthogonality
     # when the residual is small, one reorthogonalization restores it
@@ -223,13 +227,6 @@ def _project_out(v, basis):
 def _take(a, index):
     """Entry ``index[p]`` of ``a[p]`` for every p of the stack ``index``."""
     return a[(*np.indices(index.shape, sparse=True), index)]
-
-
-def _stencil(steps) -> np.ndarray:
-    """Offsets +-h e_alpha for every step h: shape (len(steps), 2, 2, 2),
-    ordered (step, alpha, sign)."""
-    h = np.multiply.outer(np.asarray(steps, dtype=float), [1.0, -1.0])
-    return np.eye(2)[None, :, None, :] * h[:, None, :, None]
 
 
 def frames_at(spec: ImmersionSpec, S) -> FrameData:
@@ -301,7 +298,7 @@ def _frames(spec: ImmersionSpec, S) -> FrameData:
     n = np.concatenate([n3, np.where(flip[..., None, None], -n4, n4)], axis=-2)
 
     g = e @ np.swapaxes(e, -1, -2)
-    det_g = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    det_g = _det2(g)
     g_inv = np.swapaxes(g, -1, -2)[..., ::-1, ::-1] * _ADJ_SIGN / det_g[..., None, None]
 
     # n3 = P_N E_p / |P_N E_p| and n4 is normal, so
@@ -485,49 +482,36 @@ def gauge_at(conn: ConnectionData) -> GaugeData:
 
 
 def tube_metrics_at(spec: ImmersionSpec, s, offsets) -> list:
-    """First-order tube metrics at normal offsets q, with density cross-checks.
+    """Exact tube metrics and volume densities at normal offsets q.
 
-    ``g_tube`` follows the expansion of the pulled-back metric in the
-    normal chart: g + [Gamma g + g Gamma] q + Gamma^T g Gamma q^2 terms.
-    ``rho_leading`` is (1 + trace_a q^a)^2; ``rho_exact`` is the ratio
-    det(g_num) / det(g) where g_num is the numerical first fundamental
-    form of the offset map s -> x(s) + q^3 n3(s) + q^4 n4(s), central
-    differenced at _FD_STEP and _FD_STEP/2 with Richardson extrapolation.
-    The frame at s and the eight stencil frames, aligned to it, are built
-    in one batch and shared by every offset.
+    The offset map F = x + q^a n_a has the tangents
+
+        d_alpha F = (I + qGamma)_alpha^beta d_beta x + tau_alpha (q^4 n3 - q^3 n4),
+
+    with qGamma[alpha, beta] = q^a Gamma^beta_{a alpha} and tau the
+    torsion; the two terms are orthogonal and the normal one has length
+    |q| |tau_alpha|, so the metric of the normal chart is
+
+        g_tube = (I + qGamma) g (I + qGamma)^T + |q|^2 tau tau^T
+
+    (Weyl, "On the volume of tubes", 1939; Gray, *Tubes*, 2004).
+    ``rho_exact`` is det(g_tube) / det(g) and ``rho_leading`` its
+    first-order part (1 + trace_a q^a)^2.  The one frame at s serves
+    every offset, and zero offset gives g_tube = g and rho_exact = 1
+    exactly.
     """
-    s = np.asarray(s, dtype=float)
-    hh = np.array([_FD_STEP, 0.5 * _FD_STEP])
-    frames = frames_at(spec, np.concatenate([s[None], (s + _stencil(hh)).reshape(-1, 2)]))
-    frame = frames[0]
-    # the stencil frames, (step, alpha, sign), aligned to the frame at s
-    stencil = align_frame(frames[1:], frame)
-    stencil_x = stencil.x.reshape(2, 2, 2, 4)
-    stencil_n = stencil.n.reshape(2, 2, 2, 2, 4)
-
+    frame = frames_at(spec, s)
     conn = connection_from_frame(frame)
-    g = frame.g
-    t = np.array([conn.trace3, conn.trace4])
-    samples = []
-    for q in offsets:
-        q = np.asarray(q, dtype=float)
-        # qgam[alpha, beta] = sum_adot q^adot Gamma^beta_{adot alpha}
-        qgam = np.einsum("n,nab->ab", q, conn.gamma_tan)
-        g_tube = g + qgam @ g + g @ qgam.T + qgam @ g @ qgam.T
-        rho_leading = float((1.0 + t @ q) ** 2)
-
-        if not np.any(q):
-            rho_exact = 1.0
-        else:
-            offset = stencil_x + q @ stencil_n
-            estimates = (offset[..., 0, :] - offset[..., 1, :]) / (2.0 * hh)[:, None, None]
-            tangents = (4.0 * estimates[1] - estimates[0]) / 3.0
-            rho_exact = float(np.linalg.det(tangents @ tangents.T) / frame.det_g)
-
-        samples.append(
-            TubeSample(
-                q=q, g_tube=g_tube, rho_leading=rho_leading, rho_exact=rho_exact,
-                frame=frame,
-            )
+    q = np.asarray(offsets, dtype=float).reshape(-1, 2)
+    shear = np.eye(2) + np.einsum("kn,nab->kab", q, conn.gamma_tan)
+    twist = _dot(q, q)[:, None, None] * np.multiply.outer(frame.torsion, frame.torsion)
+    g_tube = shear @ frame.g @ np.swapaxes(shear, -1, -2) + twist
+    rho_exact = _det2(g_tube) / frame.det_g
+    rho_leading = (1.0 + _dot(q, np.array([conn.trace3, conn.trace4]))) ** 2
+    return [
+        TubeSample(
+            q=q[k], g_tube=g_tube[k], rho_leading=float(rho_leading[k]),
+            rho_exact=float(rho_exact[k]), frame=frame,
         )
-    return samples
+        for k in range(len(q))
+    ]

@@ -41,7 +41,6 @@ from .geometry import (
     frames_at,
     gauge_angle,
     gauge_at,
-    _stencil,
     _turned,
 )
 
@@ -98,6 +97,13 @@ def safe_ratio(coarse, fine):
     fine = np.asarray(fine, dtype=float)
     converged = fine <= RESIDUAL_FLOOR
     return np.where(converged, math.inf, coarse / np.maximum(fine, RESIDUAL_FLOOR))[()]
+
+
+def _stencil(steps) -> np.ndarray:
+    """Offsets +-h e_alpha for every step h: shape (len(steps), 2, 2, 2),
+    ordered (step, alpha, sign)."""
+    h = np.multiply.outer(np.asarray(steps, dtype=float), [1.0, -1.0])
+    return np.eye(2)[None, :, None, :] * h[:, None, :, None]
 
 
 def _lattice_pass(spec: ImmersionSpec, S, gauged: bool) -> dict:

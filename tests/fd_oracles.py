@@ -1,10 +1,10 @@
-"""Finite-difference oracles for the closed-form connections.
+"""Finite-difference oracles for the closed forms.
 
 These are the Richardson-extrapolated central-difference estimators the
 library used before the torsion and the spin connection were read from
-the 2-jet and the gauge-fixed torsion from the 3-jet.  They difference
-frames at s +- h and s +- h/2, aligned to the center frame, and agree
-with the closed forms at O(h^4).
+the 2-jet, the gauge-fixed torsion from the 3-jet and the tube density
+from the tube metric.  They difference frames at s +- h and s +- h/2,
+aligned to the center frame, and agree with the closed forms at O(h^4).
 """
 
 import math
@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from dirac_surface.geometry import align_frame, connection_from_frame, frames_at, gauge_angle
+from dirac_surface.weierstrass import _stencil
 from pointwise_oracles import _wrap_angle
 
 
@@ -107,6 +108,33 @@ def hat_torsion(spec, s, h=1e-3):
 
         dtheta[alpha] = _richardson(estimate, h)
     return torsion + dtheta
+
+
+def tube_density(spec, s, offsets, h=1e-3):
+    """det(g_num) / det(g) at each offset q, where g_num is the first
+    fundamental form of the offset map s -> x(s) + q^3 n3(s) + q^4 n4(s),
+    central differenced at h and h/2 with Richardson extrapolation over
+    the eight stencil frames aligned to the frame at s."""
+    s = np.asarray(s, dtype=float)
+    hh = np.array([h, 0.5 * h])
+    frames = frames_at(spec, np.concatenate([s[None], (s + _stencil(hh)).reshape(-1, 2)]))
+    frame = frames[0]
+    # the stencil frames, (step, alpha, sign), aligned to the frame at s
+    stencil = align_frame(frames[1:], frame)
+    stencil_x = stencil.x.reshape(2, 2, 2, 4)
+    stencil_n = stencil.n.reshape(2, 2, 2, 2, 4)
+    densities = []
+    for q in offsets:
+        q = np.asarray(q, dtype=float)
+        if not np.any(q):
+            rho_exact = 1.0
+        else:
+            offset = stencil_x + q @ stencil_n
+            estimates = (offset[..., 0, :] - offset[..., 1, :]) / (2.0 * hh)[:, None, None]
+            tangents = (4.0 * estimates[1] - estimates[0]) / 3.0
+            rho_exact = float(np.linalg.det(tangents @ tangents.T) / frame.det_g)
+        densities.append(rho_exact)
+    return densities
 
 
 def random_points(spec, count, rng, avoid=None, radius=0.0):

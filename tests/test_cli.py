@@ -57,16 +57,15 @@ def test_frame_clifford_hat_trace(tmp_path):
         (("verify", GRAPH), 13),
         (("verify", CLIFFORD_ROTATED), 13),
         (("verify", CLIFFORD_ROTATED, "--gauged"), 13),
-        (("tube", SPHERE), 9),
+        (("tube", SPHERE), 1),
         (("frame", SPHERE, "--grid", "3x4"), 1),
     ],
 )
 def test_frame_at_calls_per_point(tmp_path, monkeypatch, argv, rows_per_point):
     """A frame query builds its one frame and reads everything else, the
-    gauge-fixed torsion included, from the jets; a verify point adds only
-    the 12 frames of the three-step residual probe, and a tube query the
-    8 frames of its density stencil.  Every frame row is counted, however
-    the rows are batched."""
+    gauge-fixed torsion included, from the jets, as does a tube query; a
+    verify point adds only the 12 frames of the three-step residual
+    probe.  Every frame row is counted, however the rows are batched."""
     from dirac_surface import cli, geometry, weierstrass
 
     rows = []
@@ -342,10 +341,13 @@ def test_frame_graph_near_origin(tmp_path, u, v):
 
 
 def test_branch_error_names_queried_point(capsys):
-    assert main(["tube", GRAPH, "--at", "-0.00013", "0.00061"]) == 1
+    # the residual probe aligns its frames to the frame at the queried
+    # point; the tube metric aligns none
+    assert main(["verify", GRAPH, "--at", "0.000546398711756406", "0.0007605539960396201"]) == 1
     err = capsys.readouterr().err
-    assert "s = (-0.00013, 0.00061)" in err
+    assert "s = (0.000546398711756406, 0.0007605539960396201)" in err
     assert "np.float64" not in err
+    assert main(["tube", GRAPH, "--at", "-0.00013", "0.00061"]) == 0
 
 
 def test_verify_domain_error_names_first_lattice_point(tmp_path, capsys):
@@ -435,6 +437,15 @@ def test_threads_option_is_hidden_and_inert(tmp_path, capsys, argv):
     with pytest.raises(SystemExit):
         main([argv[0], "--help"])
     assert "--threads" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["frame", "verify", "tube"])
+def test_non_finite_point_refused(capsys, command):
+    # clifford is periodic in both axes, so no domain bound catches these
+    for u, v, bad in (("nan", "0.3", "nan"), ("inf", "0.3", "inf"), ("0.3", "nan", "nan")):
+        assert main([command, CLIFFORD, "--at", u, v]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {command}: point coordinate {bad} is not finite\n"
 
 
 @pytest.mark.parametrize("name,u,v", [("plane", "5", "5"), ("sphere", "3.0", "0.7")])

@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from dirac_surface.corpus import load_corpus
+from dirac_surface.cli import main
+from dirac_surface.corpus import corpus_path, load_corpus
 from dirac_surface.expr import parse_immersion_file
 from dirac_surface.geometry import (
     DegenerateImmersionError,
@@ -12,9 +15,10 @@ from dirac_surface.geometry import (
     frames_at,
     gauge_at,
     tube_metrics_at,
+    _det2,
 )
 import dirac_surface.geometry as geometry
-from conftest import interior_lattice
+from conftest import interior_lattice, rng_seed
 
 
 def _make_spec(x3="0", x4="0", domain="u -1 1 v -1 1", rotation=None):
@@ -277,13 +281,15 @@ def test_tube_metrics_share_one_center_frame(sphere, monkeypatch):
         geometry, "frames_at", lambda spec, S: batches.append(np.shape(S)) or frames(spec, S)
     )
     shared = tube_metrics_at(sphere, pt, offsets)
-    # one batch of 9 frame rows: the center and the 8-frame density
-    # stencil, shared by every offset
-    assert batches == [(9, 2)]
+    # one frame, built on the one-point path and shared by every offset
+    assert batches == [(2,)]
     for a, b in zip(single, shared):
         assert np.array_equal(a.g_tube, b.g_tube)
         assert (a.rho_exact, a.rho_leading) == (b.rho_exact, b.rho_leading)
         assert b.frame is shared[0].frame
+    frame = frames(sphere, pt)
+    for f in dataclasses.fields(frame):
+        assert np.array_equal(getattr(shared[0].frame, f.name), getattr(frame, f.name)), f.name
 
 
 def test_tube_clifford_leading_density(clifford):
@@ -312,6 +318,59 @@ def test_tube_density_quadratic_error(name, pt, direction, request):
         diffs.append(abs(ts.rho_exact - ts.rho_leading))
     slope = np.polyfit(np.log(eps), np.log(diffs), 1)[0]
     assert slope >= 1.9
+
+
+# the offsets of the tube command: zero, then 0.04, 0.02 and 0.01 along n3,
+# n4 and their diagonal
+TUBE_OFFSETS = [(0.0, 0.0)] + [
+    e * np.asarray(d) / np.linalg.norm(d)
+    for d in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+    for e in (0.04, 0.02, 0.01)
+]
+
+
+@pytest.mark.parametrize(
+    "name", ["plane", "plane_torus", "graph", "sphere", "clifford", "clifford_rotated"]
+)
+def test_tube_density_matches_fd_oracle(name, request):
+    """The closed-form density agrees with the differenced offset map, and
+    the torsion term of the metric is needed for that: without it the
+    density misses by more than 1e-3 wherever the torsion is O(1)."""
+    import fd_oracles
+
+    spec = request.getfixturevalue(name)
+    rng = np.random.default_rng(rng_seed())
+    untwisted_miss = 0.0
+    for pt in fd_oracles.random_points(spec, 10, rng, avoid=(0.0, 0.0), radius=0.3):
+        samples = tube_metrics_at(spec, pt, TUBE_OFFSETS)
+        oracle = fd_oracles.tube_density(spec, pt, TUBE_OFFSETS)
+        for ts, rho in zip(samples, oracle):
+            assert abs(ts.rho_exact - rho) <= 1e-9
+            tau = ts.frame.torsion
+            untwisted = ts.g_tube - (ts.q @ ts.q) * np.outer(tau, tau)
+            untwisted_miss = max(untwisted_miss, abs(_det2(untwisted) / ts.frame.det_g - rho))
+    if name in ("graph", "clifford_rotated"):
+        assert untwisted_miss > 1e-3
+
+
+def test_quadratic_decay_fails_for_flipped_trace_sign(capsys, monkeypatch):
+    """``rho_leading`` with the wrong trace sign differs from the exact
+    density at first order, and every slope check of the tube command
+    sees it."""
+    connection = geometry.connection_from_frame
+
+    def flipped(frame):
+        conn = connection(frame)
+        return dataclasses.replace(conn, trace3=-conn.trace3, trace4=-conn.trace4)
+
+    argv = ["tube", str(corpus_path("graph"))]
+    for mutated, code in ((False, 0), (True, 1)):
+        if mutated:
+            monkeypatch.setattr(geometry, "connection_from_frame", flipped)
+        assert main(argv) == code
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        decay = [c["pass"] for c in checks if c["name"].startswith("quadratic_decay_")]
+        assert decay == [not mutated] * 3
 
 
 # --- closed forms against the finite-difference oracles ----------------------

@@ -12,10 +12,9 @@ from dirac_surface.geometry import (
     frames_at,
     gauge_angle,
     gauge_at,
-    _stencil,
     _turned,
 )
-from dirac_surface.weierstrass import RESIDUAL_STEPS, reconstruct, safe_ratio
+from dirac_surface.weierstrass import RESIDUAL_STEPS, reconstruct, safe_ratio, _stencil
 from conftest import interior_lattice, rng_seed
 from fd_oracles import random_points
 from pointwise_oracles import (
