@@ -34,7 +34,6 @@ import argparse
 import functools
 import math
 import sys
-from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -395,9 +394,7 @@ def _cmd_spectrum(spec, args):
             TOL["conjugation_symmetry"],
         )
     ]
-    # the mode oracle describes the plain central-difference assembly; the
-    # gauged matrix carries link factors in its hoppings, so skip it there
-    constant = (not args.gauged) and is_constant_coefficient(op)
+    constant = is_constant_coefficient(op)
     fourier_dist = None
     if constant:
         fourier_dist = multiset_distance(vals, fourier_eigenvalues(op))
@@ -579,11 +576,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _positional_at(argv):
-    """Rewrite the two values after each ``--at`` in positional notation.
+    """Prefix a space to each negative number among the values of ``--at``.
 
-    argparse takes a token such as ``-1e-05`` for an option, since its
-    negative-number pattern has no exponent; ``-0.00001`` is the same
-    float and parses as a value.
+    argparse takes a token such as ``-1e-05`` or ``-inf`` for an option,
+    since its negative-number pattern has no exponent, inf or nan; a token
+    that starts with a space is a value, and ``float`` ignores the space.
     """
     argv = list(argv)
     for i, token in enumerate(argv):
@@ -591,12 +588,11 @@ def _positional_at(argv):
             continue
         for j in range(i + 1, min(i + 3, len(argv))):
             try:
-                value = Decimal(argv[j])
-            except InvalidOperation:
+                float(argv[j])
+            except ValueError:
                 continue
-            # beyond the float range the long positional form buys nothing
-            if argv[j].startswith("-") and value.is_finite() and abs(value.adjusted()) < 400:
-                argv[j] = format(value, "f")
+            if argv[j].startswith("-"):
+                argv[j] = " " + argv[j]
     return argv
 
 

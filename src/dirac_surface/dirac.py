@@ -27,8 +27,8 @@ remains as a U(1) gauge field,
 
 The two symbols are intertwined by the half-angle spinor gauge
 rotation, D_gauged = U(-theta/2) D U(theta/2) with U = gauge_rotation,
-since U(-theta/2) lifts the turn of the normals.  The grid assembly
-applies that conjugation site by site.
+since U(-theta/2) lifts the turn of the normals.  On the grid, gauging
+conjugates the matrix alone, block by block, and keeps the plain symbol.
 
 The grid operator is [[0, X], [Y, 0]] in chiral order, and its
 spectrum is +-sqrt of that of the half-size square XY.  XY couples a
@@ -139,7 +139,9 @@ class OperatorSymbol:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse periodic-grid discretization with the metric volume weight."""
+    """Sparse periodic-grid discretization with the metric volume weight.
+
+    The site arrays hold the plain symbol, gauged or not."""
 
     n1: int
     n2: int
@@ -278,7 +280,7 @@ def assemble_grid_operator(
     conjugation of the plain one by the half-angle gauge rotations,
     block (p, q) becoming V_p^dag M_pq V_q, so the two discrete operators
     are unitarily equivalent whenever the gauge angle is defined on the
-    whole grid.
+    whole grid, and the plain symbol of the site arrays serves both.
     """
     if not (spec.periodic[0] and spec.periodic[1]):
         raise NonPeriodicDomainError(
@@ -297,7 +299,6 @@ def assemble_grid_operator(
 
     conn = connection_from_frame(frames)
     sym = _symbol(conn, spin_connection_from_frame(frames))
-    A_site, B_site, mass_site = sym.A, sym.B, sym.mass
     weight = np.repeat(np.sqrt(frames.det_g), 4)
 
     # block columns of each block row: the site, then its neighbours at
@@ -313,16 +314,13 @@ def assemble_grid_operator(
         ],
         axis=1,
     )
-    hop1 = A_site[:, 0] / (2.0 * h1)
-    hop2 = A_site[:, 1] / (2.0 * h2)
-    blocks = np.stack([B_site, hop1, -hop1, hop2, -hop2], axis=1)
+    hop1 = sym.A[:, 0] / (2.0 * h1)
+    hop2 = sym.A[:, 1] / (2.0 * h2)
+    blocks = np.stack([sym.B, hop1, -hop1, hop2, -hop2], axis=1)
 
     if gauged:
-        V_site = gauge_rotation(gauge_angle(conn)[0] / 2.0).matrix
-        blocks = np.einsum("pba,pxbc,pxcd->pxad", V_site.conj(), blocks, V_site[cols])
-        A_site = np.einsum("sba,sxbc,scd->sxad", V_site.conj(), A_site, V_site)
-        B_site = np.einsum("sba,sbc,scd->sad", V_site.conj(), B_site, V_site)
-        mass_site = np.einsum("sba,sbc,scd->sad", V_site.conj(), mass_site, V_site)
+        V = gauge_rotation(gauge_angle(conn)[0] / 2.0).matrix
+        blocks = np.einsum("pba,pxbc,pxcd->pxad", V.conj(), blocks, V[cols])
 
     import scipy.sparse
 
@@ -339,9 +337,9 @@ def assemble_grid_operator(
         h2=h2,
         matrix=matrix,
         weight=weight,
-        site_A=A_site,
-        site_B=B_site,
-        site_mass=mass_site,
+        site_A=sym.A,
+        site_B=sym.B,
+        site_mass=sym.mass,
     )
 
 

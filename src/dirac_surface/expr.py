@@ -402,6 +402,11 @@ def _j_recip(a, node, s):
     return _j_chain(a, inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4)
 
 
+def _where(cond, a, b):
+    """``np.where``, but a plain bool picks one of two plain floats."""
+    return (a if cond else b) if isinstance(cond, bool) else np.where(cond, a, b)
+
+
 def _lib(x):
     """The C library's functions for a plain float (one point), numpy's
     ufuncs of the same names for an array (a stack of points)."""
@@ -532,25 +537,53 @@ def _eval_atan2(node, s):
     _check_domain((x[0] == 0.0) & (y[0] == 0.0), "atan2 at the origin", node, s)
     # atan(y/x) and -atan(x/y) differ from atan2 by constants; at each
     # point take the one whose quotient stays bounded
-    over_x = np.abs(x[0]) >= np.abs(y[0])
-    num = [np.where(over_x, yi, xi)[()] for yi, xi in zip(y, x)]
-    den = [np.where(over_x, xi, yi)[()] for yi, xi in zip(y, x)]
+    over_x = abs(x[0]) >= abs(y[0])
+    num = [_where(over_x, yi, xi) for yi, xi in zip(y, x)]
+    den = [_where(over_x, xi, yi) for yi, xi in zip(y, x)]
     jet = _j_atan(_j_mul(num, _j_recip(den, node, s)))
-    angle = math.atan2 if isinstance(y[0] + x[0], float) else np.arctan2
-    return (angle(y[0], x[0]),) + tuple(np.where(over_x, j, -j)[()] for j in jet[1:])
+    angle = math.atan2 if isinstance(over_x, bool) else np.arctan2
+    return (angle(y[0], x[0]),) + tuple(_where(over_x, j, -j) for j in jet[1:])
+
+
+_NOT_FINITE = "the 3-jet is not finite"
+
+
+def _eval_or_refuse(ast, s):
+    """``_eval``, refusing an error of the C library as a jet that is not
+    finite: the C library raises where numpy returns inf or nan, on one
+    point and on a constant subexpression of a stack."""
+    try:
+        return _eval(ast, s)
+    except ExprError:
+        raise
+    except (ArithmeticError, ValueError):
+        _check_domain(True, _NOT_FINITE, ast, s)
 
 
 def eval_jets(ast: ExprAst, S) -> np.ndarray:
     """The 3-jet of ``ast`` at the points S (..., 2) as an array (..., 10).
 
     The last axis holds the value, the partials (d1, d2), (d11, d12, d22)
-    and (d111, d112, d122, d222).
+    and (d111, d112, d122, d222).  A jet with a slot that is not finite,
+    as where an exponential overflows, raises ``DomainEvalError`` naming
+    ``ast`` and the first such point.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim == 1:
         # one point is evaluated on plain floats
-        return np.array(_eval(ast, (S[0].item(), S[1].item())))
-    return np.stack(np.broadcast_arrays(*_eval(ast, (S[..., 0], S[..., 1]))), axis=-1)
+        s = (S[0].item(), S[1].item())
+        jet = _eval_or_refuse(ast, s)
+        if not all(map(math.isfinite, jet)):
+            _check_domain(True, _NOT_FINITE, ast, s)
+        return np.array(jet)
+    s = (S[..., 0], S[..., 1])
+    # numpy answers an overflow with inf, which is refused below
+    with np.errstate(all="ignore"):
+        jet = _eval_or_refuse(ast, s)
+    # a slot without a parameter is a plain float: broadcast it
+    jet = np.stack(np.broadcast_arrays(s[0], *jet)[1:], axis=-1)
+    _check_domain(~np.isfinite(jet).all(axis=-1), _NOT_FINITE, ast, s)
+    return jet
 
 
 def eval_jet2(ast: ExprAst, s) -> Jet2:
@@ -647,9 +680,10 @@ def parse_immersion_file(text: str) -> ImmersionSpec:
     dom_line = lines["domain"]
     lo1, hi1 = (_const_value(t, dom_line) for t in dom_tokens[1:3])
     lo2, hi2 = (_const_value(t, dom_line) for t in dom_tokens[4:6])
+    # a constant is finite, or eval_jets has refused it
     for lo, hi in ((lo1, hi1), (lo2, hi2)):
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ImmersionFileError("malformed domain: need finite lo < hi")
+        if not lo < hi:
+            raise ImmersionFileError("malformed domain: need lo < hi")
 
     per_tokens = entries["periodic"].split()
     if len(per_tokens) != 2 or any(t not in ("true", "false") for t in per_tokens):

@@ -252,9 +252,7 @@ def frames_at(spec: ImmersionSpec, S) -> FrameData:
 def _frames(spec: ImmersionSpec, S) -> FrameData:
     lead = S.shape[:-1]
     points = S.reshape(-1, 2)
-    jets = np.empty(lead + (10, 4))
-    for k, expr in enumerate(spec.coord_exprs):
-        jets[..., k] = eval_jets(expr, S)
+    jets = np.stack([eval_jets(expr, S) for expr in spec.coord_exprs], axis=-1)
     x = jets[..., 0, :].copy()
     e = jets[..., 1:3, :].copy()
     d2x = jets[..., 3:6, :][..., _SLOT2, :]

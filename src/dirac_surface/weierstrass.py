@@ -72,11 +72,9 @@ class ReconstructionReport:
 
     The report also carries the torsion of the working normal frame and
     of the gauge-fixed one.  The shapes are those of one point; for a
-    stack of points every field but ``gauged`` carries the stack's
-    leading shape.
+    stack of points every field carries the stack's leading shape.
     """
 
-    s: np.ndarray
     W: np.ndarray                 # (2, 4) reconstructed tangents
     T: np.ndarray                 # (2, 4) exact tangents
     residual_bilinear: float      # max |W - T|
@@ -86,7 +84,6 @@ class ReconstructionReport:
     convergence_ratio: float      # worst consecutive ratio
     torsion: np.ndarray           # (2,) Gamma^3_{alpha 4}
     hat_torsion: np.ndarray       # (2,) gauge-fixed torsion
-    gauged: bool = False
 
 
 def safe_ratio(coarse, fine):
@@ -183,4 +180,4 @@ def reconstruct(spec: ImmersionSpec, s, gauged: bool = False) -> ReconstructionR
         key: np.concatenate([p[key] for p in passes]).reshape(lead + value.shape[1:])[()]
         for key, value in passes[0].items()
     }
-    return ReconstructionReport(s=s, gauged=gauged, **fields)
+    return ReconstructionReport(**fields)

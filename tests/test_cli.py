@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,34 @@ def test_spectrum_conjugation_check(tmp_path, name, extra):
     assert code == 0
     (check,) = [c for c in json.loads(text)["checks"] if c["name"] == "conjugation_symmetry"]
     assert check["pass"] and check["value"] <= 1e-12
+
+
+@pytest.mark.parametrize("path", [CLIFFORD, PLANE_TORUS], ids=["clifford", "plane-torus"])
+def test_gauged_spectrum_runs_fourier_oracle(tmp_path, path):
+    """The gauged matrix is unitarily similar to the plain one, so the
+    plain symbol's mode oracle predicts its spectrum too."""
+    code, text = run(tmp_path, "spectrum", path, "--grid", "8x8", "--gauged")
+    assert code == 0
+    report = json.loads(text)
+    assert report["summary"]["constant_coefficient"] is True
+    (check,) = [c for c in report["checks"] if c["name"] == "fourier_oracle_match"]
+    assert check["pass"]
+
+
+def test_gauged_spectrum_fails_on_non_unitary_gauge(tmp_path, monkeypatch):
+    """A gauge rotation scaled off the unitary group scales the gauged
+    spectrum, which the Fourier oracle of the plain symbol catches."""
+    rotation = dirac.gauge_rotation
+
+    def scaled(theta):
+        V = rotation(theta)
+        return dataclasses.replace(V, matrix=1.01 * V.matrix)
+
+    monkeypatch.setattr(dirac, "gauge_rotation", scaled)
+    code, text = run(tmp_path, "spectrum", CLIFFORD, "--grid", "8x8", "--gauged")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(text)["checks"] if not c["pass"]]
+    assert failed == ["fourier_oracle_match"]
 
 
 def test_spectrum_conjugation_check_fails_on_complex_coefficient(tmp_path, monkeypatch):
@@ -441,11 +470,60 @@ def test_threads_option_is_hidden_and_inert(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["frame", "verify", "tube"])
 def test_non_finite_point_refused(capsys, command):
-    # clifford is periodic in both axes, so no domain bound catches these
-    for u, v, bad in (("nan", "0.3", "nan"), ("inf", "0.3", "inf"), ("0.3", "nan", "nan")):
+    # clifford is periodic in both axes, so no domain bound catches these;
+    # argparse would take "-inf" and "-nan" for options if passed on as they are
+    for u, v, bad in (
+        ("nan", "0.3", "nan"), ("inf", "0.3", "inf"), ("0.3", "nan", "nan"),
+        ("0.3", "-inf", "-inf"), ("0.3", "-nan", "nan"),
+    ):
         assert main([command, CLIFFORD, "--at", u, v]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {command}: point coordinate {bad} is not finite\n"
+
+
+_OVERFLOW = """name: over
+params: u v
+x1: u
+x2: v
+x3: exp(800*u)
+x4: sqrt(v)
+domain: u 0 1 v 0 1
+periodic: false false
+"""
+
+
+@pytest.mark.parametrize("command", ["frame", "verify", "tube"])
+@pytest.mark.parametrize(
+    "u,v,expr",
+    [("0.9", "0.5", "exp((800.0 * u))"), ("0.3", "1e-140", "sqrt(v)")],
+    ids=["exp-overflow", "sqrt-third-partial"],
+)
+def test_jet_overflow_is_input_error(tmp_path, capsys, command, u, v, expr):
+    """A jet that overflows, on plain floats or in numpy, is refused as
+    an input error naming the expression and the point."""
+    path = tmp_path / "over.imm"
+    path.write_text(_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path), "--at", u, v]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {command}: domain error in '{expr}': the 3-jet is not finite "
+        f"at s = ({float(u)!r}, {float(v)!r})\n"
+    )
+
+
+def test_overflowing_domain_bound_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bound.imm"
+    path.write_text(_OVERFLOW.replace("u 0 1 v", "u 0 exp(1000) v"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["parse-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: parse-check: {path}: line 7: bad constant 'exp(1000)': "
+        "domain error in 'exp(1000.0)': the 3-jet is not finite\n"
+    )
 
 
 @pytest.mark.parametrize("name,u,v", [("plane", "5", "5"), ("sphere", "3.0", "0.7")])

@@ -258,6 +258,17 @@ def test_sparse_assembly_matches_dense_oracle(name, gauged, request):
     assert op.matrix.nnz <= 6 * op.dim
 
 
+@pytest.mark.parametrize("name", ["clifford", "clifford_rotated", "ring_torus"])
+def test_gauged_operator_keeps_plain_site_symbol(name, request):
+    """Gauging conjugates the matrix only: the site arrays hold the plain
+    symbol of the aligned working frame either way."""
+    spec = request.getfixturevalue(name)
+    plain = assemble_grid_operator(spec, 8, 8)
+    gauged = assemble_grid_operator(spec, 8, 8, gauged=True)
+    for field in ("site_A", "site_B", "site_mass"):
+        assert np.array_equal(getattr(gauged, field), getattr(plain, field)), field
+
+
 @pytest.mark.parametrize(
     "name,n,gauged,zeros",
     [

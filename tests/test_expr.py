@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,14 @@ from dirac_surface.expr import (
     Call,
     Const,
     DomainEvalError,
+    FUNCTIONS,
     ExprSyntaxError,
     ImmersionFileError,
     Neg,
     Num,
     Param,
     eval_jet2,
+    eval_jets,
     parse_expression,
     parse_immersion_file,
     unparse,
@@ -184,8 +188,10 @@ def _ast_nodes(children):
     return st.one_of(
         st.builds(Neg, children),
         st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
-        st.builds(lambda a: Call("sin", (a,)), children),
-        st.builds(lambda a, b: Call("atan2", (a, b)), children, children),
+        *(
+            st.builds(lambda *args, name=name: Call(name, args), *[children] * arity)
+            for name, arity in FUNCTIONS.items()
+        ),
     )
 
 
@@ -194,6 +200,54 @@ def _ast_nodes(children):
 def test_unparse_round_trip(ast):
     text = unparse(ast, ("u", "v"))
     assert parse_expression(text, ("u", "v")) == ast
+
+
+def _refused_index(ast, S):
+    """The index ``eval_jets`` refuses ``S`` with, None when it returns."""
+    try:
+        jets = eval_jets(ast, S)
+    except DomainEvalError as exc:
+        return exc.index
+    assert jets.shape == np.shape(S)[:-1] + (10,)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(_ast_leaf, _ast_nodes, max_leaves=12),
+    st.floats(-0.9, 0.9),
+    st.floats(-0.9, 0.9),
+)
+def test_point_and_stack_evaluators_refuse_alike(ast, u, v):
+    """One point runs on plain floats through the C library, a stack
+    through numpy: both refuse the same points, overflow included, and
+    neither warns.  The messages may differ, since the float path stops
+    at its first error and numpy runs on to a later domain check."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = _refused_index(ast, (u, v))
+        row = _refused_index(ast, [[u, v]])
+    assert point in (None, 0)
+    assert row == point
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(_SMOOTH_EXPRS),
+    st.floats(-0.9, 0.9),
+    st.floats(-0.9, 0.9),
+)
+def test_point_and_stack_jets_agree(text, u, v):
+    ast = parse_expression(text, ("u", "v"))
+    point = eval_jets(ast, (u, v))
+    (row,) = eval_jets(ast, [[u, v]])
+    assert np.max(np.abs(point - row)) <= 1e-13 * np.max(np.abs(point))
+
+
+def test_stack_jets_of_a_constant_have_the_stack_shape():
+    jets = eval_jets(parse_expression("2*pi", ("u", "v")), np.zeros((3, 2)))
+    assert jets.shape == (3, 10)
+    assert np.all(jets[:, 0] == 2 * math.pi) and not np.any(jets[:, 1:])
 
 
 # --- immersion files -------------------------------------------------------
