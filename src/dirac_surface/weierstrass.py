@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clifford import basis_round, match_sign, spin_lift
-from .dirac import spin_connection_from_frame, _symbol
+from .dirac import _symbol
 from .expr import ImmersionSpec
 from .geometry import (
     align_frame,
@@ -41,6 +41,7 @@ from .geometry import (
     frames_at,
     gauge_angle,
     gauge_at,
+    _nearest_normals,
     _turned,
 )
 
@@ -106,26 +107,30 @@ def _stencil(steps) -> np.ndarray:
 def _lattice_pass(spec: ImmersionSpec, S, gauged: bool) -> dict:
     """The report fields at the points S (n, 2), as arrays over n.
 
-    Each point's probe frames (at s +- h e_alpha for every probe step h) are
-    aligned to the frame at s, turned by their own gauge angles in a
-    gauged pass (a degenerate probe by the angle at s), and the spin
-    matrix sign sheet is matched to the one at s, so the spinor field is
-    the smooth local continuation the derivative needs.  For each step
-    the residual is the worst column norm of A^alpha (U(s+h) - U(s-h))
-    / (2h) + B U(s); the ratio is infinite when a residual sits at the
-    floating-point floor.
+    A gauged pass first turns every frame by its own gauge angle (a
+    degenerate probe by the angle at s): turned frames do not jump where
+    the working frame's sign or pivot does.  Each point's probe frames
+    (at s +- h e_alpha for every probe step h) are then aligned to the
+    frame at s, and the spin matrix sign sheet is matched to the one at
+    s, so the spinor field is the smooth local continuation the
+    derivative needs.  For each step the residual is the worst column
+    norm of A^alpha (U(s+h) - U(s-h)) / (2h) + B U(s); the ratio is
+    infinite when a residual sits at the floating-point floor.
     """
     probes = S[:, None] + _stencil(RESIDUAL_STEPS).reshape(-1, 2)
     frames = frames_at(spec, np.concatenate([S[:, None], probes], axis=1))
-    frames = align_frame(frames, frames[:, :1])
     conn = working = connection_from_frame(frames[:, 0])
     gauge = gauge_at(working)
     if gauged:
         # a turn has period 2 pi: no angle is unwrapped.  Only the frame at
-        # s is read for more than its rotation, so it alone is hatted
+        # s is read for more than its rotation, so it alone is hatted.  The
+        # unchecked nearest candidates keep atan2 off theta + pi (rounded)
+        frames = replace(frames, n=_nearest_normals(frames.n, frames.n[:, :1])[0])
         theta, degenerate = gauge_angle(connection_from_frame(frames))
         frames = _turned(frames, np.where(degenerate, theta[:, :1], theta), frames.torsion)
         conn = connection_from_frame(replace(frames[:, 0], torsion=gauge.hat_torsion))
+    # alignment keeps the frame at s as it is, so conn stays its connection
+    frames = align_frame(frames, frames[:, :1])
     frame = conn.frame
     rotation = frames.rotation()
     # beyond their rotations the probe frames are not needed: freeing them
@@ -134,7 +139,7 @@ def _lattice_pass(spec: ImmersionSpec, S, gauged: bool) -> dict:
     U = spin_lift(rotation).matrix
     U = match_sign(U, U[:, :1])
 
-    symbol = _symbol(conn, spin_connection_from_frame(frame))
+    symbol = _symbol(conn)
     psi = U[:, 0] @ _ROUND
     bil = np.einsum("...ji,...bjk,...ki->...bi", psi.conj(), symbol.A, psi)
     lowered = frame.g @ bil

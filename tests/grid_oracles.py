@@ -17,11 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from dirac_surface.clifford import gauge_rotation
-from dirac_surface.dirac import (
-    _aligned_grid_frames,
-    _symbol,
-    spin_connection_from_frame,
-)
+from dirac_surface.dirac import _aligned_grid_frames, _symbol
 from dirac_surface.geometry import connection_from_frame, frames_at, gauge_angle, _nearest_normals
 
 
@@ -56,7 +52,7 @@ def dense_grid_matrix(spec, n1, n2, gauged=False):
 
     for p in range(nsites):
         fr = frames[p]
-        sym = _symbol(connection_from_frame(fr), spin_connection_from_frame(fr))
+        sym = _symbol(connection_from_frame(fr))
         A_site[p] = sym.A
         B_site[p] = sym.B
         if gauged:

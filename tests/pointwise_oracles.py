@@ -36,7 +36,6 @@ from dirac_surface.dirac import (
     _coordinate_gammas,
     _scaled,
     _symbol,
-    spin_connection_from_frame,
 )
 from dirac_surface.expr import eval_jet2
 from dirac_surface.geometry import (
@@ -136,13 +135,19 @@ def half_angle_lift(rotation, theta=None):
     return U if theta is None else gauge_rotation(-theta / 2.0).matrix @ U
 
 
-def hatted_symbol(conn, sc, gauge):
-    """The gauged symbol written with the hatted torsion and mass:
+def zweibein_inverse(g):
+    """Inverse of the zweibein f with g = f^T f, f upper triangular."""
+    return np.linalg.inv(np.swapaxes(np.linalg.cholesky(g), -1, -2))
+
+
+def hatted_symbol(conn, gauge):
+    """The gauged symbol of the working-frame connection ``conn``, written
+    with the hatted torsion and mass:
     B = A^alpha (1/2 omega_alpha iota_r(tau1 tau2) + 1/2 hat_torsion_alpha
     sigma34) + 1/2 hat_trace3 gamma^3."""
-    A = _coordinate_gammas(sc.f_inv)
+    A = _coordinate_gammas(zweibein_inverse(conn.frame.g))
     mass = _scaled(0.5 * gauge.hat_trace3, GAMMA[2])
-    connection = _scaled(0.5 * sc.omega, TANGENT_SPIN_GENERATOR) \
+    connection = _scaled(0.5 * conn.omega, TANGENT_SPIN_GENERATOR) \
         + _scaled(0.5 * gauge.hat_torsion, SIGMA34)
     B = np.einsum("...aij,...ajk->...ik", A, connection) + mass
     return OperatorSymbol(A=A, B=B, mass=mass)
@@ -181,23 +186,23 @@ def basis_field(spec, s, gauged):
     The field builds the frame at a probe point, aligns it to the frame
     at s, lifts it and matches its sign sheet to the matrix at s.  A
     gauged field turns every frame by its own gauge angle before the
-    lift, a degenerate probe's by the angle at s; the frame at s it
+    alignment, a degenerate probe's by the angle at s; the frame at s it
     returns is then the gauge-fixed one, carrying the hatted torsion.
     """
-    working = frame_at(spec, s)
-    center = working
+    center = frame_at(spec, s)
     if gauged:
-        gauge = gauge_at(connection_from_frame(working))
-        center = turn(working, gauge.theta, gauge.hat_torsion)
+        gauge = gauge_at(connection_from_frame(center))
+        center = turn(center, gauge.theta, gauge.hat_torsion)
     U0 = spin_lift(center.rotation())
 
     def field(sp):
         if np.allclose(sp, center.s):
             return U0
-        fr = align_frame(frame_at(spec, sp), working)
+        fr = frame_at(spec, sp)
         if gauged:
             raw, degenerate = gauge_angle(connection_from_frame(fr))
             fr = turn(fr, gauge.theta if degenerate else raw, fr.torsion)
+        fr = align_frame(fr, center)
         return match_sign(spin_lift(fr.rotation()), U0)
 
     return field, center, U0
@@ -229,15 +234,14 @@ def half_angle_field(spec, s):
 def reconstruct(spec, s, gauged, steps):
     """Every field of the one-point report, probe frames built one by one."""
     field, frame, U = basis_field(spec, s, gauged)
-    sc = spin_connection_from_frame(frame)
-    A = _coordinate_gammas(sc.f_inv)
+    A = _coordinate_gammas(zweibein_inverse(frame.g))
     psi_round = U @ _ROUND
     bil = np.zeros((2, 4), dtype=complex)
     for i in range(4):
         for beta in range(2):
             bil[beta, i] = psi_round[:, i].conj() @ A[beta] @ psi_round[:, i]
     W = np.real(frame.g @ bil)
-    symbol = _symbol(connection_from_frame(frame), sc)
+    symbol = _symbol(connection_from_frame(frame))
     residuals = [
         float(np.max(np.linalg.norm(apply_pointwise(symbol, field, frame.s, h), axis=0)))
         for h in steps

@@ -379,6 +379,19 @@ def test_branch_error_names_queried_point(capsys):
     assert main(["tube", GRAPH, "--at", "-0.00013", "0.00061"]) == 0
 
 
+def test_gauged_verify_aligns_turned_frames(tmp_path):
+    # next to the graph origin the working frame turns too fast to align
+    # (see above), the gauge-fixed frames it is turned into do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(
+            tmp_path, "verify", GRAPH, "--at", "0.000546398711756406",
+            "0.0007605539960396201", "--gauged",
+        )
+    assert code == 0
+    assert all(check["pass"] for check in json.loads(text)["checks"])
+
+
 def test_verify_domain_error_names_first_lattice_point(tmp_path, capsys):
     """A lattice is evaluated in one batch; a point outside a coordinate
     map's domain is reported as the first such point in lattice order,
@@ -523,6 +536,36 @@ def test_overflowing_domain_bound_is_input_error(tmp_path, capsys):
     assert err == (
         f"error: parse-check: {path}: line 7: bad constant 'exp(1000)': "
         "domain error in 'exp(1000.0)': the 3-jet is not finite\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["frame", "tube"])
+def test_badly_scaled_tangents_span_a_plane(tmp_path, command):
+    """Orthogonal tangents 1e89 apart in length are independent: the Gram
+    residual of d2 x is measured against d2 x, not the longer tangent."""
+    path = tmp_path / "over.imm"
+    path.write_text(_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(tmp_path, command, str(path), "--at", "0.25", "0.25")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "where,point",
+    [(["--at", "0.5", "0.5"], "(0.5, 0.5)"), (["--grid", "3x3"], "(0.5, 0.25)")],
+    ids=["point", "lattice"],
+)
+def test_overflowing_tangent_length_is_input_error(tmp_path, capsys, where, point):
+    """Finite jets whose squared tangent length overflows are refused as
+    an input error naming the first such point, without a warning."""
+    path = tmp_path / "over.imm"
+    path.write_text(_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["frame", str(path), *where]) == 2
+    assert capsys.readouterr().err == (
+        f"error: frame: squared tangent length is not finite at s = {point}\n"
     )
 
 

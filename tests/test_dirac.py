@@ -21,11 +21,10 @@ from dirac_surface.dirac import (
     gauged_dirac_symbol,
     is_constant_coefficient,
     multiset_distance,
-    spin_connection_from_frame,
 )
 from dirac_surface.corpus import load_corpus
 from dirac_surface.geometry import connection_from_frame, frames_at, gauge_at
-from conftest import rng_seed
+from conftest import interior_lattice, rng_seed
 from fd_oracles import random_points
 from grid_oracles import (
     aligned_grid_frames_by_site,
@@ -39,30 +38,38 @@ from pointwise_oracles import _wrap_angle, apply_pointwise, hatted_symbol
 # --- spin connection ---------------------------------------------------------
 
 
+def _clifford_defect(A, g_inv):
+    """max |A^alpha A^beta + A^beta A^alpha - 2 g^{alpha beta} I| over a stack."""
+    anti = np.einsum("...aij,...bjk->...abik", A, A)
+    anti = anti + np.swapaxes(anti, -4, -3)
+    return np.max(np.abs(anti - 2.0 * g_inv[..., None, None] * np.eye(4)))
+
+
 def test_spin_connection_plane(plane):
-    sc = spin_connection_from_frame(frames_at(plane, (0.2, -0.3)))
-    assert np.max(np.abs(sc.omega)) == 0.0
-    assert np.array_equal(sc.f, np.eye(2))
+    conn = connection_from_frame(frames_at(plane, (0.2, -0.3)))
+    assert np.max(np.abs(conn.omega)) == 0.0
+    assert _clifford_defect(dirac._symbol(conn).A, np.eye(2)) == 0.0
 
 
 def test_spin_connection_clifford_constant_metric(clifford):
-    sc = spin_connection_from_frame(frames_at(clifford, (0.4, 0.9)))
-    assert np.max(np.abs(sc.omega)) <= 1e-10
-    assert np.allclose(sc.f, np.eye(2) / math.sqrt(2.0), atol=1e-14)
+    conn = connection_from_frame(frames_at(clifford, (0.4, 0.9)))
+    assert np.max(np.abs(conn.omega)) <= 1e-10
+    assert _clifford_defect(dirac._symbol(conn).A, 2.0 * np.eye(2)) <= 1e-14
 
 
 def test_spin_connection_sphere_closed_form(sphere):
-    sc = spin_connection_from_frame(frames_at(sphere, (1.0, 0.7)))
-    assert abs(sc.omega[0]) <= 1e-8
-    assert abs(abs(sc.omega[1]) - abs(math.cos(1.0))) <= 1e-6
+    omega = connection_from_frame(frames_at(sphere, (1.0, 0.7))).omega
+    assert abs(omega[0]) <= 1e-8
+    assert abs(abs(omega[1]) - abs(math.cos(1.0))) <= 1e-6
 
 
-def test_zweibein_reproduces_metric(graph, sphere):
-    for spec, pt in ((graph, (0.3, 0.2)), (sphere, (1.2, 2.0))):
-        fr = frames_at(spec, pt)
-        sc = spin_connection_from_frame(fr)
-        assert np.max(np.abs(sc.f.T @ sc.f - fr.g)) <= 1e-12
-        assert np.max(np.abs(sc.f @ sc.f_inv - np.eye(2))) <= 1e-12
+def test_zweibein_reproduces_metric(graph, sphere, clifford_rotated):
+    """The coordinate gammas of the zweibein obey the Clifford relation
+    of the inverse metric, A^alpha A^beta + A^beta A^alpha = 2 g^{alpha beta} I."""
+    for spec in (graph, sphere, clifford_rotated):
+        frames = frames_at(spec, np.array(interior_lattice(spec, 3, 3)))
+        A = dirac._symbol(connection_from_frame(frames)).A
+        assert _clifford_defect(A, frames.g_inv) <= 1e-13 * np.max(np.abs(frames.g_inv))
 
 
 # --- pointwise symbols -------------------------------------------------------
@@ -133,7 +140,7 @@ def test_gauged_symbol_matches_hatted_formula(name):
     S = np.array(random_points(spec, 200, np.random.default_rng(rng_seed())))
     frames = frames_at(spec, S)
     conn = connection_from_frame(frames)
-    ref = hatted_symbol(conn, spin_connection_from_frame(frames), gauge_at(conn))
+    ref = hatted_symbol(conn, gauge_at(conn))
     sym = gauged_dirac_symbol(spec, S)
     assert np.array_equal(sym.A, ref.A)
     assert np.max(np.abs(sym.B - ref.B)) <= 1e-15

@@ -231,7 +231,6 @@ def test_gauge_angle_closed_forms(t3, t4, theta, hat3):
     gd = gauge_at(_FakeConn(t3, t4))
     assert gd.theta == pytest.approx(theta, abs=1e-15)
     assert gd.hat_trace3 == pytest.approx(hat3, abs=1e-15)
-    assert gd.hat_trace4 == 0.0
     assert t3 == pytest.approx(gd.hat_trace3 * math.cos(gd.theta), abs=1e-10)
     assert t4 == pytest.approx(-gd.hat_trace3 * math.sin(gd.theta), abs=1e-10)
     assert np.array_equal(gd.hat_torsion, np.zeros(2))
@@ -383,7 +382,6 @@ def test_connections_match_fd_oracles(name, request, rng):
     """Closed-form torsion, spin connection and gauge-fixed torsion agree
     with the aligned Richardson stencils (away from the graph origin,
     where the pivoted normal frame turns too fast for any stencil)."""
-    from dirac_surface.dirac import spin_connection_from_frame
     import fd_oracles
 
     spec = request.getfixturevalue(name)
@@ -391,10 +389,23 @@ def test_connections_match_fd_oracles(name, request, rng):
         fr = frames_at(spec, pt)
         conn = connection_from_frame(fr)
         assert np.max(np.abs(conn.gamma_nor - fd_oracles.normal_connection(spec, pt))) <= 1e-8
-        omega = spin_connection_from_frame(fr).omega
-        assert np.max(np.abs(omega - fd_oracles.spin_connection(spec, pt))) <= 1e-8
+        assert np.max(np.abs(conn.omega - fd_oracles.spin_connection(spec, pt))) <= 1e-8
         hat = gauge_at(conn).hat_torsion
         assert np.max(np.abs(hat - fd_oracles.hat_torsion(spec, pt))) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "name", ["plane", "plane-torus", "graph", "sphere", "clifford", "clifford-rotated"]
+)
+def test_omega_stack_matches_one_point(name):
+    """The tangent spin connection of a stack of frames is, bit for bit,
+    that of each frame on its own."""
+    spec = load_corpus(name)
+    frames = frames_at(spec, np.array(interior_lattice(spec, 4, 5)).reshape(4, 5, 2))
+    omega = connection_from_frame(frames).omega
+    assert omega.shape == (4, 5, 2)
+    for idx in np.ndindex(4, 5):
+        assert np.array_equal(connection_from_frame(frames[idx]).omega, omega[idx])
 
 
 def test_hat_torsion_third_partials_match_fd_oracle():

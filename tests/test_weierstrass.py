@@ -5,7 +5,7 @@ import pytest
 
 from dirac_surface.clifford import basis_square, gauge_rotation, match_sign, spin_lift
 from dirac_surface.corpus import load_corpus
-from dirac_surface.dirac import dirac_symbol, spin_connection_from_frame
+from dirac_surface.dirac import dirac_symbol
 from dirac_surface.expr import parse_immersion_file
 from dirac_surface.geometry import (
     connection_from_frame,
@@ -139,9 +139,8 @@ def test_gauged_residuals_match_half_angle_path(name):
     points = interior_lattice(spec, 3, 3)
     rep = reconstruct(spec, points, gauged=True)
     for i, s in enumerate(points):
-        frame = frames_at(spec, s)
-        conn = connection_from_frame(frame)
-        symbol = hatted_symbol(conn, spin_connection_from_frame(frame), gauge_at(conn))
+        conn = connection_from_frame(frames_at(spec, s))
+        symbol = hatted_symbol(conn, gauge_at(conn))
         field, _ = half_angle_field(spec, s)
         residuals = np.array([
             np.max(np.linalg.norm(apply_pointwise(symbol, field, s, h), axis=0))
