@@ -108,6 +108,9 @@ _JSON_ESCAPES = {
 
 
 def _render_json(obj, indent=0) -> str:
+    # exact floats are most of a report: they and lists of them go first
+    if type(obj) is float:
+        return _fmt_float(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -120,6 +123,8 @@ def _render_json(obj, indent=0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is float for v in obj):
+            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
             return "[" + ", ".join(_render_json(v) for v in obj) + "]"
@@ -174,10 +179,12 @@ def _render_csv(records) -> str:
 
 
 def _all_finite(value) -> bool:
+    if type(value) is float:
+        return math.isfinite(value)
     if isinstance(value, dict):
-        return all(_all_finite(v) for v in value.values())
+        value = list(value.values())
     if isinstance(value, (list, tuple)):
-        return all(_all_finite(v) for v in value)
+        return all(map(_all_finite, value))
     if isinstance(value, (float, np.floating)):
         return math.isfinite(float(value))
     return True

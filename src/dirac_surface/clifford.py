@@ -11,9 +11,10 @@ In this chiral representation every gamma^mu is block off-diagonal,
 [[0, a_mu], [a_mu^dag, 0]] with a_mu = (tau_1, tau_2, tau_3, -i I), so
 Spin(4) acts block-diagonally as SU(2) x SU(2).  ``spin_lift`` maps a
 special orthogonal 4x4 matrix R to the unitary U = diag(P, Q) with
-U gamma^i U^{-1} = sum_mu R^i_mu gamma^mu, in closed form (no matrix
-logarithm or exponential).  U is unique up to a global sign, which is
-irrelevant to every bilinear quantity downstream.
+U gamma^i U^{-1} = sum_mu R^i_mu gamma^mu.  The unit quaternions of P and
+Q are the factors of the rank-one associate matrix of R (Van Elfrinkhof's
+formula; Mebius, arXiv:math/0501249).  U is unique up to a global sign,
+which is irrelevant to every bilinear quantity downstream.
 """
 
 from __future__ import annotations
@@ -115,10 +116,17 @@ def so4_pairing(psi_bar, psi) -> np.ndarray:
 
 
 # upper-right 2x2 blocks a_mu of gamma^mu = [[0, a_mu], [a_mu^dag, 0]], and
-# the unit quaternions (I, i tau_1, i tau_2, i tau_3) used to read off the
-# left factor of a lift
+# the unit quaternions Y = (I, i tau_1, i tau_2, i tau_3)
 _BLOCKS = np.array([g[:2, 2:] for g in GAMMA])
 _QUATERNIONS = np.array([_I2] + [1j * t for t in TAU[:3]])
+
+# R.reshape(16) @ _ASSOCIATE is the associate matrix of R: entry
+# ((i, mu), (y, k)) is tr(a_mu Y_y a_i^dag Y_k^dag) / 2, which is 0 or +-1
+_ASSOCIATE = np.einsum("mab,ybc,idc,kad->imyk", _BLOCKS, _QUATERNIONS, _BLOCKS.conj(),
+                       _QUATERNIONS.conj()).real.reshape(16, 16) / 2
+# (p, q) @ _EMBED.reshape(8, 16) is diag(sum_k p_k Y_k, sum_k q_k Y_k)
+_EMBED = np.zeros((8, 4, 4), dtype=complex)
+_EMBED[:4, :2, :2] = _EMBED[4:, 2:, 2:] = _QUATERNIONS
 
 # largest defect of R^T R = I and det R = 1 that ``spin_lift`` accepts
 _SO4_TOL = 1e-10
@@ -127,16 +135,15 @@ _SO4_TOL = 1e-10
 def spin_lift(rotation) -> SpinMatrix:
     """Lift a special orthogonal 4x4 matrix to the spin group.
 
-    The lift is block-diagonal, U = diag(P, Q) with P, Q in SU(2), and
-    U gamma^i U^dag = sum_mu R_i^mu gamma^mu reads P a_i Q^dag = c_i
-    with c_i = sum_mu R_i^mu a_mu.  Since sum_i a_i X a_i^dag =
-    2 tr(X) I for every 2x2 X, the sum S_Y = sum_i c_i Y a_i^dag equals
-    2 tr(Q^dag Y) P for each unit quaternion Y in (I, i tau_1, i tau_2,
-    i tau_3), and det S_Y = 4 tr(Q^dag Y)^2.  Y = I is used unless
-    |tr Q| < 1/2; then the Y with the largest det S_Y is, for which
-    |tr(Q^dag Y)| > 1/2.  P = S_Y / sqrt(det S_Y) and
-    Q = (1/4) sum_i c_i^dag P a_i.  Of the two lifts +-U this picks the
-    one with tr(Q^dag Y) > 0, so R = I lifts to U = I.
+    The lift is block-diagonal, U = diag(P, Q) with P = sum_k p_k Y_k and
+    Q = sum_k q_k Y_k for unit 4-vectors p, q.  U gamma^i U^dag =
+    sum_mu R_i^mu gamma^mu reads P a_i Q^dag = sum_mu R_i^mu a_mu, and the
+    fixed table ``_ASSOCIATE`` maps R to its associate matrix
+    M = 4 q p^T (Van Elfrinkhof's formula; Mebius, arXiv:math/0501249).
+    Row y of M is 4 q_y p, of squared norm 16 q_y^2.  Row 0 is used unless
+    |q_0| < 1/4; then the longest row is, for which |q_y| > 1/4.  Then
+    p = M_y / |M_y| and q = M p / 4.  Of the two lifts +-U this picks the
+    one with q_y = tr(Q^dag Y_y) / 2 > 0, so R = I lifts to U = I.
 
     ``rotation`` may be a stack (..., 4, 4); the lift is then the stack
     of the lifts, and the checks hold for every matrix of it.
@@ -154,17 +161,14 @@ def spin_lift(rotation) -> SpinMatrix:
     if abs(det[worst] - 1.0) > _SO4_TOL:
         raise ValueError(f"matrix is not special orthogonal (det {det[worst]:.12f})")
 
-    c = np.einsum("...im,mab->...iab", R, _BLOCKS)
-    S = np.einsum("...iab,ybc,idc->...yad", c, _QUATERNIONS, _BLOCKS.conj())
-    dets = (S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]).real
+    M = (R.reshape(-1, 16) @ _ASSOCIATE).reshape(R.shape)
+    dets = np.sum(M * M, axis=-1)
     y = np.where(dets[..., 0] >= 1.0, 0, 1 + np.argmax(dets[..., 1:], axis=-1))
-    P = np.take_along_axis(S, y[..., None, None, None], axis=-3)[..., 0, :, :]
-    P = P / np.sqrt(np.take_along_axis(dets, y[..., None], axis=-1))[..., None]
-    Q = 0.25 * np.einsum("...iba,...bc,icd->...ad", c.conj(), P, _BLOCKS)
-    U = np.zeros(R.shape, dtype=complex)
-    U[..., :2, :2] = P
-    U[..., 2:, 2:] = Q
-    return SpinMatrix(matrix=U)
+    p = np.take_along_axis(M, y[..., None, None], axis=-2)[..., 0, :]
+    p = p / np.sqrt(np.take_along_axis(dets, y[..., None], axis=-1))
+    q = 0.25 * (M @ p[..., None])[..., 0]
+    U = np.concatenate([p, q], axis=-1) @ _EMBED.reshape(8, 16)
+    return SpinMatrix(matrix=U.reshape(R.shape))
 
 
 def gauge_rotation(theta) -> SpinMatrix:

@@ -270,7 +270,9 @@ def _frames(spec: ImmersionSpec, S) -> FrameData:
     if i is not None:
         raise ExprError(f"squared tangent length is not finite at s = {_point(points[i])}")
     n1, len2 = np.moveaxis(np.sqrt(length2), -1, 0)
-    i = _first(n1 <= _GS_TOL * np.maximum(np.maximum(n1, len2), 1e-30))
+    # d1 x vanishes where it cannot be normalised (|d1 x|^2 below the least
+    # normal float); how near it comes to d2 x is the Gram residual's to judge
+    i = _first(length2[..., 0] < np.finfo(float).tiny)
     if i is not None:
         raise DegenerateImmersionError(
             f"tangent d1 x vanishes at s = {_point(points[i])}", i if lead else None

@@ -312,6 +312,23 @@ def test_json_escapes_control_characters(tmp_path):
     assert json.loads(_render_json(every)) == every
 
 
+def test_floats_render_alike_in_every_container():
+    """A float renders with 17 significant digits, or as a string when it
+    is not finite, alone, in a list of floats and among other values; a
+    non-finite one makes any container holding it not finite."""
+    from dirac_surface.cli import _all_finite, _render_json
+
+    floats = [0.1, -0.0, 1.0, 1 / 3, float("nan"), float("inf"), float("-inf")]
+    text = '0.10000000000000001, 0, 1, 0.33333333333333331, "nan", "inf", "-inf"'
+    assert ", ".join(map(_render_json, floats)) == text
+    assert _render_json(floats) == _render_json(list(map(np.float64, floats))) == f"[{text}]"
+    assert _render_json([*floats, True, 3]) == f"[{text}, true, 3]"
+    assert _all_finite(floats[:4]) and _all_finite({"a": [floats[:4], "nan"]})
+    for bad in floats[4:]:
+        for value in ([1.0, bad], {"a": [[bad]]}, np.float64(bad), (True, bad)):
+            assert not _all_finite(value)
+
+
 REPORT_KEYS = [
     "command", "spec", "file", "config", "records", "summary", "checks", "all_finite", "pass",
 ]
@@ -545,6 +562,18 @@ def test_badly_scaled_tangents_span_a_plane(tmp_path, command):
     residual of d2 x is measured against d2 x, not the longer tangent."""
     path = tmp_path / "over.imm"
     path.write_text(_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(tmp_path, command, str(path), "--at", "0.25", "0.25")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["frame", "tube"])
+def test_short_first_tangent_is_not_vanishing(tmp_path, command):
+    """The mirror case: d1 x = (1, 0, 0, 0) beside a d2 x 1e89 long
+    normalises to a unit vector, so it does not vanish."""
+    path = tmp_path / "over.imm"
+    path.write_text(_OVERFLOW.replace("exp(800*u)", "exp(800*v)"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _ = run(tmp_path, command, str(path), "--at", "0.25", "0.25")

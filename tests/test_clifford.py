@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import pointwise_oracles as oracle
+from dirac_surface import clifford
 from dirac_surface.clifford import (
+    _ASSOCIATE,
+    _QUATERNIONS,
     GAMMA,
     SIGMA34,
     basis_round,
@@ -208,6 +212,16 @@ def test_spin_lift_half_turns(planes):
     assert _conjugation_defect(U, R) <= 1e-12
 
 
+def _rotation_of(U):
+    """The rotation R with U gamma^i U^dag = sum_mu R_i^mu gamma^mu."""
+    return np.array(
+        [
+            [np.trace(U @ gamma(i) @ U.conj().T @ gamma(mu)).real / 4.0 for mu in range(1, 5)]
+            for i in range(1, 5)
+        ]
+    )
+
+
 _I2 = np.eye(2, dtype=complex)
 _TAU3 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -225,15 +239,50 @@ _TAU3 = np.diag([1.0, -1.0]).astype(complex)
 def test_spin_lift_zero_trace_factors(P, Q):
     """Rotations whose lift diag(P, Q) has a traceless factor."""
     U = scipy.linalg.block_diag(P, Q)
-    R = np.array(
-        [
-            [np.trace(U @ gamma(i) @ U.conj().T @ gamma(mu)).real / 4.0 for mu in range(1, 5)]
-            for i in range(1, 5)
-        ]
-    )
+    R = _rotation_of(U)
     lifted = spin_lift(R).matrix
     assert np.max(np.abs(match_sign(lifted, U) - U)) <= 1e-12
     assert _conjugation_defect(lifted, R) <= 1e-12
+
+
+def test_associate_table_is_signed_and_orthogonal():
+    assert set(np.unique(_ASSOCIATE)) == {-1.0, 0.0, 1.0}
+    assert np.all(np.count_nonzero(_ASSOCIATE, axis=0) == 4)
+    assert np.array_equal(_ASSOCIATE.T @ _ASSOCIATE, 4.0 * np.eye(16))
+
+
+def test_spin_lift_every_branch_matches_oracle():
+    """Rows y = 0..3 of the associate matrix each serve as the branch of
+    some rotation of one stack; half turns are among them."""
+    rng = np.random.default_rng(rng_seed() + 5)
+    # q leads on its y-th component, with |q_0| < 1/4 unless y = 0
+    qs = [(1, 0, 0, 0), (0.2, 0.9, 0.3, 0.1), (0.1, -0.3, 0.9, 0.2), (0.0, 0.1, -0.2, 0.97)]
+    R = []
+    for q in np.array(qs) / np.linalg.norm(qs, axis=1, keepdims=True):
+        for p in rng.normal(size=(3, 4)):
+            P, Q = np.tensordot([p / np.linalg.norm(p), q], _QUATERNIONS, axes=1)
+            R.append(_rotation_of(scipy.linalg.block_diag(P, Q)))
+    R += [np.diag(d) for d in ([-1, -1, 1, 1], [1, -1, -1, 1], [-1, 1, 1, -1])]
+    R += list(_random_rotations(5, rng_seed() + 6))
+    lifted = spin_lift(np.array(R).reshape(4, 5, 4, 4)).matrix.reshape(-1, 4, 4)
+    branches = set()
+    for rot, U in zip(R, lifted):
+        assert np.max(np.abs(U - oracle.spin_lift(rot))) <= 1e-14
+        q = np.einsum("kab,ab->k", _QUATERNIONS.conj(), U[2:, 2:]).real / 2.0
+        y = 0 if abs(q[0]) >= 0.25 else 1 + int(np.argmax(np.abs(q[1:])))
+        assert q[y] > 0.0
+        branches.add(y)
+    assert branches == {0, 1, 2, 3}
+
+
+def test_spin_lift_fails_with_one_table_sign_flipped(monkeypatch):
+    R = next(_random_rotations(1, rng_seed() + 7))
+    assert _conjugation_defect(spin_lift(R).matrix, R) <= 1e-12
+    for entry in zip(*np.nonzero(_ASSOCIATE)):
+        flipped = _ASSOCIATE.copy()
+        flipped[entry] *= -1.0
+        monkeypatch.setattr(clifford, "_ASSOCIATE", flipped)
+        assert _conjugation_defect(spin_lift(R).matrix, R) > 1e-3, entry
 
 
 def test_gauge_rotation_values():

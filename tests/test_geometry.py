@@ -89,6 +89,22 @@ def test_degenerate_immersion_rejected():
     frames_at(spec, (0.1, 0.1))
 
 
+@pytest.mark.parametrize("scale", ["0", "1e-160", "1e-100"])
+def test_first_tangent_refused_only_where_not_normalisable(scale):
+    """d1 x = (c, 0, 0, 0) vanishes where c^2 is below the least normal
+    float (c = 1e-160 squares to a subnormal, whose root has lost digits);
+    c = 1e-100 gives the unit e_1."""
+    spec = parse_immersion_file(
+        f"name: short\nparams: u v\nx1: {scale}*u\nx2: v\nx3: 0\nx4: 0\n"
+        "domain: u -1 1 v -1 1\nperiodic: false false\n"
+    )
+    if scale == "1e-100":
+        assert np.array_equal(frames_at(spec, (0.1, 0.1)).ehat[0], [1.0, 0.0, 0.0, 0.0])
+        return
+    with pytest.raises(DegenerateImmersionError, match="tangent d1 x vanishes"):
+        frames_at(spec, (0.1, 0.1))
+
+
 @pytest.mark.parametrize(
     "name", ["plane", "graph", "sphere", "clifford", "clifford_rotated"]
 )
