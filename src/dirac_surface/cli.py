@@ -363,14 +363,19 @@ def _cmd_verify(spec, args):
     # residuals at the floating-point floor give an infinite ratio;
     # the cap keeps every numeric field of the report finite
     columns["convergence_ratio"] = np.minimum(columns["convergence_ratio"], 1e6)
+    # the bilinears reconstruct the tangents, so their residuals are judged
+    # against the tangents' own scale, max(1, max|T|) at each point
+    scale = np.maximum(1.0, np.abs(rep.T).max(axis=(-2, -1)))
+    judged = {
+        key: max(np.ravel(getattr(rep, key) / scale).tolist())
+        for key in ("residual_bilinear", "max_imag")
+    }
     columns = {key: a.tolist() for key, a in columns.items()}
     worst_bilinear = max(columns["residual_bilinear"])
     worst_ratio = min(columns["convergence_ratio"])
     checks = [
-        _check("weierstrass_identity", worst_bilinear, TOL["bilinear"]),
-        _check(
-            "bilinear_imaginary_parts", max(columns["max_imag"]), TOL["bilinear_imag"]
-        ),
+        _check("weierstrass_identity", judged["residual_bilinear"], TOL["bilinear"]),
+        _check("bilinear_imaginary_parts", judged["max_imag"], TOL["bilinear_imag"]),
         _check(
             "spinor_orthonormality",
             max(columns["orthonormality"]),

@@ -38,7 +38,19 @@ spin connection or the torsion feeds them, so XY often falls apart
 into sublattices.  ``eigenvalues`` drops the entries at or below
 1e-13 max|XY| (the cancellation residues: at most 1.1e-16 max|XY| on
 the corpus at 16x16 and 32x32, against at least 1.3e-2 max|XY| for a
-genuine entry) and solves each connected component on its own.
+genuine entry) and solves each connected component on its own.  The
+squares near zero, whose root loses precision, are re-solved on their
+invariant subspaces of XY and YX, found block by block from sorted
+Schur forms; YX is split into its blocks only when such a cluster
+exists.
+
+``multiset_distance`` solves its optimal assignment per tolerance
+group: the union of the two multisets is split where its sorted real
+parts jump by more than 1e-8 max|z|, and each part where its sorted
+imaginary parts do.  Values that close always share a group, and no
+pairwise array of the whole multisets is built; only a group with
+unequal counts from the two sides sends the match to the one
+assignment over the whole multisets.
 
 Only the lattice spectrum loads scipy, on first use:
 ``assemble_grid_operator`` imports ``scipy.sparse``, ``eigenvalues``
@@ -286,7 +298,7 @@ def assemble_grid_operator(
 
     if gauged:
         V = gauge_rotation(gauge_angle(conn)[0] / 2.0).matrix
-        blocks = np.einsum("pba,pxbc,pxcd->pxad", V.conj(), blocks, V[cols])
+        blocks = np.swapaxes(V.conj(), -1, -2)[:, None] @ blocks @ V[cols]
 
     import scipy.sparse
 
@@ -339,25 +351,61 @@ def _chiral_blocks(matrix):
     return rows_plus[:, minus], rows_minus[:, plus]
 
 
-def _near_kernel_eigenvalues(X, Y, XY, cut: float, count: int) -> np.ndarray:
-    """Eigenvalues of [[0, X], [Y, 0]] whose squares have |mu| <= cut.
+def _block_indices(labels) -> list:
+    """The indices of each decoupled block, in label order."""
+    return [np.flatnonzero(labels == b) for b in range(labels.max() + 1)]
 
-    V spans the invariant subspace of XY and W that of YX for those mu;
-    X maps W into V and Y maps V into W, so the operator restricted to
-    V + W is [[0, V^dag X W], [W^dag Y V, 0]], solved without a root.
+
+def _selected_schur_vectors(M, labels, cut: float):
+    """Schur vectors of the sparse square M for its eigenvalues |z| <= cut.
+
+    Each decoupled block of M (as labelled) gets its own sorted Schur
+    form, whose leading vectors are scattered into the block's rows.
+    Returns the (dim, k) orthonormal basis and the number of values the
+    forms selected, summed over the blocks.
     """
     import scipy.linalg
 
     select = lambda z: abs(z) <= cut  # noqa: E731
-    _, V, kv = scipy.linalg.schur(XY, output="complex", sort=select)
-    _, W, kw = scipy.linalg.schur((Y @ X).toarray(), output="complex", sort=select)
+    columns = []
+    selected = 0
+    for idx in _block_indices(labels):
+        block = M[idx][:, idx].toarray()
+        _, Z, k = scipy.linalg.schur(block, output="complex", sort=select)
+        Z = Z[:, :k]
+        part = np.zeros((M.shape[0], Z.shape[1]), dtype=complex)
+        part[idx] = Z
+        columns.append(part)
+        selected += k
+    return np.concatenate(columns, axis=1), selected
+
+
+def _near_kernel_eigenvalues(
+    X, Y, XY, cut: float, count: int, labels=None
+) -> np.ndarray:
+    """Eigenvalues of [[0, X], [Y, 0]] whose squares have |mu| <= cut.
+
+    V spans the invariant subspace of XY and W that of YX for those mu,
+    both built block by block from the decoupled blocks of XY (its
+    ``labels``, found here when not given) and of YX.  X maps W into V
+    and Y maps V into W, so the operator restricted to V + W is
+    [[0, V^dag X W], [W^dag Y V, 0]], solved without a root.  XY may be
+    given sparse or dense.
+    """
+    import scipy.linalg
+    import scipy.sparse
+
+    XY = scipy.sparse.csr_array(XY)
+    YX = Y @ X
+    if labels is None:
+        labels = _decoupled_blocks(XY)
+    V, kv = _selected_schur_vectors(XY, labels, cut)
+    W, kw = _selected_schur_vectors(YX, _decoupled_blocks(YX), cut)
     if kv != count or kw != count:
         raise SpectrumInvariantError(
             f"near-kernel cluster of {count} squared eigenvalues is not "
             f"separated at {cut:.3e} (Schur forms select {kv} and {kw})"
         )
-    V = V[:, :count]
-    W = W[:, :count]
     zero = np.zeros((count, count))
     return scipy.linalg.eigvals(
         np.block([[zero, V.conj().T @ (X @ W)], [W.conj().T @ (Y @ V), zero]])
@@ -386,18 +434,20 @@ def eigenvalues(op: DiscreteOperator, return_squares: bool = False):
     +-sqrt(mu) over the eigenvalues mu of the half-size product XY.  XY
     stays sparse and each of its decoupled blocks is solved densely on
     its own.  Squares with |mu| <= 1e-4 max|mu|, whose root would lose
-    precision, are re-solved on their invariant subspace of the whole
-    XY.  With ``return_squares`` the eigenvalues mu of XY (unsorted,
-    2 n1 n2 of them) are returned as well.
+    precision, are re-solved on their invariant subspaces of XY and YX,
+    found block by block.  With ``return_squares`` the eigenvalues mu of
+    XY (unsorted, 2 n1 n2 of them) are returned as well.
     """
     import scipy.linalg
 
     X, Y = _chiral_blocks(op.matrix)
     XY = X @ Y
     labels = _decoupled_blocks(XY)
-    blocks = [np.flatnonzero(labels == b) for b in range(labels.max() + 1)]
     mu = np.concatenate(
-        [scipy.linalg.eigvals(XY[idx][:, idx].toarray()) for idx in blocks]
+        [
+            scipy.linalg.eigvals(XY[idx][:, idx].toarray())
+            for idx in _block_indices(labels)
+        ]
     )
     size = np.abs(mu)
     small = size <= _NEAR_KERNEL * size.max()
@@ -406,7 +456,7 @@ def eigenvalues(op: DiscreteOperator, return_squares: bool = False):
     if small.any():
         # cut half way between the cluster and the rest of the spectrum
         cut = 0.5 * (size[small].max() + size[~small].min())
-        near = _near_kernel_eigenvalues(X, Y, XY.toarray(), cut, int(small.sum()))
+        near = _near_kernel_eigenvalues(X, Y, XY, cut, int(small.sum()), labels)
         vals = np.concatenate([vals, near])
     vals = vals[np.lexsort((vals.imag, vals.real))]
     return (vals, mu) if return_squares else vals
@@ -443,19 +493,62 @@ def fourier_eigenvalues(op: DiscreteOperator) -> np.ndarray:
     return vals[order]
 
 
-def multiset_distance(a, b) -> float:
-    """Optimal-matching distance between two eigenvalue multisets.
+def _tolerance_groups(z, width: float) -> list:
+    """Split the indices of the values z into groups that no pair within
+    ``width`` of each other straddles.
 
-    Lexicographic sorting alone can pair distinct eigenvalues whose real
-    parts differ only by rounding noise; the pairing here is the optimal
-    assignment, so the result is robust to that.
+    The values are split where their sorted real parts jump by more than
+    ``width``, and each part where its sorted imaginary parts do: a
+    coarsening of the connected components of the "closer than width"
+    graph, found with two sorts and no pairwise array.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError("multisets must have equal cardinality")
+    order = np.argsort(z.real, kind="stable")
+    real = z.real[order]
+    part = np.cumsum(np.diff(real, prepend=real[:1]) > width)
+    regroup = np.lexsort((z.imag[order], part))
+    order, part = order[regroup], part[regroup]
+    cuts = (np.diff(part) != 0) | (np.diff(z.imag[order]) > width)
+    return np.split(order, np.flatnonzero(cuts) + 1)
+
+
+def _assignment_distance(a, b) -> float:
+    """Largest pair distance of the optimal assignment between a and b."""
     import scipy.optimize
 
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+# width of the tolerance groups that multiset_distance matches within,
+# relative to the largest magnitude of either multiset
+_MATCH_WIDTH = 1e-8
+
+
+def multiset_distance(a, b) -> float:
+    """Optimal-matching distance between two eigenvalue multisets.
+
+    Lexicographic sorting alone can pair distinct eigenvalues whose real
+    parts differ only by rounding noise; the pairing here is the optimal
+    assignment, so the result is robust to that.  The assignment is
+    solved within each tolerance group of the union (values 1e-8 max|z|
+    apart or closer always share one), and over the whole multisets only
+    when some group holds unequal counts from the two sides, so that a
+    mismatch still reports its true distance.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError("multisets must have equal cardinality")
+    z = np.concatenate([a, b])
+    worst = 0.0
+    for group in _tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max(initial=0.0)):
+        # each side in its own order, as the whole assignment sees it:
+        # degenerate values tie, and the solver breaks ties by position
+        group = np.sort(group)
+        rows = group[group < a.size]
+        cols = group[group >= a.size] - a.size
+        if rows.size != cols.size:
+            return _assignment_distance(a, b)
+        worst = max(worst, _assignment_distance(a[rows], b[cols]))
+    return worst

@@ -7,7 +7,11 @@ the symbol built site by site, the gauge conjugation as one dense einsum over al
 ``scipy.linalg.eigvals`` of the whole matrix.  The Fourier-mode oracle
 is the mode loop the library used before it solved the mode symbols as
 one stack, and the site sweep is the frame alignment it used before it
-aligned the grid one column at a time.
+aligned the grid one column at a time.  The near-kernel re-solve and
+the multiset distance are the whole-matrix forms the library used
+before it worked per decoupled block and per tolerance group: one
+sorted Schur form of the dense XY and of the dense YX, and one optimal
+assignment over the full cost matrix of the two multisets.
 """
 
 import math
@@ -15,6 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from dirac_surface.clifford import gauge_rotation
 from dirac_surface.dirac import _aligned_grid_frames, _symbol
@@ -97,3 +102,28 @@ def fourier_eigenvalues_by_mode(op):
             vals.extend(np.linalg.eigvals(sym))
     vals = np.asarray(vals)
     return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def whole_near_kernel_eigenvalues(X, Y, cut, count):
+    """Eigenvalues of [[0, X], [Y, 0]] whose squares have |mu| <= cut,
+    from the invariant subspaces of the whole dense XY and YX."""
+    select = lambda z: abs(z) <= cut  # noqa: E731
+    _, V, kv = scipy.linalg.schur((X @ Y).toarray(), output="complex", sort=select)
+    _, W, kw = scipy.linalg.schur((Y @ X).toarray(), output="complex", sort=select)
+    assert kv == kw == count, (kv, kw, count)
+    V = V[:, :count]
+    W = W[:, :count]
+    zero = np.zeros((count, count))
+    return scipy.linalg.eigvals(
+        np.block([[zero, V.conj().T @ (X @ W)], [W.conj().T @ (Y @ V), zero]])
+    )
+
+
+def dense_multiset_distance(a, b):
+    """Largest pair distance of the optimal assignment between the two
+    whole multisets, over their full cost matrix."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())

@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 from conftest import interior_lattice
-from dirac_surface import dirac
+from dirac_surface import cli, dirac, weierstrass
 from dirac_surface.cli import main
 from dirac_surface.clifford import GAMMA
 from dirac_surface.corpus import corpus_path
@@ -208,6 +208,29 @@ def test_gauged_spectrum_fails_on_non_unitary_gauge(tmp_path, monkeypatch):
     assert code == 1
     failed = [c["name"] for c in json.loads(text)["checks"] if not c["pass"]]
     assert failed == ["fourier_oracle_match"]
+
+
+@pytest.mark.parametrize("shift", [1e-9, 1e-3], ids=["within-group", "across-groups"])
+def test_perturbed_spectrum_fails_both_checks(tmp_path, monkeypatch, shift):
+    """One eigenvalue and one square moved by ``shift``: inside its
+    tolerance group, where the group's own assignment measures it, or out
+    of it, where the unbalanced groups send the match to the whole
+    assignment.  Both checks fail either way."""
+    solve = cli.eigenvalues
+
+    def perturbed(op, return_squares=False):
+        vals, squares = solve(op, return_squares=True)
+        vals[0] += shift
+        squares[0] += 1j * shift
+        return vals, squares
+
+    monkeypatch.setattr(cli, "eigenvalues", perturbed)
+    code, text = run(tmp_path, "spectrum", CLIFFORD, "--grid", "8x8")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert not checks["conjugation_symmetry"]["pass"]
+    assert not checks["fourier_oracle_match"]["pass"]
+    assert checks["fourier_oracle_match"]["value"] == pytest.approx(shift, rel=1e-4)
 
 
 def test_spectrum_conjugation_check_fails_on_complex_coefficient(tmp_path, monkeypatch):
@@ -578,6 +601,30 @@ def test_short_first_tangent_is_not_vanishing(tmp_path, command):
         warnings.simplefilter("error")
         code, _ = run(tmp_path, command, str(path), "--at", "0.25", "0.25")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "name,at",
+    [("clifford", ("0.3", "0.2")), ("sphere", ("1.0", "0.7")), ("over", ("0.1", "0.5"))],
+)
+def test_bilinear_checks_judge_against_tangent_scale(tmp_path, monkeypatch, name, at):
+    """The bilinear residuals are judged against max(1, max|T|): tangents
+    4.4e37 long pass, and bilinears scaled by 1 + 1e-6 fail on unit-scale
+    and on badly scaled tangents alike."""
+    if name == "over":
+        path = tmp_path / "over.imm"
+        path.write_text(_OVERFLOW)
+    else:
+        path = corpus_path(name)
+    code, _ = run(tmp_path, "verify", str(path), "--at", *at)
+    assert code == 0
+    # psi = U Psi with Psi scaled by sqrt(1 + 1e-6): every bilinear, W
+    # among them, grows by 1 + 1e-6
+    monkeypatch.setattr(weierstrass, "_ROUND", weierstrass._ROUND * math.sqrt(1.0 + 1e-6))
+    code, text = run(tmp_path, "verify", str(path), "--at", *at)
+    assert code == 1
+    failed = [c["name"] for c in json.loads(text)["checks"] if not c["pass"]]
+    assert failed == ["weierstrass_identity"]
 
 
 @pytest.mark.parametrize(

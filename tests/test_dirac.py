@@ -11,9 +11,12 @@ from dirac_surface.dirac import (
     DimensionCapError,
     NonPeriodicDomainError,
     SpectrumInvariantError,
+    _MATCH_WIDTH,
+    _NEAR_KERNEL,
     _chiral_blocks,
     _decoupled_blocks,
     _near_kernel_eigenvalues,
+    _tolerance_groups,
     assemble_grid_operator,
     dirac_symbol,
     eigenvalues,
@@ -30,7 +33,9 @@ from grid_oracles import (
     aligned_grid_frames_by_site,
     dense_eigenvalues,
     dense_grid_matrix,
+    dense_multiset_distance,
     fourier_eigenvalues_by_mode,
+    whole_near_kernel_eigenvalues,
 )
 from pointwise_oracles import _wrap_angle, apply_pointwise, hatted_symbol
 
@@ -365,6 +370,110 @@ def test_near_kernel_cluster_size_is_checked(plane_torus):
     # the four zero modes square to two zero eigenvalues of XY
     with pytest.raises(ArithmeticError, match="select 2 and 2"):
         _near_kernel_eigenvalues(X, Y, (X @ Y).toarray(), 1e-3, 3)
+
+
+@pytest.mark.parametrize("n,zeros", [(8, 16), (9, 4), (16, 16)])
+def test_blockwise_near_kernel_matches_whole_matrix_oracle(plane_torus, n, zeros):
+    """The near-kernel re-solve block by block agrees with the sorted
+    Schur forms of the whole dense XY and YX."""
+    op = assemble_grid_operator(plane_torus, n, n)
+    X, Y = _chiral_blocks(op.matrix)
+    _, mu = eigenvalues(op, return_squares=True)
+    size = np.abs(mu)
+    small = size <= _NEAR_KERNEL * size.max()
+    cut = 0.5 * (size[small].max() + size[~small].min())
+    count = int(small.sum())
+    near = _near_kernel_eigenvalues(X, Y, X @ Y, cut, count)
+    whole = whole_near_kernel_eigenvalues(X, Y, cut, count)
+    assert near.shape == whole.shape == (2 * count,) == (zeros,)
+    assert multiset_distance(near, whole) <= 1e-15
+    assert np.max(np.abs(near)) <= 1e-14
+
+
+def test_near_kernel_labels_yx_blocks_on_its_own():
+    """A chiral pair whose squares fall apart differently: XY = A has the
+    blocks {0, 1} and {2, 3}, YX = P^T A P (P swaps indices 1 and 2) the
+    blocks {0, 2} and {1, 3}.  Each square's own blocks give its
+    invariant subspace, and the re-solve returns +-sqrt of the two small
+    squares, as the whole-matrix forms do."""
+    import scipy.linalg
+    import scipy.sparse
+
+    gen = np.random.default_rng(rng_seed())
+
+    def block(small, big):
+        Q = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
+        return Q @ np.diag([small, big]) @ np.linalg.inv(Q)
+
+    A = scipy.linalg.block_diag(block(1e-6, 3.0), block(4e-6j, 5.0 - 1j))
+    P = np.eye(4)[[0, 2, 1, 3]]
+    X = scipy.sparse.csr_array(P)
+    Y = scipy.sparse.csr_array(P.T @ A)
+    assert np.bincount(_decoupled_blocks(X @ Y)).tolist() == [2, 2]
+    assert _decoupled_blocks(Y @ X).tolist() == [0, 1, 0, 1]
+    near = _near_kernel_eigenvalues(X, Y, X @ Y, 1.0, 2)
+    roots = np.sqrt([1e-6, 4e-6j])
+    assert multiset_distance(near, np.concatenate([roots, -roots])) <= 1e-12
+    assert multiset_distance(near, whole_near_kernel_eigenvalues(X, Y, 1.0, 2)) <= 1e-12
+
+
+def _shuffled_copy(rng, a, noise):
+    """``a`` in random order, each value moved by up to ``noise``."""
+    moved = a + noise * (rng.uniform(-1, 1, a.size) + 1j * rng.uniform(-1, 1, a.size))
+    return rng.permutation(moved)
+
+
+@pytest.mark.parametrize("trial", range(5))
+def test_grouped_distance_matches_dense_oracle_on_planted_clusters(rng, trial):
+    """Random multisets in which most values sit in degenerate clusters,
+    matched against a shuffled, slightly moved copy: the grouped distance
+    is the dense one, bit for bit."""
+    centres = rng.normal(size=12) + 1j * rng.normal(size=12)
+    clustered = np.repeat(centres, rng.integers(1, 9, size=12))
+    a = np.concatenate([clustered, rng.normal(size=20) + 1j * rng.normal(size=20)])
+    for noise in (0.0, 1e-14, 1e-11):
+        b = _shuffled_copy(rng, a, noise)
+        z = np.concatenate([a, b])
+        assert len(_tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max())) >= 32
+        assert multiset_distance(a, b) == dense_multiset_distance(a, b)
+
+
+def test_grouped_distance_on_purely_imaginary_spectrum(rng):
+    """Equal real parts leave the split to the imaginary parts alone."""
+    a = 1j * np.repeat(rng.normal(size=30), 4)
+    b = _shuffled_copy(rng, a, 1e-13).imag * 1j
+    z = np.concatenate([a, b])
+    groups = _tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max())
+    assert len(groups) == 30
+    assert multiset_distance(a, b) == dense_multiset_distance(a, b)
+
+
+@pytest.mark.parametrize("spacing,groups", [(0.99, 1), (1.01, 80)])
+def test_grouped_distance_on_a_chain(spacing, groups):
+    """Values spaced just under the group width w chain into one group
+    however long the chain; just over w they split into singletons,
+    every one unbalanced, and the whole assignment gives the distance."""
+    w = _MATCH_WIDTH * (1.0 + 80 * 1e-8)
+    z = 1.0 + spacing * w * np.arange(80)
+    a, b = z[0::2], z[1::2]
+    assert len(_tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max())) == groups
+    assert multiset_distance(a, b) == dense_multiset_distance(a, b)
+    assert multiset_distance(a, b) == pytest.approx(spacing * w, rel=1e-6)
+
+
+def test_unbalanced_group_falls_back_to_whole_assignment():
+    """A group with more values from one side than the other cannot be
+    matched within itself: the true distance comes from the whole
+    multisets."""
+    a = np.array([0.0, 1.0, 2.0, 5.0])
+    b = np.array([0.0, 0.0, 2.0, 5.0])
+    assert multiset_distance(a, b) == dense_multiset_distance(a, b) == 1.0
+
+
+def test_grouped_distance_keeps_the_contract():
+    with pytest.raises(ValueError, match="equal cardinality"):
+        multiset_distance([1.0, 2.0], [1.0])
+    assert multiset_distance([1 + 1j], [1 + 1j]) == 0.0
 
 
 def test_clifford_grid_constant_coefficients(clifford):
