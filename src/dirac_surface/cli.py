@@ -78,6 +78,7 @@ TOL = {
     "residual_ratio": 3.5,
     "fourier_match": 1e-10,
     "conjugation_symmetry": 1e-10,
+    "mode_residual": 1e-12,
     "tube_slope": 1.9,
     "tube_exact": 1e-12,
     "tube_floor": 1e-9,
@@ -396,7 +397,7 @@ def _cmd_verify(spec, args):
 def _cmd_spectrum(spec, args):
     n1, n2 = args.grid if args.grid is not None else (8, 8)
     op = assemble_grid_operator(spec, n1, n2, gauged=args.gauged)
-    vals, squares = eigenvalues(op, return_squares=True)
+    vals, squares, residual = eigenvalues(op, return_squares=True, return_residual=True)
     # every coefficient of the operator is real, so the antiunitary
     # J = (i tau_3 (x) tau_2) K commutes with it and the spectrum is closed
     # under conjugation; the squares mu = lambda^2 carry the same closure
@@ -414,6 +415,9 @@ def _cmd_spectrum(spec, args):
         checks.append(
             _check("fourier_oracle_match", fourier_dist, TOL["fourier_match"])
         )
+    # the per-mode solve, lifted to the grid, against the assembled matrix
+    if residual is not None:
+        checks.append(_check("mode_residual", residual, TOL["mode_residual"]))
     config = {"grid": [n1, n2], "gauged": args.gauged, "dimension": op.dim}
     records = [{"re": v.real, "im": v.imag} for v in vals.tolist()]
     summary = {
@@ -421,6 +425,9 @@ def _cmd_spectrum(spec, args):
         "fourier_oracle_distance": fourier_dist,
         "zero_eigenvalues": int(np.sum(np.abs(vals) < 1e-10)),
         "max_abs": float(np.max(np.abs(vals))),
+        "invariant_directions": [spec.param_names[a] for a in op.invariant_directions],
+        "shift_defect": list(op.shift_defect),
+        "mode_residual": residual,
     }
     return config, records, summary, checks
 

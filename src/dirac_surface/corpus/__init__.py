@@ -16,6 +16,9 @@ _FILES = {
     "sphere": "sphere.imm",
     "clifford": "clifford.imm",
     "clifford-rotated": "clifford-rotated.imm",
+    "bump-torus": "bump-torus.imm",
+    "moebius-clifford": "moebius-clifford.imm",
+    "inverted-clifford": "inverted-clifford.imm",
 }
 
 

@@ -31,18 +31,41 @@ since U(-theta/2) lifts the turn of the normals.  On the grid, gauging
 conjugates the matrix alone, block by block, and keeps the plain symbol.
 
 The grid operator is [[0, X], [Y, 0]] in chiral order, and its
-spectrum is +-sqrt of that of the half-size square XY.  XY couples a
-site to its neighbours at +-2 e_alpha, +-e_1 +-e_2 and +-e_alpha, but
-the diagonal hops cancel when g^12 = 0 and the single ones unless the
-spin connection or the torsion feeds them, so XY often falls apart
-into sublattices.  ``eigenvalues`` drops the entries at or below
-1e-13 max|XY| (the cancellation residues: at most 1.1e-16 max|XY| on
-the corpus at 16x16 and 32x32, against at least 1.3e-2 max|XY| for a
-genuine entry) and solves each connected component on its own.  The
-squares near zero, whose root loses precision, are re-solved on their
-invariant subspaces of XY and YX, found block by block from sorted
-Schur forms; YX is split into its blocks only when such a cluster
-exists.
+spectrum is +-sqrt of that of the half-size square XY.  Where the
+surface is symmetric along a parameter cycle, the assembled operator D
+commutes with the one-site grid shift S along it.  ``eigenvalues``
+measures |S D S^T - D|_max / |D|_max per direction on the assembled
+matrix (``DiscreteOperator.shift_defect``) and calls a direction
+invariant at or below 1e-13.  On the periodic corpus files and a ring
+torus at 8x8, 16x16 and 32x32, plain and gauged, the invariant
+directions read at most 6.2e-16 (a few rounding units of the site
+symbols, evaluated at different points) and every other direction at
+least 1.4e-2 (the ring torus across its tube at 32x32; a coefficient
+that varies smoothly moves by O(h) between sites, so the gap stays
+wide at every size under the cap).  Along the invariant directions D is
+reduced by Fourier mode.  The rows of one cell of sites (the sites at
+0 along them) are split by the translation t of each column's site;
+a nearest-neighbour operator has at most three per direction.  Mode m
+gets the block D_m = sum_t exp(2 pi i m.t / n) D_t, the exact
+restriction of D to the Bloch waves of that mode, and its chiral
+split X_m, Y_m; every mode's X_m Y_m is solved in one stacked call.
+The eigenvectors of the mode 1 along every invariant direction are
+lifted to the whole grid and checked against the assembled XY (the
+mode residual).
+
+With no invariant direction the one mode is the whole XY, kept sparse.
+XY couples a site to its neighbours at +-2 e_alpha, +-e_1 +-e_2 and
++-e_alpha, but the diagonal hops cancel when g^12 = 0 and the single
+ones unless the spin connection or the torsion feeds them, so XY often
+falls apart into sublattices.  ``eigenvalues`` drops the entries at or
+below 1e-13 max|XY| (the cancellation residues: at most 1.1e-16
+max|XY| on the corpus at 16x16 and 32x32, against at least 1.3e-2
+max|XY| for a genuine entry) and solves each connected component on
+its own.  Either way, the squares near zero, whose root loses
+precision, are re-solved on their invariant subspaces of XY and YX
+(of the block-diagonal pair of the modes that hold them), found block
+by block from sorted Schur forms; YX is split into its blocks only
+when such a cluster exists.
 
 ``multiset_distance`` solves its optimal assignment per tolerance
 group: the union of the two multisets is split where its sorted real
@@ -63,6 +86,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -157,6 +181,18 @@ class DiscreteOperator:
         """Weighted inner product sum_sites sqrt(det g) phi^dag psi dA."""
         cell = self.h1 * self.h2
         return complex(np.vdot(np.asarray(phi) * self.weight, psi) * cell)
+
+    @cached_property
+    def shift_defect(self) -> tuple:
+        """|S D S^T - D|_max / |D|_max for the one-site grid shift S along
+        each parameter direction, read off the assembled matrix."""
+        return tuple(_shift_defect(self.matrix, self.n1, self.n2, axis) for axis in (0, 1))
+
+    @property
+    def invariant_directions(self) -> tuple:
+        """The directions (0 for the first parameter, 1 for the second)
+        whose shift defect is at or below ``_SHIFT_INVARIANT``."""
+        return tuple(a for a, d in enumerate(self.shift_defect) if d <= _SHIFT_INVARIANT)
 
 
 # ---------------------------------------------------------------------------
@@ -427,28 +463,182 @@ def _decoupled_blocks(XY) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
-def eigenvalues(op: DiscreteOperator, return_squares: bool = False):
+# |S D S^T - D|_max / |D|_max at or below which the grid shift S along a
+# direction commutes with the operator up to rounding; the measured gap
+# between the two kinds of direction is in the module docstring
+_SHIFT_INVARIANT = 1e-13
+
+
+def _site_shift(n1: int, n2: int, axis: int) -> np.ndarray:
+    """Where the one-site grid shift along ``axis`` sends each matrix
+    index: 4 p + c goes to 4 S(p) + c."""
+    j, k = np.divmod(np.arange(n1 * n2), n2)
+    if axis == 0:
+        j = (j + 1) % n1
+    else:
+        k = (k + 1) % n2
+    return (4 * (j * n2 + k)[:, None] + np.arange(4)).ravel()
+
+
+def _shift_defect(matrix, n1: int, n2: int, axis: int) -> float:
+    """|S D S^T - D|_max / |D|_max of the sparse D and the grid shift S."""
+    import scipy.sparse
+
+    coo = matrix.tocoo()
+    to = _site_shift(n1, n2, axis)
+    shifted = scipy.sparse.csr_array(
+        (coo.data, (to[coo.row], to[coo.col])), shape=matrix.shape
+    )
+    return float(abs(shifted - matrix).max()) / float(np.abs(coo.data).max())
+
+
+def _cell_split(n1: int, n2: int, invariant) -> tuple:
+    """Each site (j, k) as a translation along the invariant directions
+    plus a site of the cell, the sites at 0 along them.
+
+    Returns the cell's sites in grid order, the index among them of each
+    site's representative, and the translations t1, t2 (0 along a
+    direction that is not invariant).
+    """
+    j, k = np.divmod(np.arange(n1 * n2), n2)
+    t1 = j if 0 in invariant else np.zeros_like(j)
+    t2 = k if 1 in invariant else np.zeros_like(k)
+    cell = (j - t1) * (1 if 1 in invariant else n2) + (k - t2)
+    return np.flatnonzero((t1 == 0) & (t2 == 0)), cell, t1, t2
+
+
+def _modes(op: DiscreteOperator, invariant) -> np.ndarray:
+    """The Fourier modes (m1, m2) of the invariant directions, in row
+    order (0 along a direction that is not invariant)."""
+    m1 = np.arange(op.n1 if 0 in invariant else 1)
+    m2 = np.arange(op.n2 if 1 in invariant else 1)
+    return np.stack(np.meshgrid(m1, m2, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _offset_blocks(op: DiscreteOperator, invariant) -> tuple:
+    """The rows of the cell's sites, split by the translation of the
+    site of each column.
+
+    Returns the distinct translations (T, 2) and one dense block per
+    translation, (T, 4c, 4c) over the cell's components: the entry
+    (r, 4 s + c) of block t is the matrix entry in row r and column
+    4 (s + t) + c.  A nearest-neighbour operator has at most three
+    translations per invariant direction.
+    """
+    sites, cell, t1, t2 = _cell_split(op.n1, op.n2, invariant)
+    size = 4 * sites.size
+    rows = op.matrix[(4 * sites[:, None] + np.arange(4)).ravel()].tocoo()
+    site, comp = np.divmod(rows.col, 4)
+    offsets, which = np.unique(t1[site] * op.n2 + t2[site], return_inverse=True)
+    blocks = np.zeros((offsets.size, size, size), dtype=complex)
+    blocks[which, rows.row, 4 * cell[site] + comp] = rows.data
+    return np.stack(np.divmod(offsets, op.n2), axis=-1), blocks
+
+
+def _bloch_phases(modes, offsets, n1: int, n2: int) -> np.ndarray:
+    """exp(2 pi i (m1 t1 / n1 + m2 t2 / n2)) for each mode (M, 2) and
+    translation (T, 2): the (M, T) weights of the offset blocks."""
+    turns = (modes[:, None, 0] * offsets[None, :, 0] % n1) / n1 + (
+        modes[:, None, 1] * offsets[None, :, 1] % n2
+    ) / n2
+    return np.exp(2j * math.pi * turns)
+
+
+def _mode_blocks(op: DiscreteOperator, invariant, modes) -> tuple:
+    """X_m and Y_m of each of the given modes, as dense stacks (M, 2c, 2c).
+
+    The mode block D_m = sum_t exp(2 pi i m.t / n) D_t is the exact
+    restriction of the assembled matrix to the Bloch waves
+    psi(s + t) = exp(2 pi i m.t / n) phi(s) of the invariant directions,
+    and its chiral split gives X_m and Y_m.
+    """
+    offsets, blocks = _offset_blocks(op, invariant)
+    phases = _bloch_phases(modes, offsets, op.n1, op.n2)
+    plus = np.arange(blocks.shape[-1]) % 4 < 2
+
+    def summed(parts):
+        return (phases @ parts.reshape(len(parts), -1)).reshape(len(modes), *parts.shape[1:])
+
+    return summed(blocks[:, plus][:, :, ~plus]), summed(blocks[:, ~plus][:, :, plus])
+
+
+def _lifted_residual(X, Y, op: DiscreteOperator, invariant, modes, squares, vectors) -> float:
+    """Largest |(XY - mu) psi|_inf / (|XY|_inf |psi|_inf) over the
+    eigenpairs (mu, phi) of the given modes' X_m Y_m.
+
+    Each phi is lifted to the Bloch wave psi(s + t) = exp(2 pi i m.t / n)
+    phi(s) on the grid, with phases built here from the site
+    translations, apart from the reduction, and measured against the rows
+    of the cell's sites of the assembled sparse XY = X Y; psi is built on
+    the sites those rows reach, and on the cell's own sites it is phi.
+    Within the shift defect every other row of XY repeats one of those,
+    times the wave's phase, so they bound the residual on the whole grid.
+    """
+    sites, cell, t1, t2 = _cell_split(op.n1, op.n2, invariant)
+    XY = X[(2 * sites[:, None] + np.arange(2)).ravel()] @ Y
+    row = np.repeat(np.arange(XY.shape[0]), np.diff(XY.indptr))
+    scale = float(np.bincount(row, weights=np.abs(XY.data)).max())
+    site, comp = np.divmod(XY.indices, 2)
+    worst = 0.0
+    for (m1, m2), mu, phi in zip(modes, squares, vectors):
+        wave = np.exp(2j * math.pi * (m1 * t1[site] / op.n1 + m2 * t2[site] / op.n2))
+        psi = np.zeros((XY.shape[1], phi.shape[1]), dtype=complex)
+        psi[XY.indices] = wave[:, None] * phi[2 * cell[site] + comp]
+        residual = np.abs(XY @ psi - phi * mu).max(axis=0)
+        worst = max(worst, float(np.max(residual / (scale * np.abs(phi).max(axis=0)))))
+    return worst
+
+
+def eigenvalues(
+    op: DiscreteOperator, return_squares: bool = False, return_residual: bool = False
+):
     """Full spectrum of the grid operator, sorted by real then imaginary part.
 
     The operator is [[0, X], [Y, 0]] in chiral order, so its spectrum is
     +-sqrt(mu) over the eigenvalues mu of the half-size product XY.  XY
-    stays sparse and each of its decoupled blocks is solved densely on
-    its own.  Squares with |mu| <= 1e-4 max|mu|, whose root would lose
-    precision, are re-solved on their invariant subspaces of XY and YX,
-    found block by block.  With ``return_squares`` the eigenvalues mu of
-    XY (unsorted, 2 n1 n2 of them) are returned as well.
+    is solved one Fourier mode of the invariant directions at a time:
+    every mode's X_m Y_m in one stacked ``eigvals`` call, apart from the
+    mode 1 along every invariant direction, whose eigenvectors are found
+    too and checked against the assembled XY (``_lifted_residual``).
+    With no invariant direction the one mode is the whole XY, which
+    stays sparse, and each of its decoupled blocks is solved densely on
+    its own.
+    Squares with |mu| <= 1e-4 max|mu| over all modes, whose root would
+    lose precision, are re-solved on their invariant subspaces of their
+    mode's X_m Y_m and Y_m X_m, found block by block.
+
+    With ``return_squares`` the eigenvalues mu of XY (unsorted, 2 n1 n2
+    of them, mode after mode) are returned as well, and with
+    ``return_residual`` the lifted residual (None with no invariant
+    direction).
     """
     import scipy.linalg
+    import scipy.sparse
 
     X, Y = _chiral_blocks(op.matrix)
-    XY = X @ Y
-    labels = _decoupled_blocks(XY)
-    mu = np.concatenate(
-        [
-            scipy.linalg.eigvals(XY[idx][:, idx].toarray())
-            for idx in _block_indices(labels)
-        ]
-    )
+    invariant = op.invariant_directions
+    residual = None
+    if invariant:
+        modes = _modes(op, invariant)
+        Xm, Ym = _mode_blocks(op, invariant, modes)
+        XYm = Xm @ Ym
+        # the mode 1 along every invariant direction: m = 0 and m = n/2
+        # have real phases, which a conjugated phase leaves unchanged
+        sample = np.all(modes == np.isin((0, 1), invariant), axis=1)
+        mu = np.empty(XYm.shape[:2], dtype=complex)
+        mu[~sample] = np.linalg.eigvals(XYm[~sample])
+        mu[sample], vectors = np.linalg.eig(XYm[sample])
+        residual = _lifted_residual(X, Y, op, invariant, modes[sample], mu[sample], vectors)
+        labels = None
+    else:
+        XY = X @ Y
+        labels = _decoupled_blocks(XY)
+        mu = np.concatenate(
+            [
+                scipy.linalg.eigvals(XY[idx][:, idx].toarray())
+                for idx in _block_indices(labels)
+            ]
+        )[None]
     size = np.abs(mu)
     small = size <= _NEAR_KERNEL * size.max()
     roots = np.sqrt(mu[~small])
@@ -456,10 +646,23 @@ def eigenvalues(op: DiscreteOperator, return_squares: bool = False):
     if small.any():
         # cut half way between the cluster and the rest of the spectrum
         cut = 0.5 * (size[small].max() + size[~small].min())
-        near = _near_kernel_eigenvalues(X, Y, XY, cut, int(small.sum()), labels)
-        vals = np.concatenate([vals, near])
+        if invariant:
+            # the modes that hold near-kernel squares, as one block-diagonal
+            # pair, whose blocks the Schur path finds on its own
+            near = small.any(axis=1)
+            X = scipy.sparse.block_diag(Xm[near], format="csr")
+            Y = scipy.sparse.block_diag(Ym[near], format="csr")
+            XY = X @ Y
+        vals = np.concatenate(
+            [vals, _near_kernel_eigenvalues(X, Y, XY, cut, int(small.sum()), labels)]
+        )
     vals = vals[np.lexsort((vals.imag, vals.real))]
-    return (vals, mu) if return_squares else vals
+    out = [vals]
+    if return_squares:
+        out.append(mu.ravel())
+    if return_residual:
+        out.append(residual)
+    return tuple(out) if len(out) > 1 else vals
 
 
 _CONSTANT_TOL = 1e-10
@@ -526,11 +729,19 @@ _MATCH_WIDTH = 1e-8
 
 
 def multiset_distance(a, b) -> float:
-    """Optimal-matching distance between two eigenvalue multisets.
+    """Largest pair distance of a sum-optimal assignment between two
+    eigenvalue multisets.
 
     Lexicographic sorting alone can pair distinct eigenvalues whose real
-    parts differ only by rounding noise; the pairing here is the optimal
-    assignment, so the result is robust to that.  The assignment is
+    parts differ only by rounding noise; the pairing here is the
+    assignment that minimises the sum of the pair distances, so the
+    result is robust to that.  It is not a quantity of the two multisets
+    alone: when several assignments share the least sum, the largest
+    pair of the one the solver returns depends on how it breaks ties
+    (1.33e-15 from the whole assignment and 1.13e-15 from the grouped
+    one on ``spectrum plane-torus --grid 8x8``, at one sum).  The least
+    largest pair over all matchings, the bottleneck distance, would not
+    depend on them.  The assignment is
     solved within each tolerance group of the union (values 1e-8 max|z|
     apart or closer always share one), and over the whole multisets only
     when some group holds unequal counts from the two sides, so that a

@@ -65,6 +65,16 @@ def clifford_rotated():
 
 
 @pytest.fixture(scope="session")
+def moebius_clifford():
+    return load_corpus("moebius-clifford")
+
+
+@pytest.fixture(scope="session")
+def bump_torus():
+    return load_corpus("bump-torus")
+
+
+@pytest.fixture(scope="session")
 def ring_torus():
     return parse_immersion_file(RING_TORUS)
 

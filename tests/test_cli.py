@@ -218,11 +218,11 @@ def test_perturbed_spectrum_fails_both_checks(tmp_path, monkeypatch, shift):
     assignment.  Both checks fail either way."""
     solve = cli.eigenvalues
 
-    def perturbed(op, return_squares=False):
-        vals, squares = solve(op, return_squares=True)
+    def perturbed(op, **kwargs):
+        vals, squares, *rest = solve(op, **kwargs)
         vals[0] += shift
         squares[0] += 1j * shift
-        return vals, squares
+        return vals, squares, *rest
 
     monkeypatch.setattr(cli, "eigenvalues", perturbed)
     code, text = run(tmp_path, "spectrum", CLIFFORD, "--grid", "8x8")
@@ -245,6 +245,92 @@ def test_spectrum_conjugation_check_fails_on_complex_coefficient(tmp_path, monke
     assert code == 1
     (check,) = [c for c in json.loads(text)["checks"] if c["name"] == "conjugation_symmetry"]
     assert not check["pass"]
+
+
+@pytest.mark.parametrize(
+    "name,invariant",
+    [
+        ("clifford", ["u", "v"]),
+        ("plane-torus", ["u", "v"]),
+        ("clifford-rotated", ["v"]),
+        ("moebius-clifford", ["v"]),
+        ("inverted-clifford", ["v"]),
+        ("bump-torus", []),
+    ],
+)
+def test_spectrum_reports_the_mode_reduction(tmp_path, name, invariant):
+    """Every periodic corpus file, the three test tori included, exits 0
+    at 8x8.  The summary names the invariant directions and the shift
+    defect of both; the lifted residual is a check exactly when some
+    direction is invariant, and null otherwise."""
+    code, text = run(tmp_path, "spectrum", str(corpus_path(name)), "--grid", "8x8")
+    assert code == 0
+    report = json.loads(text)
+    assert len(report["records"]) == 256
+    summary = report["summary"]
+    assert summary["invariant_directions"] == invariant
+    defect = dict(zip("uv", summary["shift_defect"]))
+    assert all(defect[a] <= 1e-15 for a in invariant)
+    assert all(d >= 1e-2 for a, d in defect.items() if a not in invariant)
+    checks = {c["name"]: c for c in report["checks"]}
+    if invariant:
+        assert checks["mode_residual"]["pass"]
+        assert summary["mode_residual"] == checks["mode_residual"]["value"] <= 1e-14
+    else:
+        assert summary["mode_residual"] is None and "mode_residual" not in checks
+
+
+def _offset_mutation(kind):
+    """``dirac._offset_blocks`` with the block of the hop by +1 along the
+    last invariant direction dropped or negated."""
+    offset_blocks = dirac._offset_blocks
+
+    def mutated(op, invariant):
+        offsets, blocks = offset_blocks(op, invariant)
+        hop = np.zeros(2, dtype=int)
+        hop[invariant[-1]] = 1
+        (t,) = np.flatnonzero((offsets == hop).all(axis=1))
+        if kind == "dropped":
+            return np.delete(offsets, t, axis=0), np.delete(blocks, t, axis=0)
+        blocks = blocks.copy()
+        blocks[t] *= -1.0
+        return offsets, blocks
+
+    return mutated
+
+
+@pytest.mark.parametrize(
+    "name,fault",
+    [
+        ("moebius-clifford", "conjugated-phase"),
+        ("inverted-clifford", "conjugated-phase"),
+        *(
+            (name, fault)
+            for name in ("clifford", "clifford-rotated", "moebius-clifford")
+            for fault in ("dropped-offset", "flipped-hop")
+        ),
+    ],
+)
+def test_mode_residual_fails_on_a_faulty_reduction(tmp_path, monkeypatch, name, fault):
+    """Faults in the reduction that the lifted residual must catch.  A
+    conjugated phase solves mode -m in place of mode m: the multiset of
+    squares is unchanged, so the residual is the only check that fails.
+    On clifford and clifford-rotated X_m Y_m equals X_-m Y_-m to rounding,
+    so a conjugated phase gives the right squared blocks there, and the
+    surfaces whose modes tell m from -m serve for that fault."""
+    if fault == "conjugated-phase":
+        phases = dirac._bloch_phases
+        monkeypatch.setattr(dirac, "_bloch_phases", lambda *args: phases(*args).conj())
+    else:
+        monkeypatch.setattr(dirac, "_offset_blocks", _offset_mutation(fault.split("-")[0]))
+    code, text = run(tmp_path, "spectrum", str(corpus_path(name)), "--grid", "8x8")
+    assert code == 1
+    report = json.loads(text)
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert "mode_residual" in failed
+    assert report["summary"]["mode_residual"] > 1e-3
+    if fault == "conjugated-phase":
+        assert failed == ["mode_residual"]
 
 
 def test_lattice_cap(capsys):

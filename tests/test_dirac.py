@@ -298,6 +298,11 @@ def test_gauged_operator_keeps_plain_site_symbol(name, request):
         # zero modes: sqrt of the squares alone would leave them at ~3e-8
         ("plane_torus", 8, False, 16),
         ("plane_torus", 9, False, 4),
+        # invariant along v alone, with mode blocks that tell m from -m
+        ("moebius_clifford", 8, False, 0),
+        ("moebius_clifford", 12, False, 0),
+        # no invariant direction: the decoupled-block solve of the whole XY
+        ("bump_torus", 8, False, 0),
     ],
 )
 def test_chiral_eigenvalues_match_dense_oracle(name, n, gauged, zeros, request):
@@ -353,6 +358,39 @@ def test_real_coupling_is_never_dropped(clifford):
     assert before == 8 and after < before
     dense = dense_eigenvalues(perturbed.matrix.toarray())
     assert multiset_distance(eigenvalues(perturbed), dense) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,n1,n2", [("clifford", 6, 10), ("moebius_clifford", 10, 8), ("clifford_rotated", 4, 12)]
+)
+def test_mode_reduction_on_a_non_square_grid(name, n1, n2, request):
+    """Each direction's phases and translations use its own grid size."""
+    op = assemble_grid_operator(request.getfixturevalue(name), n1, n2)
+    vals, residual = eigenvalues(op, return_residual=True)
+    assert op.invariant_directions
+    assert residual <= 1e-14
+    assert multiset_distance(vals, dense_eigenvalues(op.matrix.toarray())) <= 1e-12
+
+
+def test_broken_shift_invariance_is_never_reduced(clifford_rotated):
+    """One site's block row of clifford-rotated scaled by 1 + 1e-9: the
+    shift defect along v rises from rounding past the bound, v is no
+    longer invariant, and the spectrum still matches the dense solve of
+    the perturbed operator, now from the decoupled-block path."""
+    import scipy.sparse
+
+    op = assemble_grid_operator(clifford_rotated, 8, 8)
+    assert op.invariant_directions == (1,) and op.shift_defect[1] <= 1e-15
+    scale = np.ones(op.dim)
+    scale[4 * 9 : 4 * 10] += 1e-9  # site 9 = (1, 1)
+    perturbed = dataclasses.replace(op, matrix=(scipy.sparse.diags(scale) @ op.matrix).tocsr())
+    assert perturbed.shift_defect[1] > dirac._SHIFT_INVARIANT
+    assert perturbed.shift_defect[1] >= 1e-10
+    assert perturbed.invariant_directions == ()
+    vals, residual = eigenvalues(perturbed, return_residual=True)
+    assert residual is None
+    dense = dense_eigenvalues(perturbed.matrix.toarray())
+    assert multiset_distance(vals, dense) <= 1e-12
 
 
 def test_eigenvalues_reject_same_chirality_entry(clifford):
