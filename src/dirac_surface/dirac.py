@@ -42,30 +42,21 @@ directions read at most 6.2e-16 (a few rounding units of the site
 symbols, evaluated at different points) and every other direction at
 least 1.4e-2 (the ring torus across its tube at 32x32; a coefficient
 that varies smoothly moves by O(h) between sites, so the gap stays
-wide at every size under the cap).  Along the invariant directions D is
-reduced by Fourier mode.  The rows of one cell of sites (the sites at
-0 along them) are split by the translation t of each column's site;
-a nearest-neighbour operator has at most three per direction.  Mode m
-gets the block D_m = sum_t exp(2 pi i m.t / n) D_t, the exact
-restriction of D to the Bloch waves of that mode, and its chiral
-split X_m, Y_m; every mode's X_m Y_m is solved in one stacked call.
-The eigenvectors of the mode 1 along every invariant direction are
-lifted to the whole grid and checked against the assembled XY (the
-mode residual).
-
-With no invariant direction the one mode is the whole XY, kept sparse.
-XY couples a site to its neighbours at +-2 e_alpha, +-e_1 +-e_2 and
-+-e_alpha, but the diagonal hops cancel when g^12 = 0 and the single
-ones unless the spin connection or the torsion feeds them, so XY often
-falls apart into sublattices.  ``eigenvalues`` drops the entries at or
-below 1e-13 max|XY| (the cancellation residues: at most 1.1e-16
-max|XY| on the corpus at 16x16 and 32x32, against at least 1.3e-2
-max|XY| for a genuine entry) and solves each connected component on
-its own.  Either way, the squares near zero, whose root loses
-precision, are re-solved on their invariant subspaces of XY and YX
-(of the block-diagonal pair of the modes that hold them), found block
-by block from sorted Schur forms; YX is split into its blocks only
-when such a cluster exists.
+wide at every size under the cap).  XY is formed once, sparse, and
+reduced by Fourier mode along the invariant directions.  The rows of
+one cell of sites (the sites at 0 along them; the whole grid when no
+direction is invariant) are split by the translation t of each
+column's site, and mode m gets the block sum_t exp(2 pi i m.t / n)
+XY_t, the exact restriction of XY to the Bloch waves of that mode.
+With no invariant direction the one mode is the whole XY.  Every
+mode's block is solved in one stacked call.  When some direction is
+invariant, the eigenvectors of the mode 1 along every invariant
+direction are lifted to the whole grid and checked against the
+assembled XY (the mode residual).  The squares near zero, whose root
+loses precision, are re-solved per mode that holds them, on their
+invariant subspaces of X_m Y_m and Y_m X_m: X and Y are reduced for
+those modes alone, the same way, and each square gets its own sorted
+Schur form.
 
 ``multiset_distance`` solves its optimal assignment per tolerance
 group: the union of the two multisets is split where its sorted real
@@ -76,10 +67,9 @@ unequal counts from the two sides sends the match to the one
 assignment over the whole multisets.
 
 Only the lattice spectrum loads scipy, on first use:
-``assemble_grid_operator`` imports ``scipy.sparse``, ``eigenvalues``
-``scipy.linalg`` and ``scipy.sparse.csgraph``, and
-``multiset_distance`` ``scipy.optimize``.  The pointwise symbols need
-numpy alone.
+``assemble_grid_operator`` imports ``scipy.sparse``, the near-kernel
+re-solve ``scipy.linalg`` and ``multiset_distance`` ``scipy.optimize``.
+The pointwise symbols need numpy alone.
 """
 
 from __future__ import annotations
@@ -361,11 +351,6 @@ def assemble_grid_operator(
 # the eigenvalue's absolute precision, so that cluster is re-solved
 _NEAR_KERNEL = 1e-4
 
-# |entry| / max |entry| of XY at or below which an entry is the rounding
-# residue of an exact cancellation; the measured gap between residues
-# and genuine couplings is in the module docstring
-_DECOUPLED = 1e-13
-
 
 def _chiral_blocks(matrix):
     """X and Y of the operator written as [[0, X], [Y, 0]] in chiral order.
@@ -387,80 +372,37 @@ def _chiral_blocks(matrix):
     return rows_plus[:, minus], rows_minus[:, plus]
 
 
-def _block_indices(labels) -> list:
-    """The indices of each decoupled block, in label order."""
-    return [np.flatnonzero(labels == b) for b in range(labels.max() + 1)]
+def _near_kernel_eigenvalues(X, Y, cut: float, count: int) -> np.ndarray:
+    """Eigenvalues of [[0, X], [Y, 0]] whose squares have |mu| <= cut.
 
-
-def _selected_schur_vectors(M, labels, cut: float):
-    """Schur vectors of the sparse square M for its eigenvalues |z| <= cut.
-
-    Each decoupled block of M (as labelled) gets its own sorted Schur
-    form, whose leading vectors are scattered into the block's rows.
-    Returns the (dim, k) orthonormal basis and the number of values the
-    forms selected, summed over the blocks.
+    X and Y are stacks (K, s, s) of mode blocks.  Per mode, V spans the
+    invariant subspace of X_m Y_m and W that of Y_m X_m for those mu,
+    each from its own sorted Schur form.  X_m maps W into V and Y_m maps
+    V into W, so the operator restricted to V + W is
+    [[0, V^dag X_m W], [W^dag Y_m V, 0]]; the modes' pieces are solved
+    together, without a root, once the forms have selected ``count``
+    values each, summed over the modes.
     """
     import scipy.linalg
 
     select = lambda z: abs(z) <= cut  # noqa: E731
-    columns = []
-    selected = 0
-    for idx in _block_indices(labels):
-        block = M[idx][:, idx].toarray()
-        _, Z, k = scipy.linalg.schur(block, output="complex", sort=select)
-        Z = Z[:, :k]
-        part = np.zeros((M.shape[0], Z.shape[1]), dtype=complex)
-        part[idx] = Z
-        columns.append(part)
-        selected += k
-    return np.concatenate(columns, axis=1), selected
-
-
-def _near_kernel_eigenvalues(
-    X, Y, XY, cut: float, count: int, labels=None
-) -> np.ndarray:
-    """Eigenvalues of [[0, X], [Y, 0]] whose squares have |mu| <= cut.
-
-    V spans the invariant subspace of XY and W that of YX for those mu,
-    both built block by block from the decoupled blocks of XY (its
-    ``labels``, found here when not given) and of YX.  X maps W into V
-    and Y maps V into W, so the operator restricted to V + W is
-    [[0, V^dag X W], [W^dag Y V, 0]], solved without a root.  XY may be
-    given sparse or dense.
-    """
-    import scipy.linalg
-    import scipy.sparse
-
-    XY = scipy.sparse.csr_array(XY)
-    YX = Y @ X
-    if labels is None:
-        labels = _decoupled_blocks(XY)
-    V, kv = _selected_schur_vectors(XY, labels, cut)
-    W, kw = _selected_schur_vectors(YX, _decoupled_blocks(YX), cut)
+    V, W = [], []
+    kv = kw = 0
+    for Xm, Ym in zip(X, Y):
+        _, Zv, k = scipy.linalg.schur(Xm @ Ym, output="complex", sort=select)
+        _, Zw, l = scipy.linalg.schur(Ym @ Xm, output="complex", sort=select)
+        V.append(Zv[:, :k])
+        W.append(Zw[:, :l])
+        kv, kw = kv + k, kw + l
     if kv != count or kw != count:
         raise SpectrumInvariantError(
             f"near-kernel cluster of {count} squared eigenvalues is not "
             f"separated at {cut:.3e} (Schur forms select {kv} and {kw})"
         )
+    VXW = scipy.linalg.block_diag(*(v.conj().T @ x @ w for x, v, w in zip(X, V, W)))
+    WYV = scipy.linalg.block_diag(*(w.conj().T @ y @ v for y, v, w in zip(Y, V, W)))
     zero = np.zeros((count, count))
-    return scipy.linalg.eigvals(
-        np.block([[zero, V.conj().T @ (X @ W)], [W.conj().T @ (Y @ V), zero]])
-    )
-
-
-def _decoupled_blocks(XY) -> np.ndarray:
-    """Label each index of the sparse square XY with its decoupled block.
-
-    Entries at or below ``_DECOUPLED`` max|XY| are the rounding residues
-    of couplings that cancel exactly in the square; they are dropped, and
-    the blocks are the connected components of what is left.
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    graph = abs(XY)
-    graph.data[graph.data <= _DECOUPLED * graph.data.max(initial=0.0)] = 0.0
-    graph.eliminate_zeros()
-    return connected_components(graph, directed=False)[1]
+    return scipy.linalg.eigvals(np.block([[zero, VXW], [WYV, zero]]))
 
 
 # |S D S^T - D|_max / |D|_max at or below which the grid shift S along a
@@ -498,7 +440,8 @@ def _cell_split(n1: int, n2: int, invariant) -> tuple:
 
     Returns the cell's sites in grid order, the index among them of each
     site's representative, and the translations t1, t2 (0 along a
-    direction that is not invariant).
+    direction that is not invariant).  With no invariant direction the
+    cell is the whole grid.
     """
     j, k = np.divmod(np.arange(n1 * n2), n2)
     t1 = j if 0 in invariant else np.zeros_like(j)
@@ -509,84 +452,73 @@ def _cell_split(n1: int, n2: int, invariant) -> tuple:
 
 def _modes(op: DiscreteOperator, invariant) -> np.ndarray:
     """The Fourier modes (m1, m2) of the invariant directions, in row
-    order (0 along a direction that is not invariant)."""
+    order (0 along a direction that is not invariant): the one mode
+    (0, 0) with no invariant direction."""
     m1 = np.arange(op.n1 if 0 in invariant else 1)
     m2 = np.arange(op.n2 if 1 in invariant else 1)
     return np.stack(np.meshgrid(m1, m2, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _offset_blocks(op: DiscreteOperator, invariant) -> tuple:
-    """The rows of the cell's sites, split by the translation of the
-    site of each column.
-
-    Returns the distinct translations (T, 2) and one dense block per
-    translation, (T, 4c, 4c) over the cell's components: the entry
-    (r, 4 s + c) of block t is the matrix entry in row r and column
-    4 (s + t) + c.  A nearest-neighbour operator has at most three
-    translations per invariant direction.
-    """
-    sites, cell, t1, t2 = _cell_split(op.n1, op.n2, invariant)
-    size = 4 * sites.size
-    rows = op.matrix[(4 * sites[:, None] + np.arange(4)).ravel()].tocoo()
-    site, comp = np.divmod(rows.col, 4)
-    offsets, which = np.unique(t1[site] * op.n2 + t2[site], return_inverse=True)
-    blocks = np.zeros((offsets.size, size, size), dtype=complex)
-    blocks[which, rows.row, 4 * cell[site] + comp] = rows.data
-    return np.stack(np.divmod(offsets, op.n2), axis=-1), blocks
-
-
 def _bloch_phases(modes, offsets, n1: int, n2: int) -> np.ndarray:
     """exp(2 pi i (m1 t1 / n1 + m2 t2 / n2)) for each mode (M, 2) and
-    translation (T, 2): the (M, T) weights of the offset blocks."""
+    translation (T, 2): the (M, T) weights of the translations."""
     turns = (modes[:, None, 0] * offsets[None, :, 0] % n1) / n1 + (
         modes[:, None, 1] * offsets[None, :, 1] % n2
     ) / n2
     return np.exp(2j * math.pi * turns)
 
 
-def _mode_blocks(op: DiscreteOperator, invariant, modes) -> tuple:
-    """X_m and Y_m of each of the given modes, as dense stacks (M, 2c, 2c).
+def _mode_blocks(M, op: DiscreteOperator, invariant, modes) -> np.ndarray:
+    """The dense blocks (len(modes), 2c, 2c) of the given modes of the
+    sparse chiral half M (X, Y or XY: two components per site).
 
-    The mode block D_m = sum_t exp(2 pi i m.t / n) D_t is the exact
-    restriction of the assembled matrix to the Bloch waves
-    psi(s + t) = exp(2 pi i m.t / n) phi(s) of the invariant directions,
-    and its chiral split gives X_m and Y_m.
+    The block of mode m is M_m = sum_t exp(2 pi i m.t / n) M_t, where
+    M_t holds the entries of the cell's rows whose column site is its
+    cell site translated by t: the exact restriction of M to the Bloch
+    waves psi(s + t) = exp(2 pi i m.t / n) phi(s) of the invariant
+    directions.  Each phase-weighted entry is added straight into its
+    mode's block.
     """
-    offsets, blocks = _offset_blocks(op, invariant)
-    phases = _bloch_phases(modes, offsets, op.n1, op.n2)
-    plus = np.arange(blocks.shape[-1]) % 4 < 2
+    import scipy.sparse
 
-    def summed(parts):
-        return (phases @ parts.reshape(len(parts), -1)).reshape(len(modes), *parts.shape[1:])
+    sites, cell, t1, t2 = _cell_split(op.n1, op.n2, invariant)
+    size = 2 * sites.size
+    rows = M[(2 * sites[:, None] + np.arange(2)).ravel()].tocoo()
+    site, comp = np.divmod(rows.col, 2)
+    offsets, which = np.unique(t1[site] * op.n2 + t2[site], return_inverse=True)
+    phases = _bloch_phases(modes, np.stack(np.divmod(offsets, op.n2), axis=-1), op.n1, op.n2)
+    mode = np.arange(len(modes))[:, None]
+    entries = (
+        (phases[:, which] * rows.data).ravel(),
+        ((mode * size + rows.row).ravel(), np.tile(2 * cell[site] + comp, len(modes))),
+    )
+    blocks = scipy.sparse.coo_array(entries, shape=(len(modes) * size, size)).toarray()
+    return blocks.reshape(len(modes), size, size)
 
-    return summed(blocks[:, plus][:, :, ~plus]), summed(blocks[:, ~plus][:, :, plus])
 
-
-def _lifted_residual(X, Y, op: DiscreteOperator, invariant, modes, squares, vectors) -> float:
+def _lifted_residual(XY, op: DiscreteOperator, invariant, mode, squares, vectors) -> float:
     """Largest |(XY - mu) psi|_inf / (|XY|_inf |psi|_inf) over the
-    eigenpairs (mu, phi) of the given modes' X_m Y_m.
+    eigenpairs (mu, phi) of the given mode's block of XY.
 
     Each phi is lifted to the Bloch wave psi(s + t) = exp(2 pi i m.t / n)
     phi(s) on the grid, with phases built here from the site
     translations, apart from the reduction, and measured against the rows
-    of the cell's sites of the assembled sparse XY = X Y; psi is built on
-    the sites those rows reach, and on the cell's own sites it is phi.
+    of the cell's sites of the assembled sparse XY; psi is built on the
+    sites those rows reach, and on the cell's own sites it is phi.
     Within the shift defect every other row of XY repeats one of those,
     times the wave's phase, so they bound the residual on the whole grid.
     """
     sites, cell, t1, t2 = _cell_split(op.n1, op.n2, invariant)
-    XY = X[(2 * sites[:, None] + np.arange(2)).ravel()] @ Y
-    row = np.repeat(np.arange(XY.shape[0]), np.diff(XY.indptr))
-    scale = float(np.bincount(row, weights=np.abs(XY.data)).max())
-    site, comp = np.divmod(XY.indices, 2)
-    worst = 0.0
-    for (m1, m2), mu, phi in zip(modes, squares, vectors):
-        wave = np.exp(2j * math.pi * (m1 * t1[site] / op.n1 + m2 * t2[site] / op.n2))
-        psi = np.zeros((XY.shape[1], phi.shape[1]), dtype=complex)
-        psi[XY.indices] = wave[:, None] * phi[2 * cell[site] + comp]
-        residual = np.abs(XY @ psi - phi * mu).max(axis=0)
-        worst = max(worst, float(np.max(residual / (scale * np.abs(phi).max(axis=0)))))
-    return worst
+    rows = XY[(2 * sites[:, None] + np.arange(2)).ravel()]
+    row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
+    scale = float(np.bincount(row, weights=np.abs(rows.data)).max())
+    site, comp = np.divmod(rows.indices, 2)
+    m1, m2 = mode
+    wave = np.exp(2j * math.pi * (m1 * t1[site] / op.n1 + m2 * t2[site] / op.n2))
+    psi = np.zeros((rows.shape[1], vectors.shape[1]), dtype=complex)
+    psi[rows.indices] = wave[:, None] * vectors[2 * cell[site] + comp]
+    residual = np.abs(rows @ psi - vectors * squares).max(axis=0)
+    return float(np.max(residual / (scale * np.abs(vectors).max(axis=0))))
 
 
 def eigenvalues(
@@ -596,49 +528,35 @@ def eigenvalues(
 
     The operator is [[0, X], [Y, 0]] in chiral order, so its spectrum is
     +-sqrt(mu) over the eigenvalues mu of the half-size product XY.  XY
-    is solved one Fourier mode of the invariant directions at a time:
-    every mode's X_m Y_m in one stacked ``eigvals`` call, apart from the
-    mode 1 along every invariant direction, whose eigenvectors are found
-    too and checked against the assembled XY (``_lifted_residual``).
-    With no invariant direction the one mode is the whole XY, which
-    stays sparse, and each of its decoupled blocks is solved densely on
-    its own.
+    is formed once, sparse, and reduced by Fourier mode of the invariant
+    directions (``_mode_blocks``; with none the one mode is the whole
+    XY), and every mode's block is solved in one stacked ``eigvals``
+    call.  When some direction is invariant, the eigenvectors of the
+    mode 1 along every invariant direction are found too and checked
+    against the assembled XY (``_lifted_residual``).
     Squares with |mu| <= 1e-4 max|mu| over all modes, whose root would
     lose precision, are re-solved on their invariant subspaces of their
-    mode's X_m Y_m and Y_m X_m, found block by block.
+    mode's X_m Y_m and Y_m X_m.
 
     With ``return_squares`` the eigenvalues mu of XY (unsorted, 2 n1 n2
     of them, mode after mode) are returned as well, and with
     ``return_residual`` the lifted residual (None with no invariant
     direction).
     """
-    import scipy.linalg
-    import scipy.sparse
-
     X, Y = _chiral_blocks(op.matrix)
+    XY = X @ Y
     invariant = op.invariant_directions
+    modes = _modes(op, invariant)
+    blocks = _mode_blocks(XY, op, invariant, modes)
+    mu = np.linalg.eigvals(blocks)
     residual = None
     if invariant:
-        modes = _modes(op, invariant)
-        Xm, Ym = _mode_blocks(op, invariant, modes)
-        XYm = Xm @ Ym
         # the mode 1 along every invariant direction: m = 0 and m = n/2
         # have real phases, which a conjugated phase leaves unchanged
-        sample = np.all(modes == np.isin((0, 1), invariant), axis=1)
-        mu = np.empty(XYm.shape[:2], dtype=complex)
-        mu[~sample] = np.linalg.eigvals(XYm[~sample])
-        mu[sample], vectors = np.linalg.eig(XYm[sample])
-        residual = _lifted_residual(X, Y, op, invariant, modes[sample], mu[sample], vectors)
-        labels = None
-    else:
-        XY = X @ Y
-        labels = _decoupled_blocks(XY)
-        mu = np.concatenate(
-            [
-                scipy.linalg.eigvals(XY[idx][:, idx].toarray())
-                for idx in _block_indices(labels)
-            ]
-        )[None]
+        (sample,) = np.flatnonzero(np.all(modes == np.isin((0, 1), invariant), axis=1))
+        squares, vectors = np.linalg.eig(blocks[sample])
+        residual = _lifted_residual(XY, op, invariant, modes[sample], squares, vectors)
+    del blocks  # before any near-kernel blocks are built
     size = np.abs(mu)
     small = size <= _NEAR_KERNEL * size.max()
     roots = np.sqrt(mu[~small])
@@ -646,16 +564,10 @@ def eigenvalues(
     if small.any():
         # cut half way between the cluster and the rest of the spectrum
         cut = 0.5 * (size[small].max() + size[~small].min())
-        if invariant:
-            # the modes that hold near-kernel squares, as one block-diagonal
-            # pair, whose blocks the Schur path finds on its own
-            near = small.any(axis=1)
-            X = scipy.sparse.block_diag(Xm[near], format="csr")
-            Y = scipy.sparse.block_diag(Ym[near], format="csr")
-            XY = X @ Y
-        vals = np.concatenate(
-            [vals, _near_kernel_eigenvalues(X, Y, XY, cut, int(small.sum()), labels)]
-        )
+        near = modes[small.any(axis=1)]
+        Xm = _mode_blocks(X, op, invariant, near)
+        Ym = _mode_blocks(Y, op, invariant, near)
+        vals = np.concatenate([vals, _near_kernel_eigenvalues(Xm, Ym, cut, int(small.sum()))])
     vals = vals[np.lexsort((vals.imag, vals.real))]
     out = [vals]
     if return_squares:

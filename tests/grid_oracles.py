@@ -9,9 +9,13 @@ is the mode loop the library used before it solved the mode symbols as
 one stack, and the site sweep is the frame alignment it used before it
 aligned the grid one column at a time.  The near-kernel re-solve and
 the multiset distance are the whole-matrix forms the library used
-before it worked per decoupled block and per tolerance group: one
-sorted Schur form of the dense XY and of the dense YX, and one optimal
-assignment over the full cost matrix of the two multisets.
+before it worked per mode block and per tolerance group: one sorted
+Schur form of the dense XY and of the dense YX, and one optimal
+assignment over the full cost matrix of the two multisets.  The
+sublattice labelling is the split the library solved surfaces with no
+invariant direction by before it reduced every surface by Fourier mode:
+the connected components of the squared operator once the rounding
+residues of its cancelling couplings are dropped.
 """
 
 import math
@@ -20,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+from scipy.sparse.csgraph import connected_components
 
 from dirac_surface.clifford import gauge_rotation
 from dirac_surface.dirac import _aligned_grid_frames, _symbol
@@ -102,6 +107,19 @@ def fourier_eigenvalues_by_mode(op):
             vals.extend(np.linalg.eigvals(sym))
     vals = np.asarray(vals)
     return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def decoupled_blocks(XY, cut=1e-13):
+    """Label each index of the sparse square XY with its sublattice.
+
+    Entries at or below ``cut`` max|XY| are the rounding residues of
+    couplings that cancel exactly in the square; they are dropped, and
+    the sublattices are the connected components of what is left.
+    """
+    graph = abs(XY)
+    graph.data[graph.data <= cut * graph.data.max(initial=0.0)] = 0.0
+    graph.eliminate_zeros()
+    return connected_components(graph, directed=False)[1]
 
 
 def whole_near_kernel_eigenvalues(X, Y, cut, count):

@@ -280,21 +280,23 @@ def test_spectrum_reports_the_mode_reduction(tmp_path, name, invariant):
         assert summary["mode_residual"] is None and "mode_residual" not in checks
 
 
-def _offset_mutation(kind):
-    """``dirac._offset_blocks`` with the block of the hop by +1 along the
-    last invariant direction dropped or negated."""
-    offset_blocks = dirac._offset_blocks
+def _phase_mutation(fault):
+    """``dirac._bloch_phases`` with every weight conjugated, or with the
+    weight of the translation by 2 along the last invariant direction
+    dropped or negated.  In XY that translation holds the square of the
+    hop by 1, the one hop of the squared operator that every invariant
+    corpus surface keeps; the hop by 1 itself cancels on clifford and
+    clifford-rotated."""
+    phases = dirac._bloch_phases
 
-    def mutated(op, invariant):
-        offsets, blocks = offset_blocks(op, invariant)
-        hop = np.zeros(2, dtype=int)
-        hop[invariant[-1]] = 1
-        (t,) = np.flatnonzero((offsets == hop).all(axis=1))
-        if kind == "dropped":
-            return np.delete(offsets, t, axis=0), np.delete(blocks, t, axis=0)
-        blocks = blocks.copy()
-        blocks[t] *= -1.0
-        return offsets, blocks
+    def mutated(modes, offsets, n1, n2):
+        weights = phases(modes, offsets, n1, n2)
+        if fault == "conjugated-phase":
+            return weights.conj()
+        axis = 1 if offsets[:, 1].any() else 0
+        hop = (offsets[:, axis] == 2) & (offsets[:, 1 - axis] == 0)
+        weights[:, hop] *= 0.0 if fault == "dropped-offset" else -1.0
+        return weights
 
     return mutated
 
@@ -318,11 +320,7 @@ def test_mode_residual_fails_on_a_faulty_reduction(tmp_path, monkeypatch, name, 
     On clifford and clifford-rotated X_m Y_m equals X_-m Y_-m to rounding,
     so a conjugated phase gives the right squared blocks there, and the
     surfaces whose modes tell m from -m serve for that fault."""
-    if fault == "conjugated-phase":
-        phases = dirac._bloch_phases
-        monkeypatch.setattr(dirac, "_bloch_phases", lambda *args: phases(*args).conj())
-    else:
-        monkeypatch.setattr(dirac, "_offset_blocks", _offset_mutation(fault.split("-")[0]))
+    monkeypatch.setattr(dirac, "_bloch_phases", _phase_mutation(fault))
     code, text = run(tmp_path, "spectrum", str(corpus_path(name)), "--grid", "8x8")
     assert code == 1
     report = json.loads(text)

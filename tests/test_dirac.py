@@ -14,7 +14,8 @@ from dirac_surface.dirac import (
     _MATCH_WIDTH,
     _NEAR_KERNEL,
     _chiral_blocks,
-    _decoupled_blocks,
+    _mode_blocks,
+    _modes,
     _near_kernel_eigenvalues,
     _tolerance_groups,
     assemble_grid_operator,
@@ -31,6 +32,7 @@ from conftest import interior_lattice, rng_seed
 from fd_oracles import random_points
 from grid_oracles import (
     aligned_grid_frames_by_site,
+    decoupled_blocks,
     dense_eigenvalues,
     dense_grid_matrix,
     dense_multiset_distance,
@@ -301,7 +303,7 @@ def test_gauged_operator_keeps_plain_site_symbol(name, request):
         # invariant along v alone, with mode blocks that tell m from -m
         ("moebius_clifford", 8, False, 0),
         ("moebius_clifford", 12, False, 0),
-        # no invariant direction: the decoupled-block solve of the whole XY
+        # no invariant direction: the one mode, the whole XY
         ("bump_torus", 8, False, 0),
     ],
 )
@@ -333,7 +335,7 @@ def test_decoupled_block_counts(name, n, gauged, blocks, request):
     at odd size or with a spin connection."""
     op = assemble_grid_operator(request.getfixturevalue(name), n, n, gauged=gauged)
     X, Y = _chiral_blocks(op.matrix)
-    labels = _decoupled_blocks(X @ Y)
+    labels = decoupled_blocks(X @ Y)
     sizes = np.bincount(labels)
     assert len(sizes) == blocks
     assert np.all(sizes == op.dim // 2 // blocks)
@@ -341,21 +343,14 @@ def test_decoupled_block_counts(name, n, gauged, blocks, request):
 
 def test_real_coupling_is_never_dropped(clifford):
     """A cross-sublattice coupling of 1e-9 of the largest entry, added in
-    chiral form, merges the blocks it bridges, and the spectrum still
-    matches the dense solve of the perturbed operator.  The eigenvalues
-    move by only ~1e-13 under it, so the merge is what shows that the
-    coupling was kept."""
+    chiral form: the spectrum still matches the dense solve of the
+    perturbed operator."""
     op = assemble_grid_operator(clifford, 8, 8)
-    X, Y = _chiral_blocks(op.matrix)
-    before = np.bincount(_decoupled_blocks(X @ Y)).size
     perturbed = op.matrix.tolil()
     # row: site 0, chirality + component 0; column: site 9, chirality -
     # component 2, a diagonal neighbour on another parity sublattice
     perturbed[0, 4 * 9 + 2] = 1e-9 * abs(op.matrix).max()
     perturbed = dataclasses.replace(op, matrix=perturbed.tocsr())
-    X, Y = _chiral_blocks(perturbed.matrix)
-    after = np.bincount(_decoupled_blocks(X @ Y)).size
-    assert before == 8 and after < before
     dense = dense_eigenvalues(perturbed.matrix.toarray())
     assert multiset_distance(eigenvalues(perturbed), dense) <= 1e-12
 
@@ -376,7 +371,7 @@ def test_broken_shift_invariance_is_never_reduced(clifford_rotated):
     """One site's block row of clifford-rotated scaled by 1 + 1e-9: the
     shift defect along v rises from rounding past the bound, v is no
     longer invariant, and the spectrum still matches the dense solve of
-    the perturbed operator, now from the decoupled-block path."""
+    the perturbed operator, now from the one mode, the whole XY."""
     import scipy.sparse
 
     op = assemble_grid_operator(clifford_rotated, 8, 8)
@@ -393,6 +388,39 @@ def test_broken_shift_invariance_is_never_reduced(clifford_rotated):
     assert multiset_distance(vals, dense) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "name,n1,n2,gauged",
+    [("clifford", 8, 6, False), ("clifford", 8, 6, True), ("clifford_rotated", 8, 5, False)],
+)
+def test_one_mode_solve_matches_dense_oracle(name, n1, n2, gauged, request):
+    """Coarse grids on which the frame sweep breaks every shift
+    invariance: the one mode is the whole XY, solved as one block,
+    although XY splits into two sublattices on clifford at 8x6."""
+    op = assemble_grid_operator(request.getfixturevalue(name), n1, n2, gauged=gauged)
+    assert op.invariant_directions == ()
+    vals, residual = eigenvalues(op, return_residual=True)
+    assert residual is None
+    assert multiset_distance(vals, dense_eigenvalues(op.matrix.toarray())) <= 1e-12
+
+
+@pytest.mark.parametrize("n,zeros", [(8, 16), (9, 4)])
+def test_near_kernel_resolve_without_invariant_direction(plane_torus, n, zeros):
+    """One site's block row of plane-torus scaled by 1 + 1e-9 breaks both
+    shift invariances, and a row scaling keeps the kernel exactly: the
+    near-kernel re-solve of the one mode returns every zero mode at
+    rounding, and the spectrum matches the dense solve."""
+    import scipy.sparse
+
+    op = assemble_grid_operator(plane_torus, n, n)
+    scale = np.ones(op.dim)
+    scale[4 * 9 : 4 * 10] += 1e-9
+    perturbed = dataclasses.replace(op, matrix=(scipy.sparse.diags(scale) @ op.matrix).tocsr())
+    assert perturbed.invariant_directions == ()
+    vals = eigenvalues(perturbed)
+    assert int(np.sum(np.abs(vals) <= 1e-14)) == zeros
+    assert multiset_distance(vals, dense_eigenvalues(perturbed.matrix.toarray())) <= 1e-12
+
+
 def test_eigenvalues_reject_same_chirality_entry(clifford):
     op = assemble_grid_operator(clifford, 8, 8)
     eigenvalues(op)
@@ -407,21 +435,27 @@ def test_near_kernel_cluster_size_is_checked(plane_torus):
     X, Y = _chiral_blocks(op.matrix)
     # the four zero modes square to two zero eigenvalues of XY
     with pytest.raises(ArithmeticError, match="select 2 and 2"):
-        _near_kernel_eigenvalues(X, Y, (X @ Y).toarray(), 1e-3, 3)
+        _near_kernel_eigenvalues(X.toarray()[None], Y.toarray()[None], 1e-3, 3)
 
 
 @pytest.mark.parametrize("n,zeros", [(8, 16), (9, 4), (16, 16)])
 def test_blockwise_near_kernel_matches_whole_matrix_oracle(plane_torus, n, zeros):
-    """The near-kernel re-solve block by block agrees with the sorted
-    Schur forms of the whole dense XY and YX."""
+    """The near-kernel re-solve mode block by mode block agrees with the
+    sorted Schur forms of the whole dense XY and YX."""
     op = assemble_grid_operator(plane_torus, n, n)
     X, Y = _chiral_blocks(op.matrix)
+    invariant = op.invariant_directions
+    assert invariant == (0, 1)
+    modes = _modes(op, invariant)
     _, mu = eigenvalues(op, return_squares=True)
-    size = np.abs(mu)
+    size = np.abs(mu).reshape(len(modes), -1)
     small = size <= _NEAR_KERNEL * size.max()
     cut = 0.5 * (size[small].max() + size[~small].min())
     count = int(small.sum())
-    near = _near_kernel_eigenvalues(X, Y, X @ Y, cut, count)
+    modes = modes[small.any(axis=1)]
+    near = _near_kernel_eigenvalues(
+        _mode_blocks(X, op, invariant, modes), _mode_blocks(Y, op, invariant, modes), cut, count
+    )
     whole = whole_near_kernel_eigenvalues(X, Y, cut, count)
     assert near.shape == whole.shape == (2 * count,) == (zeros,)
     assert multiset_distance(near, whole) <= 1e-15
@@ -429,10 +463,11 @@ def test_blockwise_near_kernel_matches_whole_matrix_oracle(plane_torus, n, zeros
 
 
 def test_near_kernel_labels_yx_blocks_on_its_own():
-    """A chiral pair whose squares fall apart differently: XY = A has the
-    blocks {0, 1} and {2, 3}, YX = P^T A P (P swaps indices 1 and 2) the
-    blocks {0, 2} and {1, 3}.  Each square's own blocks give its
-    invariant subspace, and the re-solve returns +-sqrt of the two small
+    """A one-mode chiral pair whose squares fall apart differently:
+    XY = A has the blocks {0, 1} and {2, 3}, YX = P^T A P (P swaps
+    indices 1 and 2) the blocks {0, 2} and {1, 3}, so the invariant
+    subspaces of the small squares differ.  Each square's own Schur form
+    gives its subspace, and the re-solve returns +-sqrt of the two small
     squares, as the whole-matrix forms do."""
     import scipy.linalg
     import scipy.sparse
@@ -447,9 +482,9 @@ def test_near_kernel_labels_yx_blocks_on_its_own():
     P = np.eye(4)[[0, 2, 1, 3]]
     X = scipy.sparse.csr_array(P)
     Y = scipy.sparse.csr_array(P.T @ A)
-    assert np.bincount(_decoupled_blocks(X @ Y)).tolist() == [2, 2]
-    assert _decoupled_blocks(Y @ X).tolist() == [0, 1, 0, 1]
-    near = _near_kernel_eigenvalues(X, Y, X @ Y, 1.0, 2)
+    assert np.bincount(decoupled_blocks(X @ Y)).tolist() == [2, 2]
+    assert decoupled_blocks(Y @ X).tolist() == [0, 1, 0, 1]
+    near = _near_kernel_eigenvalues(X.toarray()[None], Y.toarray()[None], 1.0, 2)
     roots = np.sqrt([1e-6, 4e-6j])
     assert multiset_distance(near, np.concatenate([roots, -roots])) <= 1e-12
     assert multiset_distance(near, whole_near_kernel_eigenvalues(X, Y, 1.0, 2)) <= 1e-12
