@@ -58,17 +58,19 @@ invariant subspaces of X_m Y_m and Y_m X_m: X and Y are reduced for
 those modes alone, the same way, and each square gets its own sorted
 Schur form.
 
-``multiset_distance`` solves its optimal assignment per tolerance
-group: the union of the two multisets is split where its sorted real
-parts jump by more than 1e-8 max|z|, and each part where its sorted
+``multiset_distance`` returns the bottleneck distance, the least
+largest pair over all matchings, per tolerance group: the union of the
+two multisets is split where its sorted real parts jump by more than a
+width w (at first 1e-8 max|z|), and each part where its sorted
 imaginary parts do.  Values that close always share a group, and no
-pairwise array of the whole multisets is built; only a group with
-unequal counts from the two sides sends the match to the one
-assignment over the whole multisets.
+pairwise array of the whole multisets is built.  While some group
+holds unequal counts from the two sides, or the groups' value exceeds
+w, w is doubled and the union regrouped.  The matching is numpy and
+plain Python.
 
 Only the lattice spectrum loads scipy, on first use:
-``assemble_grid_operator`` imports ``scipy.sparse``, the near-kernel
-re-solve ``scipy.linalg`` and ``multiset_distance`` ``scipy.optimize``.
+``assemble_grid_operator`` and the mode reduction import
+``scipy.sparse``, and the near-kernel re-solve alone ``scipy.linalg``.
 The pointwise symbols need numpy alone.
 """
 
@@ -626,52 +628,155 @@ def _tolerance_groups(z, width: float) -> list:
     return np.split(order, np.flatnonzero(cuts) + 1)
 
 
-def _assignment_distance(a, b) -> float:
-    """Largest pair distance of the optimal assignment between a and b."""
-    import scipy.optimize
+def _matching_within(cost, order, bound: float) -> float:
+    """Largest pair of a perfect matching of the square cost matrix that
+    uses only pairs of cost at most ``bound``; inf when none exists.
 
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    ``order`` holds each row's columns by rising cost.  Kuhn's augmenting
+    paths, iterative to bound the stack, after a greedy pass; each row
+    tries its nearest columns first, so the matching found is often
+    tighter than ``bound``.
+    """
+    counts = (cost <= bound).sum(axis=1)
+    if not counts.all():
+        return math.inf
+    adj = [row[:n].tolist() for row, n in zip(order, counts)]
+    owner = [-1] * len(adj)
+    unmatched = []
+    for i, cols in enumerate(adj):
+        for j in cols:
+            if owner[j] < 0:
+                owner[j] = i
+                break
+        else:
+            unmatched.append(i)
+    for root in unmatched:
+        seen = set()
+        stack, iters, via = [root], [iter(adj[root])], []
+        while stack:
+            for j in iters[-1]:
+                if j not in seen:
+                    seen.add(j)
+                    break
+            else:
+                stack.pop()
+                iters.pop()
+                if via:
+                    via.pop()
+                continue
+            via.append(j)
+            if owner[j] < 0:
+                for i, jj in zip(stack, via):
+                    owner[jj] = i
+                break
+            stack.append(owner[j])
+            iters.append(iter(adj[owner[j]]))
+        else:
+            return math.inf
+    return float(cost[owner, np.arange(len(owner))].max())
 
 
-# width of the tolerance groups that multiset_distance matches within,
-# relative to the largest magnitude of either multiset
+def _bottleneck(a, b, rows: list, cols: list) -> float:
+    """Largest over the groups of the least largest pair distance of a
+    perfect matching between a[rows[g]] and b[cols[g]] (equal sizes).
+
+    Groups of one size are stacked and bounded in numpy: no matching
+    pairs closer than ``low``, the largest of every value's distance to
+    its nearest partner, and the better of two pairings in order reaches
+    ``high``.  A group is settled at ``low`` when ``high`` is no larger,
+    or when the rows' nearest columns are all different.  The others are
+    taken by falling ``high``; each is tested first for a matching within
+    the larger of ``low`` and the running maximum, which most pass, and
+    otherwise bisected over its own pair distances above that.
+    """
+    best = 0.0
+    open_groups = []
+    sizes = np.array([len(r) for r in rows])
+    for k in np.unique(sizes[sizes > 0]):
+        pick = np.flatnonzero(sizes == k)
+        R = np.array([rows[g] for g in pick])
+        C = np.array([cols[g] for g in pick])
+        cost = np.abs(a[R][:, :, None] - b[C][:, None, :])
+        low = np.maximum(cost.min(axis=2).max(axis=1), cost.min(axis=1).max(axis=1))
+        # two pairings in order: the groups' own (by imaginary part) and
+        # the lexicographic one (by real part); either bounds from above
+        stack = np.arange(len(pick))[:, None]
+        by_real = cost[
+            stack,
+            np.lexsort((a[R].imag, a[R].real), axis=-1),
+            np.lexsort((b[C].imag, b[C].real), axis=-1),
+        ]
+        high = np.minimum(
+            np.diagonal(cost, axis1=1, axis2=2).max(axis=1), by_real.max(axis=1)
+        )
+        distinct = (np.sort(cost.argmin(axis=2), axis=1) == np.arange(k)).all(axis=1)
+        settled = (high <= low) | distinct
+        best = max(best, float(low[settled].max(initial=0.0)))
+        open_groups += [(high[g], low[g], cost[g]) for g in np.flatnonzero(~settled)]
+    open_groups.sort(key=lambda group: -group[0])
+    for high, low, cost in open_groups:
+        if high <= best:
+            break
+        order = np.argsort(cost, axis=1)
+        floor = max(best, low)
+        if _matching_within(cost, order, floor) <= floor:
+            best = floor
+            continue
+        # the least largest pair lies in (floor, high]; a matching found
+        # within a bound is often tighter, and its largest pair is a bound
+        values = np.unique(cost[(cost > floor) & (cost <= high)])
+        lo, hi = 0, values.size - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            reach = _matching_within(cost, order, values[mid])
+            if reach <= values[mid]:
+                hi = int(np.searchsorted(values, reach))
+            else:
+                lo = mid + 1
+        best = float(values[lo])
+    return best
+
+
+# initial width of the tolerance groups that multiset_distance matches
+# within, relative to the largest magnitude of either multiset
 _MATCH_WIDTH = 1e-8
 
 
 def multiset_distance(a, b) -> float:
-    """Largest pair distance of a sum-optimal assignment between two
-    eigenvalue multisets.
+    """Bottleneck distance between two eigenvalue multisets: the least,
+    over all one-to-one pairings of a with b, of the largest pair
+    distance |a_i - b_j| (Bhatia, Matrix Analysis, ch. VI).
 
     Lexicographic sorting alone can pair distinct eigenvalues whose real
-    parts differ only by rounding noise; the pairing here is the
-    assignment that minimises the sum of the pair distances, so the
-    result is robust to that.  It is not a quantity of the two multisets
-    alone: when several assignments share the least sum, the largest
-    pair of the one the solver returns depends on how it breaks ties
-    (1.33e-15 from the whole assignment and 1.13e-15 from the grouped
-    one on ``spectrum plane-torus --grid 8x8``, at one sum).  The least
-    largest pair over all matchings, the bottleneck distance, would not
-    depend on them.  The assignment is
-    solved within each tolerance group of the union (values 1e-8 max|z|
-    apart or closer always share one), and over the whole multisets only
-    when some group holds unequal counts from the two sides, so that a
-    mismatch still reports its true distance.
+    parts differ only by rounding noise; the optimal matching is robust
+    to that.  The value is a quantity of the two multisets alone, one of
+    their pair distances, whatever their order.
+
+    It is found per tolerance group of the union, of width w = 1e-8
+    max|z| at first: values w apart or closer always share a group.  A
+    matching within each group is a matching of the whole, so the
+    largest group value v is never below the distance; when it is at
+    most w, the optimal pairs all lie within groups, and v is the
+    distance.  While some group holds unequal counts from the two sides
+    or v exceeds w, the width is doubled and the union regrouped, unless
+    one group is left.  No pairwise array of the whole multisets is
+    built unless the width covers them.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError("multisets must have equal cardinality")
     z = np.concatenate([a, b])
-    worst = 0.0
-    for group in _tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max(initial=0.0)):
-        # each side in its own order, as the whole assignment sees it:
-        # degenerate values tie, and the solver breaks ties by position
-        group = np.sort(group)
-        rows = group[group < a.size]
-        cols = group[group >= a.size] - a.size
-        if rows.size != cols.size:
-            return _assignment_distance(a, b)
-        worst = max(worst, _assignment_distance(a[rows], b[cols]))
-    return worst
+    if not np.isfinite(z).all():
+        raise ValueError("multisets must be finite")
+    width = _MATCH_WIDTH * np.abs(z).max(initial=0.0)
+    while True:
+        groups = _tolerance_groups(z, width)
+        rows = [group[group < a.size] for group in groups]
+        cols = [group[group >= a.size] - a.size for group in groups]
+        if all(len(r) == len(c) for r, c in zip(rows, cols)):
+            value = _bottleneck(a, b, rows, cols)
+            if value <= width or len(groups) == 1:
+                return value
+        # from the least normal float if the first width underflowed
+        width = max(2.0 * width, np.finfo(float).tiny)

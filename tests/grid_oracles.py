@@ -7,24 +7,26 @@ the symbol built site by site, the gauge conjugation as one dense einsum over al
 ``scipy.linalg.eigvals`` of the whole matrix.  The Fourier-mode oracle
 is the mode loop the library used before it solved the mode symbols as
 one stack, and the site sweep is the frame alignment it used before it
-aligned the grid one column at a time.  The near-kernel re-solve and
-the multiset distance are the whole-matrix forms the library used
-before it worked per mode block and per tolerance group: one sorted
-Schur form of the dense XY and of the dense YX, and one optimal
-assignment over the full cost matrix of the two multisets.  The
-sublattice labelling is the split the library solved surfaces with no
+aligned the grid one column at a time.  The near-kernel re-solve is
+the whole-matrix form the library used before it worked per mode
+block: one sorted Schur form of the dense XY and of the dense YX.  The
+multiset distance is found apart from the library's tolerance groups
+and bounds: a bisection over the full cost matrix of the two
+multisets, with a bipartite matching test at each step, and for a few
+values every pairing tried.  The sublattice labelling is the split the library solved surfaces with no
 invariant direction by before it reduced every surface by Fourier mode:
 the connected components of the squared operator once the rounding
 residues of its cancelling couplings are dropped.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
-from scipy.sparse.csgraph import connected_components
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 from dirac_surface.clifford import gauge_rotation
 from dirac_surface.dirac import _aligned_grid_frames, _symbol
@@ -138,10 +140,35 @@ def whole_near_kernel_eigenvalues(X, Y, cut, count):
 
 
 def dense_multiset_distance(a, b):
-    """Largest pair distance of the optimal assignment between the two
-    whole multisets, over their full cost matrix."""
+    """Bottleneck distance between the two whole multisets: the least
+    pair distance at which the full cost matrix, cut there, holds a
+    perfect matching, found by bisection over all its distinct values
+    with ``maximum_bipartite_matching`` (Hopcroft and Karp)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    values = np.unique(cost)
+    if values.size == 0:
+        return 0.0
+    lo, hi = 0, values.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        within = scipy.sparse.csr_array(cost <= values[mid])
+        if (maximum_bipartite_matching(within, perm_type="column") >= 0).all():
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
+
+
+def brute_force_multiset_distance(a, b):
+    """Bottleneck distance by trying every pairing: a few values only."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    assert a.size <= 6
+    cost = np.abs(a[:, None] - b[None, :])
+    rows = np.arange(a.size)
+    return min(
+        float(cost[rows, list(perm)].max(initial=0.0))
+        for perm in itertools.permutations(range(b.size))
+    )

@@ -35,6 +35,7 @@ from grid_oracles import (
     decoupled_blocks,
     dense_eigenvalues,
     dense_grid_matrix,
+    brute_force_multiset_distance,
     dense_multiset_distance,
     fourier_eigenvalues_by_mode,
     whole_near_kernel_eigenvalues,
@@ -525,7 +526,7 @@ def test_grouped_distance_on_purely_imaginary_spectrum(rng):
 def test_grouped_distance_on_a_chain(spacing, groups):
     """Values spaced just under the group width w chain into one group
     however long the chain; just over w they split into singletons,
-    every one unbalanced, and the whole assignment gives the distance."""
+    every one unbalanced, and the widened groups give the distance."""
     w = _MATCH_WIDTH * (1.0 + 80 * 1e-8)
     z = 1.0 + spacing * w * np.arange(80)
     a, b = z[0::2], z[1::2]
@@ -547,6 +548,109 @@ def test_grouped_distance_keeps_the_contract():
     with pytest.raises(ValueError, match="equal cardinality"):
         multiset_distance([1.0, 2.0], [1.0])
     assert multiset_distance([1 + 1j], [1 + 1j]) == 0.0
+
+
+def test_unbalanced_groups_are_widened_several_times(monkeypatch):
+    """Every value moved by 1e-5, about 300 group widths: the groups
+    stay unbalanced through several doublings, and the widened groups
+    give the distance of the whole multisets."""
+    widths = []
+
+    def counted(z, width):
+        widths.append(width)
+        return _tolerance_groups(z, width)
+
+    a = np.array([1.0, 2.0, 3.0 + 1j, 2.0 - 0.5j])
+    b = a + 1e-5
+    monkeypatch.setattr(dirac, "_tolerance_groups", counted)
+    distance = multiset_distance(a, b)
+    assert len(widths) >= 8
+    assert widths[-1] >= distance > widths[-2]
+    assert distance == dense_multiset_distance(a, b) == brute_force_multiset_distance(a, b)
+
+
+def test_distance_on_subnormal_and_non_finite_values():
+    """A first width that underflows to zero still widens, and values
+    with no distance are refused."""
+    assert multiset_distance([1e-310, 0.0], [2e-310, 0.0]) == 1e-310
+    with pytest.raises(ValueError, match="finite"):
+        multiset_distance([np.nan, 1.0], [1.0, 1.0])
+
+
+def test_balanced_groups_wider_than_their_width_are_widened():
+    """Balanced tolerance groups whose own matchings need pairs wider
+    than the width prove nothing: pairs across the groups do better, so
+    the groups are widened until they hold them."""
+    step = 0.3 * _MATCH_WIDTH
+    a = 1.0 + step * np.array([10 + 5j, 9 + 2j, 3 + 11j])
+    b = 1.0 + step * np.array([1 + 5j, 8 + 0j, 5 + 9j])
+    z = np.concatenate([a, b])
+    groups = _tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max())
+    assert [np.sum(g < a.size) * 2 for g in groups] == [len(g) for g in groups] == [4, 2]
+    within = max(
+        brute_force_multiset_distance(a[g[g < a.size]], b[g[g >= a.size] - a.size])
+        for g in groups
+    )
+    distance = multiset_distance(a, b)
+    assert distance == dense_multiset_distance(a, b) == brute_force_multiset_distance(a, b)
+    assert distance < within
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_distance_matches_brute_force_on_few_values(rng, trial):
+    """Up to six values on a coarse lattice, so that pair distances tie,
+    some repeated: every pairing tried.  A few percent of such cases need
+    an augmenting path beyond the nearest-first pass."""
+    for case in range(100):
+        n = case % 6 + 1
+        a = np.round(rng.normal(size=n) + 1j * rng.normal(size=n), 1)
+        b = np.round(a + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)), 1)
+        if case % 3 == trial % 3:
+            a[: n // 2 + 1] = a[0]
+        expected = brute_force_multiset_distance(a, b)
+        assert multiset_distance(a, b) == dense_multiset_distance(a, b) == expected, (a, b)
+
+
+@pytest.mark.parametrize("a", [[0.0, 1.0], [1.0, 0.0]])
+@pytest.mark.parametrize("b", [[1.0, 2.0], [2.0, 1.0]])
+def test_distance_does_not_depend_on_order_among_ties(a, b):
+    """Both pairings of {0, 1} with {1, 2} have sum 2, one with largest
+    pair 1 and one with 2: the least largest pair is 1 in every order."""
+    assert multiset_distance(a, b) == 1.0
+
+
+def test_plane_torus_distances_are_bit_identical_when_shuffled(rng, plane_torus):
+    """The degenerate spectrum of the flat torus, in groups of up to 48
+    values equal to rounding, which many pairings match almost equally
+    well: the value is a quantity of the two multisets, the same bits in
+    any order, and the dense oracle's."""
+    op = assemble_grid_operator(plane_torus, 8, 8)
+    vals, squares = eigenvalues(op, return_squares=True)
+    oracle = fourier_eigenvalues(op)
+    fourier = multiset_distance(vals, oracle)
+    conjugate = multiset_distance(squares, squares.conj())
+    assert fourier == dense_multiset_distance(vals, oracle)
+    assert conjugate == dense_multiset_distance(squares, squares.conj())
+    for _ in range(5):
+        assert multiset_distance(rng.permutation(vals), rng.permutation(oracle)) == fourier
+        shuffled = rng.permutation(squares)
+        assert multiset_distance(rng.permutation(squares), shuffled.conj()) == conjugate
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_distance_is_never_above_the_sum_optimal_largest_pair(rng, trial):
+    """The least largest pair over all matchings is at most the largest
+    pair of the matching that minimises the sum."""
+    import scipy.optimize
+
+    centres = rng.normal(size=6) + 1j * rng.normal(size=6)
+    a = np.repeat(centres, 5) + 1e-3 * rng.normal(size=30)
+    b = _shuffled_copy(rng, a, 2e-3)
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    distance = multiset_distance(a, b)
+    assert distance == dense_multiset_distance(a, b)
+    assert distance <= cost[rows, cols].max()
 
 
 def test_clifford_grid_constant_coefficients(clifford):
