@@ -415,7 +415,7 @@ def _cmd_spectrum(spec, args):
         checks.append(
             _check("fourier_oracle_match", fourier_dist, TOL["fourier_match"])
         )
-    # the per-mode solve, lifted to the grid, against the assembled matrix
+    # the per-mode solve, lifted to the grid, against the stencil of XY
     if residual is not None:
         checks.append(_check("mode_residual", residual, TOL["mode_residual"]))
     config = {"grid": [n1, n2], "gauged": args.gauged, "dimension": op.dim}

@@ -28,31 +28,35 @@ remains as a U(1) gauge field,
 The two symbols are intertwined by the half-angle spinor gauge
 rotation, D_gauged = U(-theta/2) D U(theta/2) with U = gauge_rotation,
 since U(-theta/2) lifts the turn of the normals.  On the grid, gauging
-conjugates the matrix alone, block by block, and keeps the plain symbol.
+conjugates the stencil alone, block by block, and keeps the plain symbol.
 
-The grid operator is [[0, X], [Y, 0]] in chiral order, and its
-spectrum is +-sqrt of that of the half-size square XY.  Where the
-surface is symmetric along a parameter cycle, the assembled operator D
-commutes with the one-site grid shift S along it.  ``eigenvalues``
-measures |S D S^T - D|_max / |D|_max per direction on the assembled
-matrix (``DiscreteOperator.shift_defect``) and calls a direction
-invariant at or below 1e-13.  On the periodic corpus files and a ring
-torus at 8x8, 16x16 and 32x32, plain and gauged, the invariant
-directions read at most 6.2e-16 (a few rounding units of the site
-symbols, evaluated at different points) and every other direction at
-least 1.4e-2 (the ring torus across its tube at 32x32; a coefficient
-that varies smoothly moves by O(h) between sites, so the gap stays
-wide at every size under the cap).  XY is formed once, sparse, and
-reduced by Fourier mode along the invariant directions.  The rows of
-one cell of sites (the sites at 0 along them; the whole grid when no
-direction is invariant) are split by the translation t of each
+The operator is first order, so on the periodic grid each site's row is
+five 4x4 blocks, the site's and its four neighbours': the grid operator
+is kept as that 5-point stencil, and its neighbour sites are implied by
+the grid.  It is [[0, X], [Y, 0]] in chiral order, and its spectrum is
++-sqrt of that of the half-size square XY.  Where the surface is
+symmetric along a parameter cycle, the assembled operator D commutes
+with the one-site grid shift S along it.  ``eigenvalues`` measures
+|S D S^T - D|_max / |D|_max per direction on the stencil, each site's
+row against the row one site before it
+(``DiscreteOperator.shift_defect``), and calls a direction invariant at
+or below 1e-13.  On the periodic corpus files and a ring torus at 8x8,
+16x16 and 32x32, plain and gauged, the invariant directions read at most
+6.2e-16 (a few rounding units of the site symbols, evaluated at
+different points) and every other direction at least 1.4e-2 (the ring
+torus across its tube at 32x32; a coefficient that varies smoothly moves
+by O(h) between sites, so the gap stays wide at every size under the
+cap).  XY is formed once, as the 13-point product of the stencils of X
+and Y, and reduced by Fourier mode along the invariant directions.  The
+rows of one cell of sites (the sites at 0 along them; the whole grid
+when no direction is invariant) are split by the translation t of each
 column's site, and mode m gets the block sum_t exp(2 pi i m.t / n)
-XY_t, the exact restriction of XY to the Bloch waves of that mode.
-With no invariant direction the one mode is the whole XY.  Every
-mode's block is solved in one stacked call.  When some direction is
-invariant, the eigenvectors of the mode 1 along every invariant
-direction are lifted to the whole grid and checked against the
-assembled XY (the mode residual).  The squares near zero, whose root
+XY_t, the exact restriction of XY to the Bloch waves of that mode.  With
+no invariant direction the one mode is the whole XY.  Every mode's block
+is solved in one stacked call, except that when some direction is
+invariant the mode 1 along every invariant direction is solved with its
+eigenvectors, which are lifted to the whole grid and checked against the
+stencil of XY (the mode residual).  The squares near zero, whose root
 loses precision, are re-solved per mode that holds them, on their
 invariant subspaces of X_m Y_m and Y_m X_m: X and Y are reduced for
 those modes alone, the same way, and each square gets its own sorted
@@ -68,10 +72,11 @@ holds unequal counts from the two sides, or the groups' value exceeds
 w, w is doubled and the union regrouped.  The matching is numpy and
 plain Python.
 
-Only the lattice spectrum loads scipy, on first use:
-``assemble_grid_operator`` and the mode reduction import
-``scipy.sparse``, and the near-kernel re-solve alone ``scipy.linalg``.
-The pointwise symbols need numpy alone.
+Only the near-kernel re-solve loads scipy, ``scipy.linalg``, on first
+use; the stencil, the mode reduction and the rest of the spectrum need
+numpy alone, as do the pointwise symbols.  ``DiscreteOperator.matrix``
+builds the sparse matrix, importing ``scipy.sparse``, for callers that
+ask for it; the spectrum does not.
 """
 
 from __future__ import annotations
@@ -82,9 +87,9 @@ from functools import cached_property
 from typing import Any
 
 import numpy as np
-# scipy is imported inside the grid and spectrum functions that call it,
-# so the pointwise commands (frame, verify, tube, parse-check) never pay
-# for loading it.
+# scipy is imported inside the near-kernel re-solve and the sparse matrix
+# property, the only code that calls it, so the other commands and the
+# rest of the spectrum never pay for loading it.
 
 from .clifford import GAMMA, SIGMA34, TANGENT_SPIN_GENERATOR, gauge_rotation
 from .expr import ImmersionSpec
@@ -147,19 +152,33 @@ class OperatorSymbol:
     mass: np.ndarray  # (4, 4) complex, Hermitian
 
 
+# the offsets (along the first, along the second parameter) of the five
+# sites of a stencil row: the site itself, then its neighbours at +-e_1
+# and +-e_2 (distinct, as both sides have at least 4 sites)
+_HOPS = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+
+
+def _column_sites(n1: int, n2: int, offsets, sites) -> np.ndarray:
+    """The site at each offset (U, 2) from each of ``sites``, on the
+    periodic grid: (U, len(sites))."""
+    j, k = np.divmod(sites, n2)
+    return (j + offsets[:, :1]) % n1 * n2 + (k + offsets[:, 1:]) % n2
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse periodic-grid discretization with the metric volume weight.
+    """Periodic-grid discretization, kept as its 5-point stencil, with
+    the metric volume weight.
 
-    The site arrays hold the plain symbol, gauged or not."""
+    ``stencil[p, d]`` is the 4x4 block that couples site p to the site
+    at offset ``_HOPS[d]`` from it; the neighbour sites are implied by
+    the grid.  The site arrays hold the plain symbol, gauged or not."""
 
     n1: int
     n2: int
     h1: float
     h2: float
-    # a scipy.sparse.csr_array, (4 n1 n2, 4 n1 n2) complex; annotated Any
-    # so that resolving the hints needs no scipy import
-    matrix: Any
+    stencil: np.ndarray    # (n1 n2, 5, 4, 4) complex blocks of each site's row
     weight: np.ndarray     # (4 n1 n2,) positive, sqrt(det g) per site
     site_A: np.ndarray     # (n1 n2, 2, 4, 4) leading symbol per site
     site_B: np.ndarray     # (n1 n2, 4, 4) zeroth-order block per site
@@ -167,7 +186,27 @@ class DiscreteOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return 4 * self.n1 * self.n2
+
+    @cached_property
+    def matrix(self) -> Any:
+        """The operator as a scipy.sparse.csr_array, (dim, dim) complex,
+        built from the stencil on first access (annotated Any so that
+        resolving the hints needs no scipy import).  The spectrum does
+        not read it."""
+        import scipy.sparse
+
+        nsites = self.n1 * self.n2
+        cols = _column_sites(self.n1, self.n2, _HOPS, np.arange(nsites)).T
+        # row 4 p + a holds row a of each of site p's five blocks
+        data = self.stencil.transpose(0, 2, 1, 3)
+        indices = np.broadcast_to(4 * cols[:, None, :, None] + np.arange(4), data.shape)
+        matrix = scipy.sparse.csr_array(
+            (data.ravel(), indices.ravel(), np.arange(0, 20 * 4 * nsites + 1, 20)),
+            shape=(self.dim, self.dim),
+        )
+        matrix.eliminate_zeros()
+        return matrix
 
     def inner(self, phi, psi) -> complex:
         """Weighted inner product sum_sites sqrt(det g) phi^dag psi dA."""
@@ -177,8 +216,13 @@ class DiscreteOperator:
     @cached_property
     def shift_defect(self) -> tuple:
         """|S D S^T - D|_max / |D|_max for the one-site grid shift S along
-        each parameter direction, read off the assembled matrix."""
-        return tuple(_shift_defect(self.matrix, self.n1, self.n2, axis) for axis in (0, 1))
+        each parameter direction: every site's stencil row against that
+        of the site one step before it."""
+        grid = self.stencil.reshape(self.n1, self.n2, -1)
+        size = float(np.abs(grid).max())
+        return tuple(
+            float(np.abs(np.roll(grid, 1, axis) - grid).max()) / size for axis in (0, 1)
+        )
 
     @property
     def invariant_directions(self) -> tuple:
@@ -278,15 +322,15 @@ def assemble_grid_operator(
     n2: int,
     gauged: bool = False,
 ) -> DiscreteOperator:
-    """Assemble the sparse periodic central-difference operator.
+    """Assemble the periodic central-difference operator as its stencil.
 
-    Each block row couples the site to its four neighbours through
+    Each site's row couples the site to its four neighbours through
     A^alpha / (2 h_alpha) and to itself through B: five 4x4 blocks per
-    row, stored as CSR.  The gauged operator is the exact sitewise
-    conjugation of the plain one by the half-angle gauge rotations,
-    block (p, q) becoming V_p^dag M_pq V_q, so the two discrete operators
-    are unitarily equivalent whenever the gauge angle is defined on the
-    whole grid, and the plain symbol of the site arrays serves both.
+    row.  The gauged operator is the exact sitewise conjugation of the
+    plain one by the half-angle gauge rotations, block (p, q) becoming
+    V_p^dag M_pq V_q, so the two discrete operators are unitarily
+    equivalent whenever the gauge angle is defined on the whole grid, and
+    the plain symbol of the site arrays serves both.
     """
     if not (spec.periodic[0] and spec.periodic[1]):
         raise NonPeriodicDomainError(
@@ -301,47 +345,24 @@ def assemble_grid_operator(
         )
 
     frames, h1, h2 = _aligned_grid_frames(spec, n1, n2)
-    nsites = n1 * n2
-
     conn = connection_from_frame(frames)
     sym = _symbol(conn)
     weight = np.repeat(np.sqrt(frames.det_g), 4)
 
-    # block columns of each block row: the site, then its neighbours at
-    # +-e_1 and +-e_2 (distinct, as both sides have at least 4 sites)
-    j, k = np.divmod(np.arange(nsites), n2)
-    cols = np.stack(
-        [
-            j * n2 + k,
-            (j + 1) % n1 * n2 + k,
-            (j - 1) % n1 * n2 + k,
-            j * n2 + (k + 1) % n2,
-            j * n2 + (k - 1) % n2,
-        ],
-        axis=1,
-    )
     hop1 = sym.A[:, 0] / (2.0 * h1)
     hop2 = sym.A[:, 1] / (2.0 * h2)
-    blocks = np.stack([sym.B, hop1, -hop1, hop2, -hop2], axis=1)
-
+    stencil = np.stack([sym.B, hop1, -hop1, hop2, -hop2], axis=1)
     if gauged:
         V = gauge_rotation(gauge_angle(conn)[0] / 2.0).matrix
-        blocks = np.swapaxes(V.conj(), -1, -2)[:, None] @ blocks @ V[cols]
-
-    import scipy.sparse
-
-    matrix = scipy.sparse.bsr_array(
-        (blocks.reshape(-1, 4, 4), cols.ravel(), np.arange(0, 5 * nsites + 1, 5)),
-        shape=(dim, dim),
-    ).tocsr()
-    matrix.eliminate_zeros()
+        cols = _column_sites(n1, n2, _HOPS, np.arange(n1 * n2)).T
+        stencil = np.swapaxes(V.conj(), -1, -2)[:, None] @ stencil @ V[cols]
 
     return DiscreteOperator(
         n1=n1,
         n2=n2,
         h1=h1,
         h2=h2,
-        matrix=matrix,
+        stencil=stencil,
         weight=weight,
         site_A=sym.A,
         site_B=sym.B,
@@ -354,24 +375,42 @@ def assemble_grid_operator(
 _NEAR_KERNEL = 1e-4
 
 
-def _chiral_blocks(matrix):
-    """X and Y of the operator written as [[0, X], [Y, 0]] in chiral order.
+def _chiral_stencils(stencil):
+    """X and Y of the operator written as [[0, X], [Y, 0]] in chiral order,
+    as stencils (2, 2, 5, n1 n2) with the component axes first.
 
     gamma^5 = tau_3 (x) I is +1 on the first two components of each
     site spinor and -1 on the last two; every term of the symbol, and
     the even gauge rotation, makes the operator anticommute with it.
     """
-    index = np.arange(matrix.shape[0])
-    plus = index[index % 4 < 2]
-    minus = index[index % 4 >= 2]
-    rows_plus = matrix[plus]
-    rows_minus = matrix[minus]
-    if rows_plus[:, plus].count_nonzero() or rows_minus[:, minus].count_nonzero():
+    if np.any(stencil[..., :2, :2]) or np.any(stencil[..., 2:, 2:]):
         raise SpectrumInvariantError(
             "grid operator does not anticommute with gamma^5: "
             "a same-chirality entry is non-zero"
         )
-    return rows_plus[:, minus], rows_minus[:, plus]
+    halves = np.moveaxis(stencil, (0, 1), (3, 2))
+    return np.ascontiguousarray(halves[:2, 2:]), np.ascontiguousarray(halves[2:, :2])
+
+
+def _stencil_product(X, Y, n1: int, n2: int) -> tuple:
+    """The stencil of the product XY of two chiral stencils on the 5 hops.
+
+    Row p of XY sums X[p, e] Y[p + e, f] over the hops e and f.  The sums
+    e + f are 13 offsets; those that land on the same column site (+2 e_a
+    and -2 e_a on a grid 4 wide along a) are added together.  Returns the
+    distinct offsets (U, 2), reduced into the grid, and the stencil
+    (2, 2, U, n1 n2).
+    """
+    # Y's rows at the site each hop e reaches, (b, c, e, f, p)
+    reached = np.swapaxes(Y[..., _column_sites(n1, n2, _HOPS, np.arange(n1 * n2))], 2, 3)
+    pairs = (X[:, :, None, :, None] * reached).sum(axis=1).reshape(2, 2, 25, -1)
+    offsets, which = np.unique(
+        ((_HOPS[:, None] + _HOPS) % (n1, n2)).reshape(-1, 2), axis=0, return_inverse=True
+    )
+    XY = np.zeros((2, 2, len(offsets), n1 * n2), dtype=complex)
+    for pair, offset in enumerate(which.ravel()):
+        XY[:, :, offset] += pairs[:, :, pair]
+    return offsets, XY
 
 
 def _near_kernel_eigenvalues(X, Y, cut: float, count: int) -> np.ndarray:
@@ -413,29 +452,6 @@ def _near_kernel_eigenvalues(X, Y, cut: float, count: int) -> np.ndarray:
 _SHIFT_INVARIANT = 1e-13
 
 
-def _site_shift(n1: int, n2: int, axis: int) -> np.ndarray:
-    """Where the one-site grid shift along ``axis`` sends each matrix
-    index: 4 p + c goes to 4 S(p) + c."""
-    j, k = np.divmod(np.arange(n1 * n2), n2)
-    if axis == 0:
-        j = (j + 1) % n1
-    else:
-        k = (k + 1) % n2
-    return (4 * (j * n2 + k)[:, None] + np.arange(4)).ravel()
-
-
-def _shift_defect(matrix, n1: int, n2: int, axis: int) -> float:
-    """|S D S^T - D|_max / |D|_max of the sparse D and the grid shift S."""
-    import scipy.sparse
-
-    coo = matrix.tocoo()
-    to = _site_shift(n1, n2, axis)
-    shifted = scipy.sparse.csr_array(
-        (coo.data, (to[coo.row], to[coo.col])), shape=matrix.shape
-    )
-    return float(abs(shifted - matrix).max()) / float(np.abs(coo.data).max())
-
-
 def _cell_split(n1: int, n2: int, invariant) -> tuple:
     """Each site (j, k) as a translation along the invariant directions
     plus a site of the cell, the sites at 0 along them.
@@ -470,56 +486,56 @@ def _bloch_phases(modes, offsets, n1: int, n2: int) -> np.ndarray:
     return np.exp(2j * math.pi * turns)
 
 
-def _mode_blocks(M, op: DiscreteOperator, invariant, modes) -> np.ndarray:
-    """The dense blocks (len(modes), 2c, 2c) of the given modes of the
-    sparse chiral half M (X, Y or XY: two components per site).
+def _mode_blocks(stencil, offsets, op: DiscreteOperator, invariant, modes) -> np.ndarray:
+    """The dense blocks (len(modes), 2c, 2c) of the given modes of a
+    chiral stencil (X, Y or XY: two components per site) on the given
+    offsets.
 
     The block of mode m is M_m = sum_t exp(2 pi i m.t / n) M_t, where
-    M_t holds the entries of the cell's rows whose column site is its
+    M_t holds the blocks of the cell's rows whose column site is its
     cell site translated by t: the exact restriction of M to the Bloch
     waves psi(s + t) = exp(2 pi i m.t / n) phi(s) of the invariant
-    directions.  Each phase-weighted entry is added straight into its
-    mode's block.
+    directions.  An offset translates every cell site by the same t, its
+    component along the invariant directions, so each offset's blocks
+    are added, phase-weighted, straight into every mode's block.
     """
-    import scipy.sparse
-
-    sites, cell, t1, t2 = _cell_split(op.n1, op.n2, invariant)
+    sites, cell, _, _ = _cell_split(op.n1, op.n2, invariant)
     size = 2 * sites.size
-    rows = M[(2 * sites[:, None] + np.arange(2)).ravel()].tocoo()
-    site, comp = np.divmod(rows.col, 2)
-    offsets, which = np.unique(t1[site] * op.n2 + t2[site], return_inverse=True)
-    phases = _bloch_phases(modes, np.stack(np.divmod(offsets, op.n2), axis=-1), op.n1, op.n2)
-    mode = np.arange(len(modes))[:, None]
-    entries = (
-        (phases[:, which] * rows.data).ravel(),
-        ((mode * size + rows.row).ravel(), np.tile(2 * cell[site] + comp, len(modes))),
-    )
-    blocks = scipy.sparse.coo_array(entries, shape=(len(modes) * size, size)).toarray()
+    translations = np.where(np.isin((0, 1), invariant), offsets % (op.n1, op.n2), 0)
+    phases = _bloch_phases(modes, translations, op.n1, op.n2)
+    rows = (2 * np.arange(sites.size) + np.arange(2)[:, None])[:, None] * size
+    blocks = np.zeros((len(modes), size * size), dtype=complex)
+    for d, col in enumerate(_column_sites(op.n1, op.n2, offsets, sites)):
+        # one offset reaches one column site per cell site, so the entries
+        # of (a, b, c) are distinct and += adds each of them
+        at = rows + 2 * cell[col] + np.arange(2)[:, None]
+        blocks[:, at] += phases[:, d, None, None, None] * stencil[:, :, d, sites]
     return blocks.reshape(len(modes), size, size)
 
 
-def _lifted_residual(XY, op: DiscreteOperator, invariant, mode, squares, vectors) -> float:
+def _lifted_residual(
+    XY, offsets, op: DiscreteOperator, invariant, mode, squares, vectors
+) -> float:
     """Largest |(XY - mu) psi|_inf / (|XY|_inf |psi|_inf) over the
-    eigenpairs (mu, phi) of the given mode's block of XY.
+    eigenpairs (mu, phi) of the given mode's block of the stencil XY.
 
     Each phi is lifted to the Bloch wave psi(s + t) = exp(2 pi i m.t / n)
     phi(s) on the grid, with phases built here from the site
-    translations, apart from the reduction, and measured against the rows
-    of the cell's sites of the assembled sparse XY; psi is built on the
-    sites those rows reach, and on the cell's own sites it is phi.
-    Within the shift defect every other row of XY repeats one of those,
-    times the wave's phase, so they bound the residual on the whole grid.
+    translations, apart from the reduction, and measured against the
+    cell's rows of the stencil; psi is built on the sites those rows
+    reach, and on the cell's own sites it is phi.  Within the shift
+    defect every other row of XY repeats one of those, times the wave's
+    phase, so they bound the residual on the whole grid.
     """
     sites, cell, t1, t2 = _cell_split(op.n1, op.n2, invariant)
-    rows = XY[(2 * sites[:, None] + np.arange(2)).ravel()]
-    row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
-    scale = float(np.bincount(row, weights=np.abs(rows.data)).max())
-    site, comp = np.divmod(rows.indices, 2)
+    cols = _column_sites(op.n1, op.n2, offsets, sites)
+    rows = XY[..., sites]
+    scale = float(np.abs(rows).sum(axis=(1, 2)).max())
     m1, m2 = mode
-    wave = np.exp(2j * math.pi * (m1 * t1[site] / op.n1 + m2 * t2[site] / op.n2))
-    psi = np.zeros((rows.shape[1], vectors.shape[1]), dtype=complex)
-    psi[rows.indices] = wave[:, None] * vectors[2 * cell[site] + comp]
-    residual = np.abs(rows @ psi - vectors * squares).max(axis=0)
+    wave = np.exp(2j * math.pi * (m1 * t1[cols] / op.n1 + m2 * t2[cols] / op.n2))
+    psi = wave[..., None, None] * vectors[2 * cell[cols][..., None] + np.arange(2)]
+    applied = np.einsum("abuc,ucbk->cak", rows, psi).reshape(vectors.shape)
+    residual = np.abs(applied - vectors * squares).max(axis=0)
     return float(np.max(residual / (scale * np.abs(vectors).max(axis=0))))
 
 
@@ -530,12 +546,13 @@ def eigenvalues(
 
     The operator is [[0, X], [Y, 0]] in chiral order, so its spectrum is
     +-sqrt(mu) over the eigenvalues mu of the half-size product XY.  XY
-    is formed once, sparse, and reduced by Fourier mode of the invariant
-    directions (``_mode_blocks``; with none the one mode is the whole
-    XY), and every mode's block is solved in one stacked ``eigvals``
-    call.  When some direction is invariant, the eigenvectors of the
-    mode 1 along every invariant direction are found too and checked
-    against the assembled XY (``_lifted_residual``).
+    is formed once, as the 13-point product of the stencils of X and Y,
+    and reduced by Fourier mode of the invariant directions
+    (``_mode_blocks``; with none the one mode is the whole XY).  Every
+    mode's block is solved in one stacked ``eigvals`` call, except that
+    when some direction is invariant the mode 1 along every invariant
+    direction is solved by ``eig``, and its eigenvectors are checked
+    against the stencil XY (``_lifted_residual``).
     Squares with |mu| <= 1e-4 max|mu| over all modes, whose root would
     lose precision, are re-solved on their invariant subspaces of their
     mode's X_m Y_m and Y_m X_m.
@@ -545,19 +562,23 @@ def eigenvalues(
     ``return_residual`` the lifted residual (None with no invariant
     direction).
     """
-    X, Y = _chiral_blocks(op.matrix)
-    XY = X @ Y
+    X, Y = _chiral_stencils(op.stencil)
+    offsets, XY = _stencil_product(X, Y, op.n1, op.n2)
     invariant = op.invariant_directions
     modes = _modes(op, invariant)
-    blocks = _mode_blocks(XY, op, invariant, modes)
-    mu = np.linalg.eigvals(blocks)
+    blocks = _mode_blocks(XY, offsets, op, invariant, modes)
     residual = None
     if invariant:
         # the mode 1 along every invariant direction: m = 0 and m = n/2
         # have real phases, which a conjugated phase leaves unchanged
         (sample,) = np.flatnonzero(np.all(modes == np.isin((0, 1), invariant), axis=1))
-        squares, vectors = np.linalg.eig(blocks[sample])
-        residual = _lifted_residual(XY, op, invariant, modes[sample], squares, vectors)
+        others = np.arange(len(modes)) != sample
+        mu = np.empty(blocks.shape[:2], dtype=complex)
+        mu[others] = np.linalg.eigvals(blocks[others])
+        mu[sample], vectors = np.linalg.eig(blocks[sample])
+        residual = _lifted_residual(XY, offsets, op, invariant, modes[sample], mu[sample], vectors)
+    else:
+        mu = np.linalg.eigvals(blocks)
     del blocks  # before any near-kernel blocks are built
     size = np.abs(mu)
     small = size <= _NEAR_KERNEL * size.max()
@@ -567,8 +588,8 @@ def eigenvalues(
         # cut half way between the cluster and the rest of the spectrum
         cut = 0.5 * (size[small].max() + size[~small].min())
         near = modes[small.any(axis=1)]
-        Xm = _mode_blocks(X, op, invariant, near)
-        Ym = _mode_blocks(Y, op, invariant, near)
+        Xm = _mode_blocks(X, _HOPS, op, invariant, near)
+        Ym = _mode_blocks(Y, _HOPS, op, invariant, near)
         vals = np.concatenate([vals, _near_kernel_eigenvalues(Xm, Ym, cut, int(small.sum()))])
     vals = vals[np.lexsort((vals.imag, vals.real))]
     out = [vals]

@@ -16,7 +16,9 @@ multisets, with a bipartite matching test at each step, and for a few
 values every pairing tried.  The sublattice labelling is the split the library solved surfaces with no
 invariant direction by before it reduced every surface by Fourier mode:
 the connected components of the squared operator once the rounding
-residues of its cancelling couplings are dropped.
+residues of its cancelling couplings are dropped.  The chiral halves
+are sliced from the sparse matrix by chirality, as the library did
+before it kept the operator as its stencil.
 """
 
 import itertools
@@ -109,6 +111,16 @@ def fourier_eigenvalues_by_mode(op):
             vals.extend(np.linalg.eigvals(sym))
     vals = np.asarray(vals)
     return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def chiral_halves(matrix):
+    """X and Y of the sparse operator [[0, X], [Y, 0]] in chiral order: the
+    first two components of each site spinor are +1 under gamma^5, the
+    last two -1."""
+    index = np.arange(matrix.shape[0])
+    plus = index[index % 4 < 2]
+    minus = index[index % 4 >= 2]
+    return matrix[plus][:, minus], matrix[minus][:, plus]
 
 
 def decoupled_blocks(XY, cut=1e-13):

@@ -782,8 +782,10 @@ print(json.dumps(seen))
 
 
 def test_pointwise_commands_do_not_import_scipy(tmp_path):
-    """Only the spectrum loads scipy: a fresh interpreter that imports
-    the CLI and runs every other command has no scipy module loaded."""
+    """Only the spectrum loads scipy, and only for a near-kernel cluster:
+    a fresh interpreter that imports the CLI and runs every other
+    command, then the spectrum of a surface without such a cluster, has
+    no scipy module loaded."""
     out = str(tmp_path / "report")
     argvs = [
         ["frame", CLIFFORD_ROTATED, "--at", "0.3", "0.2", "--out", out],
@@ -791,6 +793,7 @@ def test_pointwise_commands_do_not_import_scipy(tmp_path):
         ["tube", SPHERE, "--at", "1.0", "0.7", "--out", out],
         ["parse-check", CLIFFORD_ROTATED, "--out", out],
         ["spectrum", CLIFFORD, "--grid", "4x4", "--out", out],
+        ["spectrum", PLANE_TORUS, "--grid", "8x8", "--out", out],
     ]
     src = str(Path(dirac.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -799,15 +802,16 @@ def test_pointwise_commands_do_not_import_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     seen = json.loads(child.stdout)
-    *pointwise, (command, code, modules) = seen
-    for name, exit_code, loaded in pointwise:
+    *no_scipy, (command, code, modules) = seen
+    for name, exit_code, loaded in no_scipy:
         assert exit_code == 0, name
         assert loaded == [], name
+    assert no_scipy[-1][0] == "spectrum"
+    # the zero modes of plane-torus are re-solved from Schur forms, with
+    # scipy.linalg alone: the operator is never made sparse
     assert command == "spectrum" and code == 0
-    # the spectrum of a surface with no near-kernel cluster needs only
-    # the sparse assembly: the matching is numpy and Python
-    assert "scipy.sparse" in modules
-    for absent in ("scipy.optimize", "scipy.linalg", "scipy.sparse.csgraph"):
+    assert "scipy.linalg" in modules
+    for absent in ("scipy.sparse", "scipy.optimize"):
         assert absent not in modules, absent
 
 

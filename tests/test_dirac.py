@@ -13,7 +13,8 @@ from dirac_surface.dirac import (
     SpectrumInvariantError,
     _MATCH_WIDTH,
     _NEAR_KERNEL,
-    _chiral_blocks,
+    _HOPS,
+    _chiral_stencils,
     _mode_blocks,
     _modes,
     _near_kernel_eigenvalues,
@@ -32,6 +33,7 @@ from conftest import interior_lattice, rng_seed
 from fd_oracles import random_points
 from grid_oracles import (
     aligned_grid_frames_by_site,
+    chiral_halves,
     decoupled_blocks,
     dense_eigenvalues,
     dense_grid_matrix,
@@ -335,7 +337,7 @@ def test_decoupled_block_counts(name, n, gauged, blocks, request):
     torus, two on the rotated one at even size, none on the rotated one
     at odd size or with a spin connection."""
     op = assemble_grid_operator(request.getfixturevalue(name), n, n, gauged=gauged)
-    X, Y = _chiral_blocks(op.matrix)
+    X, Y = chiral_halves(op.matrix)
     labels = decoupled_blocks(X @ Y)
     sizes = np.bincount(labels)
     assert len(sizes) == blocks
@@ -344,16 +346,55 @@ def test_decoupled_block_counts(name, n, gauged, blocks, request):
 
 def test_real_coupling_is_never_dropped(clifford):
     """A cross-sublattice coupling of 1e-9 of the largest entry, added in
-    chiral form: the spectrum still matches the dense solve of the
-    perturbed operator."""
+    chiral form where the operator has an exact zero: it joins
+    sublattices of the squared operator, and the spectrum still matches
+    the dense solve of the perturbed operator."""
     op = assemble_grid_operator(clifford, 8, 8)
-    perturbed = op.matrix.tolil()
-    # row: site 0, chirality + component 0; column: site 9, chirality -
-    # component 2, a diagonal neighbour on another parity sublattice
-    perturbed[0, 4 * 9 + 2] = 1e-9 * abs(op.matrix).max()
-    perturbed = dataclasses.replace(op, matrix=perturbed.tocsr())
+    stencil = op.stencil.copy()
+    # site 0's block towards its neighbour at +e_1; row: chirality +
+    # component 0, column: chirality - component 2
+    assert stencil[0, 1, 0, 2] == 0.0
+    stencil[0, 1, 0, 2] = 1e-9 * np.abs(op.stencil).max()
+    perturbed = dataclasses.replace(op, stencil=stencil)
+    X, Y = chiral_halves(op.matrix)
+    Xp, Yp = chiral_halves(perturbed.matrix)
+    assert len(np.bincount(decoupled_blocks(Xp @ Yp))) < len(np.bincount(decoupled_blocks(X @ Y)))
     dense = dense_eigenvalues(perturbed.matrix.toarray())
     assert multiset_distance(eigenvalues(perturbed), dense) <= 1e-12
+
+
+@pytest.mark.parametrize("gauged", [False, True], ids=["plain", "gauged"])
+@pytest.mark.parametrize("n1,n2", [(8, 8), (4, 6)])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "clifford",
+        "plane-torus",
+        "clifford-rotated",
+        "moebius-clifford",
+        "inverted-clifford",
+        "bump-torus",
+    ],
+)
+def test_stencil_product_matches_sparse_product(name, n1, n2, gauged):
+    """The stencil of XY, scattered into a dense matrix, equals X @ Y of
+    the sparse matrix to rounding.  Its offsets land on distinct column
+    sites: 13 of them, less one along each direction 4 sites wide, where
+    +2 and -2 meet."""
+    op = assemble_grid_operator(load_corpus(name), n1, n2, gauged=gauged)
+    offsets, XY = dirac._stencil_product(*_chiral_stencils(op.stencil), n1, n2)
+    assert len(offsets) == 13 - (n1 == 4) - (n2 == 4)
+    sites = np.arange(n1 * n2)
+    cols = dirac._column_sites(n1, n2, offsets, sites)
+    assert all(len(set(col)) == len(offsets) for col in cols.T)
+    dense = np.zeros((2 * n1 * n2, 2 * n1 * n2), dtype=complex)
+    for u, col in enumerate(cols):
+        for a in range(2):
+            for c in range(2):
+                dense[2 * sites + a, 2 * col + c] += XY[a, c, u]
+    X, Y = chiral_halves(op.matrix)
+    ref = (X @ Y).toarray()
+    assert np.max(np.abs(dense - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize(
@@ -373,13 +414,11 @@ def test_broken_shift_invariance_is_never_reduced(clifford_rotated):
     shift defect along v rises from rounding past the bound, v is no
     longer invariant, and the spectrum still matches the dense solve of
     the perturbed operator, now from the one mode, the whole XY."""
-    import scipy.sparse
-
     op = assemble_grid_operator(clifford_rotated, 8, 8)
     assert op.invariant_directions == (1,) and op.shift_defect[1] <= 1e-15
-    scale = np.ones(op.dim)
-    scale[4 * 9 : 4 * 10] += 1e-9  # site 9 = (1, 1)
-    perturbed = dataclasses.replace(op, matrix=(scipy.sparse.diags(scale) @ op.matrix).tocsr())
+    stencil = op.stencil.copy()
+    stencil[9] *= 1 + 1e-9  # site 9 = (1, 1)
+    perturbed = dataclasses.replace(op, stencil=stencil)
     assert perturbed.shift_defect[1] > dirac._SHIFT_INVARIANT
     assert perturbed.shift_defect[1] >= 1e-10
     assert perturbed.invariant_directions == ()
@@ -410,12 +449,10 @@ def test_near_kernel_resolve_without_invariant_direction(plane_torus, n, zeros):
     shift invariances, and a row scaling keeps the kernel exactly: the
     near-kernel re-solve of the one mode returns every zero mode at
     rounding, and the spectrum matches the dense solve."""
-    import scipy.sparse
-
     op = assemble_grid_operator(plane_torus, n, n)
-    scale = np.ones(op.dim)
-    scale[4 * 9 : 4 * 10] += 1e-9
-    perturbed = dataclasses.replace(op, matrix=(scipy.sparse.diags(scale) @ op.matrix).tocsr())
+    stencil = op.stencil.copy()
+    stencil[9] *= 1 + 1e-9
+    perturbed = dataclasses.replace(op, stencil=stencil)
     assert perturbed.invariant_directions == ()
     vals = eigenvalues(perturbed)
     assert int(np.sum(np.abs(vals) <= 1e-14)) == zeros
@@ -425,15 +462,15 @@ def test_near_kernel_resolve_without_invariant_direction(plane_torus, n, zeros):
 def test_eigenvalues_reject_same_chirality_entry(clifford):
     op = assemble_grid_operator(clifford, 8, 8)
     eigenvalues(op)
-    perturbed = op.matrix.tolil()
-    perturbed[5, 4] = 1e-3  # site 1, components 1 and 0: both chirality +
+    stencil = op.stencil.copy()
+    stencil[1, 0, 1, 0] = 1e-3  # site 1, components 1 and 0: both chirality +
     with pytest.raises(SpectrumInvariantError, match="gamma\\^5"):
-        eigenvalues(dataclasses.replace(op, matrix=perturbed.tocsr()))
+        eigenvalues(dataclasses.replace(op, stencil=stencil))
 
 
 def test_near_kernel_cluster_size_is_checked(plane_torus):
     op = assemble_grid_operator(plane_torus, 9, 9)
-    X, Y = _chiral_blocks(op.matrix)
+    X, Y = chiral_halves(op.matrix)
     # the four zero modes square to two zero eigenvalues of XY
     with pytest.raises(ArithmeticError, match="select 2 and 2"):
         _near_kernel_eigenvalues(X.toarray()[None], Y.toarray()[None], 1e-3, 3)
@@ -444,7 +481,7 @@ def test_blockwise_near_kernel_matches_whole_matrix_oracle(plane_torus, n, zeros
     """The near-kernel re-solve mode block by mode block agrees with the
     sorted Schur forms of the whole dense XY and YX."""
     op = assemble_grid_operator(plane_torus, n, n)
-    X, Y = _chiral_blocks(op.matrix)
+    X, Y = _chiral_stencils(op.stencil)
     invariant = op.invariant_directions
     assert invariant == (0, 1)
     modes = _modes(op, invariant)
@@ -455,9 +492,12 @@ def test_blockwise_near_kernel_matches_whole_matrix_oracle(plane_torus, n, zeros
     count = int(small.sum())
     modes = modes[small.any(axis=1)]
     near = _near_kernel_eigenvalues(
-        _mode_blocks(X, op, invariant, modes), _mode_blocks(Y, op, invariant, modes), cut, count
+        _mode_blocks(X, _HOPS, op, invariant, modes),
+        _mode_blocks(Y, _HOPS, op, invariant, modes),
+        cut,
+        count,
     )
-    whole = whole_near_kernel_eigenvalues(X, Y, cut, count)
+    whole = whole_near_kernel_eigenvalues(*chiral_halves(op.matrix), cut, count)
     assert near.shape == whole.shape == (2 * count,) == (zeros,)
     assert multiset_distance(near, whole) <= 1e-15
     assert np.max(np.abs(near)) <= 1e-14
@@ -759,7 +799,8 @@ def test_integration_by_parts_flat_exact(clifford):
 
 def test_operator_type_hints_resolve():
     """The annotations of the grid operator resolve without scipy bound
-    in the module, which loads it only inside the spectrum functions."""
+    in the module, which loads it only where the sparse matrix is built."""
     hints = typing.get_type_hints(dirac.DiscreteOperator)
-    assert hints["matrix"] is typing.Any
+    assert typing.get_type_hints(dirac.DiscreteOperator.matrix.func)["return"] is typing.Any
+    assert hints["stencil"] is np.ndarray
     assert hints["weight"] is np.ndarray
