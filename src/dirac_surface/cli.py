@@ -19,9 +19,15 @@ field came out non-finite), 2 input error, 3 resource cap exceeded.  An
 error is printed as ``error: <command>: <message>``.
 
 ``main`` loads the immersion file and hands it to the command, which
-returns the config, records, summary and checks of its report; only
-``_finish`` builds a report, sets ``all_finite`` and ``pass``, renders it
-and writes it.  Reports are deterministic: field order is fixed and floats are printed
+returns the config, records, summary and checks of its report, the
+records as columns: one numpy array per float field over the records,
+and lists for the few bool, str and None fields.  Only ``_finish``
+builds a report: it checks the float columns of each record layout
+with one ``np.isfinite``, sets ``all_finite`` and ``pass``, renders the
+records through one %-template per record layout, formatting the
+floats in bulk, and writes them a chunk at a time, so the whole text is
+never held in memory.
+Reports are deterministic: field order is fixed and floats are printed
 with 17 significant digits, so identical inputs yield byte-identical
 output.  The environment variable ``DIRAC_SURFACE_SEED`` seeds the RNG
 used by the random-rotation property tests in the test suite; the CLI
@@ -88,16 +94,26 @@ TOL = {
 # ---------------------------------------------------------------------------
 # deterministic rendering
 # ---------------------------------------------------------------------------
+#
+# A command returns its records as blocks of columns: a block maps each
+# field of one record layout to its values at the block's n records, in
+# record order, a float field as an array (n, ...) and a bool, str or
+# None field as a list, and the report lists the records of its blocks
+# one block after another.  A finite float column is formatted in bulk
+# through one %-template per layout; any other column, and a float
+# column that is not all finite, is rendered a record's value at a time
+# by _render_json, which also renders the small sections of the report.
+# Both follow _fmt_float's rules: 17 significant digits, -0.0 written as
+# 0, and nan, inf and -inf as strings.
+
+
+# the .17g texts a report writes otherwise: -0.0 as 0, the others as strings
+_FLOAT_TEXTS = {"-0": "0", "nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return _FLOAT_TEXTS.get(text, text)
 
 
 # a JSON string escapes the quote, the backslash and every control character
@@ -109,9 +125,15 @@ _JSON_ESCAPES = {
 
 
 def _render_json(obj, indent=0) -> str:
-    # exact floats are most of a report: they and lists of them go first
-    if type(obj) is float:
+    kind = type(obj)
+    if kind is float:
         return _fmt_float(obj)
+    if kind is str and obj.isprintable() and '"' not in obj and "\\" not in obj:
+        return f'"{obj}"'
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -126,31 +148,157 @@ def _render_json(obj, indent=0) -> str:
             return "[]"
         if all(type(v) is float for v in obj):
             return "[" + ", ".join(map(_fmt_float, obj)) + "]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
             return "[" + ", ".join(_render_json(v) for v in obj) + "]"
         items = [f"{pad}  {_render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
     return '"' + str(obj).translate(_JSON_ESCAPES) + '"'
 
 
-def _flatten(prefix, value, out):
+def _all_finite(value) -> bool:
+    """Whether every float in ``value``, nested dicts and lists, is finite."""
+    kind = type(value)
+    if kind is float:
+        return math.isfinite(value)
+    if kind is str or kind is bool or value is None:
+        return True
     if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else k, v, out)
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _flatten(f"{prefix}[{i}]", v, out)
-    else:
-        out[prefix] = value
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return all(map(_all_finite, value))
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return True
+
+
+def _shape(value) -> tuple:
+    """The shape of a nested list, read along its first entries."""
+    shape = ()
+    while isinstance(value, (list, tuple)):
+        shape += (len(value),)
+        value = value[0] if value else None
+    return shape
+
+
+def _leaves(value) -> list:
+    """The entries of a nested list, in order."""
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+def _columns(block) -> tuple:
+    """A block of columns made ready to write, as (fields, floats).
+
+    ``floats`` (n, F) holds the entries of the block's float columns side
+    by side, -0.0 made 0.  ``fields`` holds (key, cell shape, slots,
+    cells, finite) per column, in record order: for a float column the
+    slice of ``floats`` that holds it and None, for any other column None
+    and its n cells as Python values; and whether all of it is finite.
+    """
+    names, parts, cells = [], [], []
+    for key, column in block.items():
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            shape = column.shape[1:]
+            parts.append(column.reshape(len(column), math.prod(shape)))
+            cells.append(None)
+        else:
+            # numpy's scalars do not render as JSON: cells are Python values
+            column = column.tolist() if isinstance(column, np.ndarray) else list(column)
+            shape = _shape(column[0]) if column else ()
+            cells.append(column)
+        names.append((key, shape))
+    n = len(parts[0]) if parts else len(cells[0])
+    floats = np.concatenate(parts, axis=1) if parts else np.empty((n, 0))
+    floats += 0.0  # -0.0 becomes 0.0, every other float stays
+    finite = np.isfinite(floats)
+    every = bool(finite.all())
+    fields, stop = [], 0
+    for (key, shape), cell in zip(names, cells):
+        if cell is None:
+            slots = slice(stop, stop + math.prod(shape))
+            stop = slots.stop
+            fields.append((key, shape, slots, None, every or bool(finite[:, slots].all())))
+        else:
+            fields.append((key, shape, None, cell, _all_finite(cell)))
+    return fields, floats
+
+
+# values rendered and written at once
+_CHUNK_VALUES = 1 << 14
+
+
+def _chunks(floats):
+    """The (start, stop) of each chunk of a block's records."""
+    step = max(1, _CHUNK_VALUES // max(1, floats.shape[1]))
+    return [(i, min(i + step, len(floats))) for i in range(0, len(floats), step)]
+
+
+def _slots(shape, indent: int, slot: str) -> str:
+    """A nested list of ``shape`` with ``slot`` for each entry, laid out
+    as _render_json lays out nested lists at ``indent``."""
+    if not shape:
+        return slot
+    if not shape[0]:
+        return "[]"
+    if len(shape) == 1:
+        return "[" + ", ".join([slot] * shape[0]) + "]"
+    pad = "  " * indent
+    inner = f"{pad}  {_slots(shape[1:], indent + 1, slot)}"
+    return "[\n" + ",\n".join([inner] * shape[0]) + "\n" + pad + "]"
+
+
+@functools.lru_cache(maxsize=64)
+def _records_template(layout, count: int) -> str:
+    """The %-template of ``count`` records of ``layout``, a tuple of
+    (key, cell shape, slot), as items of the report's records list."""
+    items = [
+        f'      "{key.replace("%", "%%")}": {_slots(shape, 3, slot)}'
+        for key, shape, slot in layout
+    ]
+    return ",\n".join(["    {\n" + ",\n".join(items) + "\n    }"] * count)
+
+
+def _write_records(fh, blocks) -> None:
+    """Write the records list of a JSON report, a chunk at a time.
+
+    A finite float column fills one %.17g slot per entry; any other
+    column fills one %s slot per record with its value rendered whole."""
+    sep = "["
+    for fields, floats in blocks:
+        # the args of a record: runs of its floats and its renderings
+        layout, plan, rendered = [], [], []
+        for key, shape, slots, cells, finite in fields:
+            if cells is None and finite:
+                layout.append((key, shape, "%.17g"))
+                if plan and type(plan[-1]) is slice and plan[-1].stop == slots.start:
+                    slots = slice(plan.pop().start, slots.stop)
+                plan.append(slots)
+                continue
+            if cells is None:
+                cells = floats[:, slots].reshape(-1, *shape).tolist()
+            layout.append((key, (), "%s"))
+            plan.append(len(rendered))
+            rendered.append([_render_json(c, 3) for c in cells])
+        layout = tuple(layout)
+        for i, j in _chunks(floats):
+            if not rendered:
+                args = floats[i:j].ravel().tolist()
+            else:
+                args = []
+                for r, row in enumerate(floats[i:j].tolist(), i):
+                    for part in plan:
+                        if type(part) is int:
+                            args.append(rendered[part][r])
+                        else:
+                            args += row[part]
+            fh.write(sep + "\n" + _records_template(layout, j - i) % tuple(args))
+            sep = ","
+    fh.write("[]" if sep == "[" else "\n  ]")
 
 
 def _csv_cell(val) -> str:
@@ -161,34 +309,46 @@ def _csv_cell(val) -> str:
     return str(val)
 
 
-def _render_csv(records) -> str:
+def _write_csv(fh, blocks) -> None:
+    """Write the records as CSV, one row per record, a chunk at a time,
+    under the union of the blocks' columns, each flattened to one cell
+    per entry (``key[i][j]``); a block lacking a column leaves it empty."""
     # only a CSV export loads the csv module
     import csv
-    import io
 
-    rows = []
-    for record in records:
-        flat = {}
-        _flatten("", record, flat)
-        rows.append(flat)
-    columns = list(dict.fromkeys(key for row in rows for key in row))
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_csv_cell(row.get(key, "")) for key in columns] for row in rows)
-    return text.getvalue()
-
-
-def _all_finite(value) -> bool:
-    if type(value) is float:
-        return math.isfinite(value)
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        return all(map(_all_finite, value))
-    if isinstance(value, (float, np.floating)):
-        return math.isfinite(float(value))
-    return True
+    names = [
+        [[key + "".join(f"[{i}]" for i in index) for index in np.ndindex(shape)]
+         for key, shape, *_ in fields]
+        for fields, _ in blocks
+    ]
+    header = list(dict.fromkeys(name for block in names for field in block for name in field))
+    where = {name: k for k, name in enumerate(header)}
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for (fields, floats), block_names in zip(blocks, names):
+        # the columns of the float entries, in the order of ``floats``,
+        # and of the other columns' entries
+        float_at, cell_at, cell_fields = [], [], []
+        for (_, _, _, cells, _), field_names in zip(fields, block_names):
+            at = [where[name] for name in field_names]
+            if cells is None:
+                float_at += at
+            else:
+                cell_at += at
+                cell_fields.append(cells)
+        for i, j in _chunks(floats):
+            rows = np.full((j - i, len(header)), "", dtype=object)
+            # %.17g writes nan, inf and -inf as _fmt_float's strings unquoted
+            text = "%.17g\n" * floats[i:j].size % tuple(floats[i:j].ravel().tolist())
+            rows[:, float_at] = np.array(text.split("\n")[:-1], dtype=object).reshape(
+                j - i, floats.shape[1]
+            )
+            if cell_fields:
+                rows[:, cell_at] = [
+                    [_csv_cell(x) for cells in cell_fields for x in _leaves(cells[r])]
+                    for r in range(i, j)
+                ]
+            writer.writerows(rows.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -241,36 +401,36 @@ def _points_from_args(spec, args, default_grid):
     return _interior_lattice(spec, n1, n2)
 
 
-def _records(points, columns) -> list:
-    """One record per point: its coordinates ``s``, then an entry per column."""
-    keys = ("s", *columns)
-    return [dict(zip(keys, row)) for row in zip(points.tolist(), *columns.values())]
-
-
 def _finish(args, spec, config, records, summary, checks) -> int:
-    """Build the report of a command, write it, and return the exit code."""
-    report = {
-        "command": args.command,
-        "spec": spec.name,
-        "file": args.file,
-        "config": config,
-        "records": records,
-        "summary": summary,
-        "checks": checks,
-    }
-    finite = _all_finite(report)
-    report["all_finite"] = finite
-    report["pass"] = bool(finite and all(c["pass"] for c in checks))
-    if args.format == "csv":
-        text = _render_csv(records)
-    else:
-        text = _render_json(report) + "\n"
+    """Check the report of a command, write it, and return the exit code.
+
+    ``records`` holds the report's blocks of columns (see above).  Every
+    column is in hand before the first byte is written, so an error
+    leaves no partial report.
+    """
+    blocks = [_columns(block) for block in records]
+    finite = all(f for fields, _ in blocks for *_, f in fields) and _all_finite(
+        [config, summary, checks]
+    )
+    passed = bool(finite and all(c["pass"] for c in checks))
+
+    def write(fh):
+        if args.format == "csv":
+            _write_csv(fh, blocks)
+            return
+        head = {"command": args.command, "spec": spec.name, "file": args.file, "config": config}
+        tail = {"summary": summary, "checks": checks, "all_finite": finite, "pass": passed}
+        fh.write("{\n" + "".join(f'  "{k}": {_render_json(v, 1)},\n' for k, v in head.items()))
+        fh.write('  "records": ')
+        _write_records(fh, blocks)
+        fh.write("".join(f',\n  "{k}": {_render_json(v, 1)}' for k, v in tail.items()) + "\n}\n")
+
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
-    return 0 if report["pass"] else 1
+        write(sys.stdout)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +448,15 @@ _FRAME_CHECKS = (
 
 
 def _gauge_relation_defect(t3, t4, hat_t3, theta) -> float:
-    # the C library's cos and sin, as for the gauge angle's atan2
     return max(abs(t3 - hat_t3 * math.cos(theta)), abs(t4 + hat_t3 * math.sin(theta)))
 
 
 def _frame_columns(spec: ImmersionSpec, points) -> dict:
     """The ``frame`` columns at ``points``, built in one batch; a column
-    holds one entry per point, in plain Python numbers."""
+    is an array (len(points), ...)."""
     # a single point stays a (2,) array, which eval_jets serves on plain floats
     one = len(points) == 1
-    listed = (lambda a: [a.tolist()]) if one else (lambda a: a.tolist())
+    rows = (lambda a: np.asarray(a)[None]) if one else np.asarray
     frame = frames_at(spec, points[0] if one else points)
     conn = connection_from_frame(frame)
     gd = gauge_at(conn)
@@ -305,56 +464,60 @@ def _frame_columns(spec: ImmersionSpec, points) -> dict:
     gram = R.swapaxes(-1, -2) @ R
     anti = conn.gamma_nor + conn.gamma_nor.swapaxes(-1, -2)
     # hat_trace3 is the C library's hypot of the two traces
-    t3, t4, hat_t3, theta = map(listed, (conn.trace3, conn.trace4, gd.hat_trace3, gd.theta))
+    t3, t4, hat_t3, theta = map(rows, (conn.trace3, conn.trace4, gd.hat_trace3, gd.theta))
+    # the C library's cos and sin, as for the gauge angle's atan2
+    gauge_defect = map(_gauge_relation_defect, *(a.tolist() for a in (t3, t4, hat_t3, theta)))
     return {
-        "x": listed(frame.x),
-        "ehat": listed(frame.ehat),
-        "n": listed(frame.n),
-        "g": listed(frame.g),
-        "det_g": listed(frame.det_g),
+        "s": points,
+        "x": rows(frame.x),
+        "ehat": rows(frame.ehat),
+        "n": rows(frame.n),
+        "g": rows(frame.g),
+        "det_g": rows(frame.det_g),
         "trace3": t3,
         "trace4": t4,
         "trace_invariant": hat_t3,
-        "gamma_tan": listed(conn.gamma_tan),
-        "gamma_nor": listed(conn.gamma_nor),
-        "torsion": listed(conn.torsion),
+        "gamma_tan": rows(conn.gamma_tan),
+        "gamma_nor": rows(conn.gamma_nor),
+        "torsion": rows(conn.torsion),
         "theta": theta,
         "hat_trace3": hat_t3,
         # the gauge fix zeroes the second trace by construction
-        "hat_trace4": [0.0] * len(points),
-        "hat_torsion": listed(gd.hat_torsion),
-        "gauge_degenerate": listed(gd.degenerate),
-        "orthonormality_defect": listed(np.abs(gram - np.eye(4)).max(axis=(-2, -1))),
-        "det_rotation_defect": listed(np.abs(np.linalg.det(R) - 1.0)),
-        "torsion_antisymmetry_defect": listed(np.abs(anti).max(axis=(-3, -2, -1))),
-        "gauge_relation_defect": list(map(_gauge_relation_defect, t3, t4, hat_t3, theta)),
+        "hat_trace4": np.zeros(len(points)),
+        "hat_torsion": rows(gd.hat_torsion),
+        "gauge_degenerate": rows(gd.degenerate),
+        "orthonormality_defect": rows(np.abs(gram - np.eye(4)).max(axis=(-2, -1))),
+        "det_rotation_defect": rows(np.abs(np.linalg.det(R) - 1.0)),
+        "torsion_antisymmetry_defect": rows(np.abs(anti).max(axis=(-3, -2, -1))),
+        "gauge_relation_defect": np.array(list(gauge_defect)),
     }
 
 
 def _cmd_frame(spec, args):
     points = _points_from_args(spec, args, default_grid=(3, 3))
-    records = []
-    # the columns that the checks and the summary read, over every pass
-    kept = {key: [] for key in ("trace_invariant", *(key for _, key, _ in _FRAME_CHECKS))}
-    # passes of a fixed number of points bound the arrays held at once
-    for i in range(0, len(points), _FRAME_CHUNK):
-        chunk = points[i : i + _FRAME_CHUNK]
-        columns = _frame_columns(spec, chunk)
-        records += _records(chunk, columns)
-        for key, column in kept.items():
-            column += columns[key]
-    checks = [_check(name, max(kept[key]), TOL[tol]) for name, key, tol in _FRAME_CHECKS]
+    # passes of a fixed number of points bound the intermediate arrays held at once
+    passes = [
+        _frame_columns(spec, points[i : i + _FRAME_CHUNK])
+        for i in range(0, len(points), _FRAME_CHUNK)
+    ]
+    columns = passes[0]
+    if len(passes) > 1:
+        # each column is joined as its passes are let go
+        columns = {key: np.concatenate([p.pop(key) for p in passes]) for key in list(columns)}
+    checks = [
+        _check(name, columns[key].max(), TOL[tol]) for name, key, tol in _FRAME_CHECKS
+    ]
     summary = {
-        "max_trace_invariant": max(kept["trace_invariant"]),
-        "min_trace_invariant": min(kept["trace_invariant"]),
+        "max_trace_invariant": float(columns["trace_invariant"].max()),
+        "min_trace_invariant": float(columns["trace_invariant"].min()),
     }
-    return {"points": len(points)}, records, summary, checks
+    return {"points": len(points)}, [columns], summary, checks
 
 
 def _cmd_verify(spec, args):
     points = _points_from_args(spec, args, default_grid=(5, 5))
     rep = reconstruct(spec, points, gauged=args.gauged)
-    columns = {
+    columns = {"s": points} | {
         key: getattr(rep, key)
         for key in (
             "residual_bilinear", "max_imag", "orthonormality", "residual_dirac",
@@ -368,18 +531,16 @@ def _cmd_verify(spec, args):
     # against the tangents' own scale, max(1, max|T|) at each point
     scale = np.maximum(1.0, np.abs(rep.T).max(axis=(-2, -1)))
     judged = {
-        key: max(np.ravel(getattr(rep, key) / scale).tolist())
-        for key in ("residual_bilinear", "max_imag")
+        key: (getattr(rep, key) / scale).max() for key in ("residual_bilinear", "max_imag")
     }
-    columns = {key: a.tolist() for key, a in columns.items()}
-    worst_bilinear = max(columns["residual_bilinear"])
-    worst_ratio = min(columns["convergence_ratio"])
+    worst_bilinear = float(columns["residual_bilinear"].max())
+    worst_ratio = float(columns["convergence_ratio"].min())
     checks = [
         _check("weierstrass_identity", judged["residual_bilinear"], TOL["bilinear"]),
         _check("bilinear_imaginary_parts", judged["max_imag"], TOL["bilinear_imag"]),
         _check(
             "spinor_orthonormality",
-            max(columns["orthonormality"]),
+            columns["orthonormality"].max(),
             TOL["spinor_orthonormality"],
         ),
         _check(
@@ -391,7 +552,7 @@ def _cmd_verify(spec, args):
         "max_residual_bilinear": worst_bilinear,
         "worst_convergence_ratio": worst_ratio,
     }
-    return config, _records(points, columns), summary, checks
+    return config, [columns], summary, checks
 
 
 def _cmd_spectrum(spec, args):
@@ -419,7 +580,7 @@ def _cmd_spectrum(spec, args):
     if residual is not None:
         checks.append(_check("mode_residual", residual, TOL["mode_residual"]))
     config = {"grid": [n1, n2], "gauged": args.gauged, "dimension": op.dim}
-    records = [{"re": v.real, "im": v.imag} for v in vals.tolist()]
+    records = [{"re": vals.real, "im": vals.imag}]
     summary = {
         "constant_coefficient": constant,
         "fourier_oracle_distance": fourier_dist,
@@ -446,39 +607,43 @@ def _cmd_tube(spec, args):
     }
 
     offsets = [(0.0, 0.0)] + [e * d for d in directions.values() for e in eps]
-    samples = iter(tube_metrics_at(spec, pt, offsets))
-    zero = next(samples)
+    zero, *samples = tube_metrics_at(spec, pt, offsets)
     g_defect = float(np.max(np.abs(zero.g_tube - zero.frame.g)))
+    diffs = [abs(ts.rho_exact - ts.rho_leading) for ts in samples]
+    # the origin record, then one per direction and offset, each block's
+    # float fields as the columns of one array
+    origin = np.array([[0.0, zero.rho_exact, zero.rho_leading, g_defect]])
+    offset = np.array(
+        [
+            (e, ts.rho_exact, ts.rho_leading, d)
+            for e, ts, d in zip(eps * len(directions), samples, diffs)
+        ]
+    )
     records = [
         {
-            "direction": "origin",
-            "eps": 0.0,
-            "rho_exact": zero.rho_exact,
-            "rho_leading": zero.rho_leading,
-            "g_tube_defect": g_defect,
-        }
+            "direction": ["origin"],
+            "eps": origin[:, 0],
+            "rho_exact": origin[:, 1],
+            "rho_leading": origin[:, 2],
+            "g_tube_defect": origin[:, 3],
+        },
+        {
+            "direction": [label for label in directions for _ in eps],
+            "eps": offset[:, 0],
+            "rho_exact": offset[:, 1],
+            "rho_leading": offset[:, 2],
+            "abs_difference": offset[:, 3],
+        },
     ]
     checks = [
         _check("density_at_zero_offset", abs(zero.rho_exact - 1.0), TOL["tube_exact"]),
         _check("metric_at_zero_offset", g_defect, TOL["tube_exact"]),
     ]
     slopes = {}
-    for label in directions:
-        diffs = []
-        for e in eps:
-            ts = next(samples)
-            diffs.append(abs(ts.rho_exact - ts.rho_leading))
-            records.append(
-                {
-                    "direction": label,
-                    "eps": e,
-                    "rho_exact": ts.rho_exact,
-                    "rho_leading": ts.rho_leading,
-                    "abs_difference": diffs[-1],
-                }
-            )
-        if min(diffs) > TOL["tube_floor"]:
-            slope = float(np.polyfit(np.log(eps), np.log(diffs), 1)[0])
+    for k, label in enumerate(directions):
+        along = diffs[k * len(eps) : (k + 1) * len(eps)]
+        if min(along) > TOL["tube_floor"]:
+            slope = float(np.polyfit(np.log(eps), np.log(along), 1)[0])
             slopes[label] = slope
             checks.append(
                 _check(f"quadratic_decay_{label}", slope, TOL["tube_slope"], "min")
@@ -488,23 +653,24 @@ def _cmd_tube(spec, args):
             # this direction and a log-log fit is meaningless
             slopes[label] = None
             checks.append(
-                _check(f"exact_agreement_{label}", max(diffs), TOL["tube_floor"])
+                _check(f"exact_agreement_{label}", max(along), TOL["tube_floor"])
             )
     return {"at": list(pt), "eps": list(eps)}, records, {"slopes": slopes}, checks
 
 
 def _cmd_parse_check(spec, args):
+    # one record: each column holds its one entry
     record = {
-        "name": spec.name,
-        "params": list(spec.param_names),
-        "coords": [unparse(c, spec.param_names) for c in spec.coord_exprs],
-        "domain": [list(spec.domain[0]), list(spec.domain[1])],
-        "periodic": list(spec.periodic),
-        "frame_rotation": (
+        "name": [spec.name],
+        "params": [list(spec.param_names)],
+        "coords": [[unparse(c, spec.param_names) for c in spec.coord_exprs]],
+        "domain": np.array([spec.domain], dtype=float),
+        "periodic": [list(spec.periodic)],
+        "frame_rotation": [
             None
             if spec.frame_rotation is None
             else unparse(spec.frame_rotation, spec.param_names)
-        ),
+        ],
     }
     return {}, [record], {}, []
 

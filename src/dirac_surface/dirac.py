@@ -404,11 +404,12 @@ def _stencil_product(X, Y, n1: int, n2: int) -> tuple:
     # Y's rows at the site each hop e reaches, (b, c, e, f, p)
     reached = np.swapaxes(Y[..., _column_sites(n1, n2, _HOPS, np.arange(n1 * n2))], 2, 3)
     pairs = (X[:, :, None, :, None] * reached).sum(axis=1).reshape(2, 2, 25, -1)
-    offsets, which = np.unique(
-        ((_HOPS[:, None] + _HOPS) % (n1, n2)).reshape(-1, 2), axis=0, return_inverse=True
-    )
+    # each offset as one number, j n2 + k, which orders them lexicographically
+    sums = ((_HOPS[:, None] + _HOPS) % (n1, n2)).reshape(-1, 2) @ (n2, 1)
+    distinct = _distinct(sums)
+    offsets = np.stack(np.divmod(distinct, n2), axis=-1)
     XY = np.zeros((2, 2, len(offsets), n1 * n2), dtype=complex)
-    for pair, offset in enumerate(which.ravel()):
+    for pair, offset in enumerate(np.searchsorted(distinct, sums)):
         XY[:, :, offset] += pairs[:, :, pair]
     return offsets, XY
 
@@ -631,6 +632,15 @@ def fourier_eigenvalues(op: DiscreteOperator) -> np.ndarray:
     return vals[order]
 
 
+def _distinct(x) -> np.ndarray:
+    """The distinct values of ``x``, rising: ``np.unique`` without its
+    import of ``numpy.ma``."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _tolerance_groups(z, width: float) -> list:
     """Split the indices of the values z into groups that no pair within
     ``width`` of each other straddles.
@@ -649,52 +659,79 @@ def _tolerance_groups(z, width: float) -> list:
     return np.split(order, np.flatnonzero(cuts) + 1)
 
 
-def _matching_within(cost, order, bound: float) -> float:
-    """Largest pair of a perfect matching of the square cost matrix that
-    uses only pairs of cost at most ``bound``; inf when none exists.
+class _Matching:
+    """Perfect matchings of a square cost matrix within one bound after
+    another, each search started from the pairs of the last.
 
-    ``order`` holds each row's columns by rising cost.  Kuhn's augmenting
-    paths, iterative to bound the stack, after a greedy pass; each row
-    tries its nearest columns first, so the matching found is often
-    tighter than ``bound``.
+    ``order`` holds each row's columns by rising cost, built once, so the
+    columns of row i within a bound are a prefix of it; a row's prefix is
+    listed only when a search visits the row.  A search keeps the last
+    matching's pairs that lie within the bound (a matching found within
+    one bound, complete or not, stays one within any larger bound) and
+    matches only the rows left free: a nearest-first pass, then Kuhn's
+    augmenting paths, iterative to bound the stack.  Each row tries its
+    nearest columns first, so the matching found is often tighter than
+    the bound.
     """
-    counts = (cost <= bound).sum(axis=1)
-    if not counts.all():
-        return math.inf
-    adj = [row[:n].tolist() for row, n in zip(order, counts)]
-    owner = [-1] * len(adj)
-    unmatched = []
-    for i, cols in enumerate(adj):
-        for j in cols:
-            if owner[j] < 0:
-                owner[j] = i
-                break
-        else:
-            unmatched.append(i)
-    for root in unmatched:
-        seen = set()
-        stack, iters, via = [root], [iter(adj[root])], []
-        while stack:
-            for j in iters[-1]:
-                if j not in seen:
-                    seen.add(j)
+
+    def __init__(self, cost):
+        self.cost = cost
+        self.order = np.argsort(cost, axis=1)
+        self.owner = np.full(len(cost), -1)  # the row matched to each column
+
+    def within(self, bound: float) -> float:
+        """Largest pair of a perfect matching that uses only pairs of cost
+        at most ``bound``; inf when none exists."""
+        counts = (self.cost <= bound).sum(axis=1)
+        if not counts.all():
+            return math.inf
+        columns = np.arange(len(counts))
+        kept = (self.owner >= 0) & (self.cost[self.owner, columns] <= bound)
+        owner = np.where(kept, self.owner, -1).tolist()
+        adj = {}
+
+        def neighbours(i):
+            if i not in adj:
+                adj[i] = self.order[i, : counts[i]].tolist()
+            return adj[i]
+
+        taken = np.zeros(len(counts), dtype=bool)
+        taken[self.owner[kept]] = True
+        free = np.flatnonzero(~taken).tolist()
+        unmatched = []
+        for i in free:
+            for j in neighbours(i):
+                if owner[j] < 0:
+                    owner[j] = i
                     break
             else:
-                stack.pop()
-                iters.pop()
-                if via:
-                    via.pop()
-                continue
-            via.append(j)
-            if owner[j] < 0:
-                for i, jj in zip(stack, via):
-                    owner[jj] = i
-                break
-            stack.append(owner[j])
-            iters.append(iter(adj[owner[j]]))
-        else:
-            return math.inf
-    return float(cost[owner, np.arange(len(owner))].max())
+                unmatched.append(i)
+        for root in unmatched:
+            seen = set()
+            stack, iters, via = [root], [iter(neighbours(root))], []
+            while stack:
+                for j in iters[-1]:
+                    if j not in seen:
+                        seen.add(j)
+                        break
+                else:
+                    stack.pop()
+                    iters.pop()
+                    if via:
+                        via.pop()
+                    continue
+                via.append(j)
+                if owner[j] < 0:
+                    for i, jj in zip(stack, via):
+                        owner[jj] = i
+                    break
+                stack.append(owner[j])
+                iters.append(iter(neighbours(owner[j])))
+            else:
+                self.owner = np.array(owner)
+                return math.inf
+        self.owner = np.array(owner)
+        return float(self.cost[owner, columns].max())
 
 
 def _bottleneck(a, b, rows: list, cols: list) -> float:
@@ -713,7 +750,7 @@ def _bottleneck(a, b, rows: list, cols: list) -> float:
     best = 0.0
     open_groups = []
     sizes = np.array([len(r) for r in rows])
-    for k in np.unique(sizes[sizes > 0]):
+    for k in _distinct(sizes[sizes > 0]):
         pick = np.flatnonzero(sizes == k)
         R = np.array([rows[g] for g in pick])
         C = np.array([cols[g] for g in pick])
@@ -738,18 +775,18 @@ def _bottleneck(a, b, rows: list, cols: list) -> float:
     for high, low, cost in open_groups:
         if high <= best:
             break
-        order = np.argsort(cost, axis=1)
+        matching = _Matching(cost)
         floor = max(best, low)
-        if _matching_within(cost, order, floor) <= floor:
+        if matching.within(floor) <= floor:
             best = floor
             continue
         # the least largest pair lies in (floor, high]; a matching found
         # within a bound is often tighter, and its largest pair is a bound
-        values = np.unique(cost[(cost > floor) & (cost <= high)])
+        values = _distinct(cost[(cost > floor) & (cost <= high)])
         lo, hi = 0, values.size - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            reach = _matching_within(cost, order, values[mid])
+            reach = matching.within(values[mid])
             if reach <= values[mid]:
                 hi = int(np.searchsorted(values, reach))
             else:

@@ -421,9 +421,12 @@ def test_json_escapes_control_characters(tmp_path):
 
 def test_floats_render_alike_in_every_container():
     """A float renders with 17 significant digits, or as a string when it
-    is not finite, alone, in a list of floats and among other values; a
-    non-finite one makes any container holding it not finite."""
-    from dirac_surface.cli import _all_finite, _render_json
+    is not finite, alone, in a list of floats, among other values and in
+    a float column of records; a non-finite one makes any container or
+    column holding it not finite."""
+    import io
+
+    from dirac_surface.cli import _all_finite, _columns, _render_json, _write_records
 
     floats = [0.1, -0.0, 1.0, 1 / 3, float("nan"), float("inf"), float("-inf")]
     text = '0.10000000000000001, 0, 1, 0.33333333333333331, "nan", "inf", "-inf"'
@@ -434,6 +437,19 @@ def test_floats_render_alike_in_every_container():
     for bad in floats[4:]:
         for value in ([1.0, bad], {"a": [[bad]]}, np.float64(bad), (True, bad)):
             assert not _all_finite(value)
+    # one record whose column holds the floats, then one record per float
+    head = ", ".join(text.split(", ")[:4])
+    for block, finite, rendered in (
+        ({"v": np.array([floats[:4]])}, True, [f"[{head}]"]),
+        ({"v": np.array([floats])}, False, [f"[{text}]"]),
+        ({"v": np.array(floats)}, False, text.split(", ")),
+    ):
+        fields, matrix = _columns(block)
+        assert [f for *_, f in fields] == [finite]
+        out = io.StringIO()
+        _write_records(out, [(fields, matrix)])
+        records = (f'    {{\n      "v": {v}\n    }}' for v in rendered)
+        assert out.getvalue() == "[\n" + ",\n".join(records) + "\n  ]"
 
 
 REPORT_KEYS = [
@@ -813,6 +829,38 @@ def test_pointwise_commands_do_not_import_scipy(tmp_path):
     assert "scipy.linalg" in modules
     for absent in ("scipy.sparse", "scipy.optimize"):
         assert absent not in modules, absent
+
+
+_NUMPY_MA_PROBE = """
+import json, sys
+from dirac_surface.cli import main
+
+seen = [[argv[0], main(argv), "numpy.ma" in sys.modules] for argv in json.loads(sys.argv[1])]
+print(json.dumps(seen))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """numpy.ma takes about 10 ms to import, and np.unique loads it: a
+    fresh interpreter that runs every command, the spectrum last, of a
+    degenerate spectrum too, has not loaded it (scipy.linalg, which the
+    near-kernel re-solve of plane-torus loads, imports it itself)."""
+    out = str(tmp_path / "report")
+    argvs = [
+        ["frame", CLIFFORD_ROTATED, "--grid", "3x3", "--out", out],
+        ["verify", CLIFFORD_ROTATED, "--grid", "3x3", "--gauged", "--out", out],
+        ["tube", SPHERE, "--at", "1.0", "0.7", "--out", out],
+        ["parse-check", CLIFFORD_ROTATED, "--out", out],
+        ["spectrum", CLIFFORD, "--grid", "4x4", "--out", out],
+        ["spectrum", CLIFFORD_ROTATED, "--grid", "8x8", "--gauged", "--csv", "--out", out],
+    ]
+    src = str(Path(dirac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(child.stdout) == [[argv[0], 0, False] for argv in argvs]
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

@@ -693,6 +693,43 @@ def test_distance_is_never_above_the_sum_optimal_largest_pair(rng, trial):
     assert distance <= cost[rows, cols].max()
 
 
+def test_warm_started_matching_agrees_with_a_fresh_one(rng):
+    """Searches at rising and falling bounds, each started from the pairs
+    of the last, find a perfect matching exactly when one exists (as
+    scipy's Hopcroft-Karp finds), within the bound and whose largest pair
+    is the value returned."""
+    import scipy.sparse
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    for _ in range(30):
+        n = int(rng.integers(1, 25))
+        # a coarse lattice of costs, so that pairs tie
+        cost = rng.random((n, n)).round(1)
+        warm = dirac._Matching(cost)
+        for bound in rng.choice(cost.ravel(), size=10):
+            within = scipy.sparse.csr_array(cost <= bound)
+            exists = (maximum_bipartite_matching(within, perm_type="column") >= 0).all()
+            reach = warm.within(bound)
+            assert (reach <= bound) == exists == (dirac._Matching(cost).within(bound) <= bound)
+            if exists:
+                assert sorted(warm.owner) == list(range(n))
+                assert reach == cost[warm.owner, np.arange(n)].max()
+
+
+@pytest.mark.parametrize("gauged", [False, True], ids=["plain", "gauged"])
+def test_grossly_different_spectra_match_dense_oracle(clifford_rotated, gauged):
+    """The lattice spectrum of clifford-rotated lies about 0.7 from the
+    Fourier spectrum of one site's symbol, so the tolerance groups widen
+    until they hold pairs that far apart, and are bisected with
+    warm-started matchings: the distance is the dense oracle's, bit for
+    bit."""
+    op = assemble_grid_operator(clifford_rotated, 8, 8, gauged=gauged)
+    vals, oracle = eigenvalues(op), fourier_eigenvalues(op)
+    distance = multiset_distance(vals, oracle)
+    assert distance > 0.5
+    assert distance == dense_multiset_distance(vals, oracle)
+
+
 def test_clifford_grid_constant_coefficients(clifford):
     op = assemble_grid_operator(clifford, 8, 8)
     assert is_constant_coefficient(op)
