@@ -57,10 +57,10 @@ is solved in one stacked call, except that when some direction is
 invariant the mode 1 along every invariant direction is solved with its
 eigenvectors, which are lifted to the whole grid and checked against the
 stencil of XY (the mode residual).  The squares near zero, whose root
-loses precision, are re-solved per mode that holds them, on their
-invariant subspaces of X_m Y_m and Y_m X_m: X and Y are reduced for
-those modes alone, the same way, and each square gets its own sorted
-Schur form.
+loses precision, are found again without a root: the operator's own
+stencil is reduced, the same way, for the modes that hold them, and
+each such mode block D_m = [[0, X_m], [Y_m, 0]] keeps its 2k least
+eigenvalues, for its k near-zero squares.
 
 ``multiset_distance`` returns the bottleneck distance, the least
 largest pair over all matchings, per tolerance group: the union of the
@@ -72,11 +72,9 @@ holds unequal counts from the two sides, or the groups' value exceeds
 w, w is doubled and the union regrouped.  The matching is numpy and
 plain Python.
 
-Only the near-kernel re-solve loads scipy, ``scipy.linalg``, on first
-use; the stencil, the mode reduction and the rest of the spectrum need
-numpy alone, as do the pointwise symbols.  ``DiscreteOperator.matrix``
-builds the sparse matrix, importing ``scipy.sparse``, for callers that
-ask for it; the spectrum does not.
+The spectrum and the pointwise symbols need numpy alone.
+``DiscreteOperator.matrix`` builds the sparse matrix, importing
+``scipy.sparse``, for callers that ask for it; the spectrum does not.
 """
 
 from __future__ import annotations
@@ -87,9 +85,8 @@ from functools import cached_property
 from typing import Any
 
 import numpy as np
-# scipy is imported inside the near-kernel re-solve and the sparse matrix
-# property, the only code that calls it, so the other commands and the
-# rest of the spectrum never pay for loading it.
+# scipy is imported inside the sparse matrix property, the only code that
+# calls it, so no command pays for loading it.
 
 from .clifford import GAMMA, SIGMA34, TANGENT_SPIN_GENERATOR, gauge_rotation
 from .expr import ImmersionSpec
@@ -371,7 +368,7 @@ def assemble_grid_operator(
 
 
 # |mu| / max |mu| below which sqrt(mu) loses more than about 1e-13 of
-# the eigenvalue's absolute precision, so that cluster is re-solved
+# the eigenvalue's absolute precision, so that cluster is solved without a root
 _NEAR_KERNEL = 1e-4
 
 
@@ -414,37 +411,28 @@ def _stencil_product(X, Y, n1: int, n2: int) -> tuple:
     return offsets, XY
 
 
-def _near_kernel_eigenvalues(X, Y, cut: float, count: int) -> np.ndarray:
-    """Eigenvalues of [[0, X], [Y, 0]] whose squares have |mu| <= cut.
+def _near_kernel_roots(blocks, cut: float, counts) -> np.ndarray:
+    """The 2 k_m eigenvalues of least modulus of each mode block D_m
+    (K, s, s) of the operator, k_m = ``counts[m]``.
 
-    X and Y are stacks (K, s, s) of mode blocks.  Per mode, V spans the
-    invariant subspace of X_m Y_m and W that of Y_m X_m for those mu,
-    each from its own sorted Schur form.  X_m maps W into V and Y_m maps
-    V into W, so the operator restricted to V + W is
-    [[0, V^dag X_m W], [W^dag Y_m V, 0]]; the modes' pieces are solved
-    together, without a root, once the forms have selected ``count``
-    values each, summed over the modes.
+    D_m = [[0, X_m], [Y_m, 0]] in chiral order, so its eigenvalues are
+    +-sqrt of those of X_m Y_m, and the roots of the mode's k_m squares
+    with |mu| <= cut come from D_m without a root.  The cluster must be
+    separated in every block: its 2 k_m-th least |lambda|^2 at or below
+    the cut, and the next one, if any, above it.
     """
-    import scipy.linalg
-
-    select = lambda z: abs(z) <= cut  # noqa: E731
-    V, W = [], []
-    kv = kw = 0
-    for Xm, Ym in zip(X, Y):
-        _, Zv, k = scipy.linalg.schur(Xm @ Ym, output="complex", sort=select)
-        _, Zw, l = scipy.linalg.schur(Ym @ Xm, output="complex", sort=select)
-        V.append(Zv[:, :k])
-        W.append(Zw[:, :l])
-        kv, kw = kv + k, kw + l
-    if kv != count or kw != count:
-        raise SpectrumInvariantError(
-            f"near-kernel cluster of {count} squared eigenvalues is not "
-            f"separated at {cut:.3e} (Schur forms select {kv} and {kw})"
-        )
-    VXW = scipy.linalg.block_diag(*(v.conj().T @ x @ w for x, v, w in zip(X, V, W)))
-    WYV = scipy.linalg.block_diag(*(w.conj().T @ y @ v for y, v, w in zip(Y, V, W)))
-    zero = np.zeros((count, count))
-    return scipy.linalg.eigvals(np.block([[zero, VXW], [WYV, zero]]))
+    vals = np.linalg.eigvals(blocks)
+    vals = np.take_along_axis(vals, np.argsort(np.abs(vals), axis=1), axis=1)
+    squares = np.pad(np.abs(vals) ** 2, ((0, 0), (0, 1)), constant_values=math.inf)
+    rows = np.arange(len(vals))
+    inner, outer = squares[rows, 2 * counts - 1], squares[rows, 2 * counts]
+    for k, a, b in zip(counts, inner, outer):
+        if not a <= cut < b:
+            raise SpectrumInvariantError(
+                f"near-kernel cluster of {k} squared eigenvalues is not separated "
+                f"at {cut:.3e} (|lambda|^2 {a:.3e} and the next {b:.3e})"
+            )
+    return vals[np.arange(vals.shape[1]) < 2 * counts[:, None]]
 
 
 # |S D S^T - D|_max / |D|_max at or below which the grid shift S along a
@@ -488,9 +476,10 @@ def _bloch_phases(modes, offsets, n1: int, n2: int) -> np.ndarray:
 
 
 def _mode_blocks(stencil, offsets, op: DiscreteOperator, invariant, modes) -> np.ndarray:
-    """The dense blocks (len(modes), 2c, 2c) of the given modes of a
-    chiral stencil (X, Y or XY: two components per site) on the given
-    offsets.
+    """The dense blocks (len(modes), c S, c S) of the given modes of a
+    stencil (c, c, len(offsets), n1 n2) on the given offsets: c
+    components per site (4 for the operator, 2 for XY), S sites in the
+    cell.
 
     The block of mode m is M_m = sum_t exp(2 pi i m.t / n) M_t, where
     M_t holds the blocks of the cell's rows whose column site is its
@@ -500,16 +489,17 @@ def _mode_blocks(stencil, offsets, op: DiscreteOperator, invariant, modes) -> np
     component along the invariant directions, so each offset's blocks
     are added, phase-weighted, straight into every mode's block.
     """
+    c = stencil.shape[0]
     sites, cell, _, _ = _cell_split(op.n1, op.n2, invariant)
-    size = 2 * sites.size
+    size = c * sites.size
     translations = np.where(np.isin((0, 1), invariant), offsets % (op.n1, op.n2), 0)
     phases = _bloch_phases(modes, translations, op.n1, op.n2)
-    rows = (2 * np.arange(sites.size) + np.arange(2)[:, None])[:, None] * size
+    rows = (c * np.arange(sites.size) + np.arange(c)[:, None])[:, None] * size
     blocks = np.zeros((len(modes), size * size), dtype=complex)
     for d, col in enumerate(_column_sites(op.n1, op.n2, offsets, sites)):
         # one offset reaches one column site per cell site, so the entries
-        # of (a, b, c) are distinct and += adds each of them
-        at = rows + 2 * cell[col] + np.arange(2)[:, None]
+        # of (a, b, site) are distinct and += adds each of them
+        at = rows + c * cell[col] + np.arange(c)[:, None]
         blocks[:, at] += phases[:, d, None, None, None] * stencil[:, :, d, sites]
     return blocks.reshape(len(modes), size, size)
 
@@ -555,8 +545,10 @@ def eigenvalues(
     direction is solved by ``eig``, and its eigenvectors are checked
     against the stencil XY (``_lifted_residual``).
     Squares with |mu| <= 1e-4 max|mu| over all modes, whose root would
-    lose precision, are re-solved on their invariant subspaces of their
-    mode's X_m Y_m and Y_m X_m.
+    lose precision, are taken from their modes' blocks of the operator
+    itself, [[0, X_m], [Y_m, 0]], whose eigenvalues are +-sqrt(mu):
+    ``_near_kernel_roots`` keeps each block's 2k least and checks their
+    gap to the rest.
 
     With ``return_squares`` the eigenvalues mu of XY (unsorted, 2 n1 n2
     of them, mode after mode) are returned as well, and with
@@ -573,9 +565,9 @@ def eigenvalues(
         # the mode 1 along every invariant direction: m = 0 and m = n/2
         # have real phases, which a conjugated phase leaves unchanged
         (sample,) = np.flatnonzero(np.all(modes == np.isin((0, 1), invariant), axis=1))
-        others = np.arange(len(modes)) != sample
         mu = np.empty(blocks.shape[:2], dtype=complex)
-        mu[others] = np.linalg.eigvals(blocks[others])
+        mu[:sample] = np.linalg.eigvals(blocks[:sample])
+        mu[sample + 1:] = np.linalg.eigvals(blocks[sample + 1:])
         mu[sample], vectors = np.linalg.eig(blocks[sample])
         residual = _lifted_residual(XY, offsets, op, invariant, modes[sample], mu[sample], vectors)
     else:
@@ -588,10 +580,11 @@ def eigenvalues(
     if small.any():
         # cut half way between the cluster and the rest of the spectrum
         cut = 0.5 * (size[small].max() + size[~small].min())
-        near = modes[small.any(axis=1)]
-        Xm = _mode_blocks(X, _HOPS, op, invariant, near)
-        Ym = _mode_blocks(Y, _HOPS, op, invariant, near)
-        vals = np.concatenate([vals, _near_kernel_eigenvalues(Xm, Ym, cut, int(small.sum()))])
+        near = small.any(axis=1)
+        # the operator's own stencil, laid out as X and Y are
+        D = np.moveaxis(op.stencil, (0, 1), (3, 2))
+        D = _mode_blocks(D, _HOPS, op, invariant, modes[near])
+        vals = np.concatenate([vals, _near_kernel_roots(D, cut, small[near].sum(axis=1))])
     vals = vals[np.lexsort((vals.imag, vals.real))]
     out = [vals]
     if return_squares:

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import interior_lattice
 from dirac_surface import cli, dirac, weierstrass
@@ -768,15 +767,19 @@ def test_same_chirality_entry_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_unseparated_near_kernel_cluster_exits_1(tmp_path, capsys, monkeypatch):
-    """The re-solve of the near-kernel squares checks that its Schur
-    forms select the whole cluster; a miscount exits 1 with a message."""
-    schur = scipy.linalg.schur
+    """The near-kernel roots are checked for a gap at the cut.  With the
+    identity added to the operator's near-mode block (zero on plane-torus
+    9x9), its four least |lambda|^2 read 1, above the cut of 0.12: the
+    cluster is not separated there, and the run exits 1 with a message."""
+    mode_blocks = dirac._mode_blocks
 
-    def overselecting_schur(*args, **kwargs):
-        T, Z, sdim = schur(*args, **kwargs)
-        return T, Z, sdim + 1
+    def shifted(stencil, *args):
+        blocks = mode_blocks(stencil, *args)
+        if stencil.shape[0] == 4:  # the operator's blocks, not those of XY
+            blocks += np.eye(blocks.shape[-1])
+        return blocks
 
-    monkeypatch.setattr(scipy.linalg, "schur", overselecting_schur)
+    monkeypatch.setattr(dirac, "_mode_blocks", shifted)
     assert main(["spectrum", PLANE_TORUS, "--grid", "9x9", "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: spectrum: near-kernel cluster of 2 squared eigenvalues")
@@ -798,10 +801,10 @@ print(json.dumps(seen))
 
 
 def test_pointwise_commands_do_not_import_scipy(tmp_path):
-    """Only the spectrum loads scipy, and only for a near-kernel cluster:
-    a fresh interpreter that imports the CLI and runs every other
-    command, then the spectrum of a surface without such a cluster, has
-    no scipy module loaded."""
+    """No command loads scipy: a fresh interpreter that imports the CLI
+    and runs every command, the spectrum of plane-torus last, whose zero
+    modes are solved from the operator's own mode blocks, has no scipy
+    module loaded."""
     out = str(tmp_path / "report")
     argvs = [
         ["frame", CLIFFORD_ROTATED, "--at", "0.3", "0.2", "--out", out],
@@ -818,17 +821,10 @@ def test_pointwise_commands_do_not_import_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     seen = json.loads(child.stdout)
-    *no_scipy, (command, code, modules) = seen
-    for name, exit_code, loaded in no_scipy:
+    assert [name for name, _, _ in seen] == ["import"] + [argv[0] for argv in argvs]
+    for name, exit_code, loaded in seen:
         assert exit_code == 0, name
         assert loaded == [], name
-    assert no_scipy[-1][0] == "spectrum"
-    # the zero modes of plane-torus are re-solved from Schur forms, with
-    # scipy.linalg alone: the operator is never made sparse
-    assert command == "spectrum" and code == 0
-    assert "scipy.linalg" in modules
-    for absent in ("scipy.sparse", "scipy.optimize"):
-        assert absent not in modules, absent
 
 
 _NUMPY_MA_PROBE = """
@@ -843,8 +839,8 @@ print(json.dumps(seen))
 def test_no_command_imports_numpy_ma(tmp_path):
     """numpy.ma takes about 10 ms to import, and np.unique loads it: a
     fresh interpreter that runs every command, the spectrum last, of a
-    degenerate spectrum too, has not loaded it (scipy.linalg, which the
-    near-kernel re-solve of plane-torus loads, imports it itself)."""
+    degenerate spectrum and of plane-torus's zero modes too, has not
+    loaded it."""
     out = str(tmp_path / "report")
     argvs = [
         ["frame", CLIFFORD_ROTATED, "--grid", "3x3", "--out", out],
@@ -853,6 +849,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
         ["parse-check", CLIFFORD_ROTATED, "--out", out],
         ["spectrum", CLIFFORD, "--grid", "4x4", "--out", out],
         ["spectrum", CLIFFORD_ROTATED, "--grid", "8x8", "--gauged", "--csv", "--out", out],
+        ["spectrum", PLANE_TORUS, "--grid", "9x9", "--out", out],
     ]
     src = str(Path(dirac.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

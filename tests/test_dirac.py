@@ -17,7 +17,7 @@ from dirac_surface.dirac import (
     _chiral_stencils,
     _mode_blocks,
     _modes,
-    _near_kernel_eigenvalues,
+    _near_kernel_roots,
     _tolerance_groups,
     assemble_grid_operator,
     dirac_symbol,
@@ -443,17 +443,29 @@ def test_one_mode_solve_matches_dense_oracle(name, n1, n2, gauged, request):
     assert multiset_distance(vals, dense_eigenvalues(op.matrix.toarray())) <= 1e-12
 
 
-@pytest.mark.parametrize("n,zeros", [(8, 16), (9, 4)])
-def test_near_kernel_resolve_without_invariant_direction(plane_torus, n, zeros):
-    """One site's block row of plane-torus scaled by 1 + 1e-9 breaks both
-    shift invariances, and a row scaling keeps the kernel exactly: the
-    near-kernel re-solve of the one mode returns every zero mode at
+@pytest.mark.parametrize(
+    "n,zeros,scaled,invariant",
+    [
+        pytest.param(8, 16, "site", (), id="8-16"),
+        pytest.param(9, 4, "site", (), id="9-4"),
+        pytest.param(8, 16, "row", (1,), id="8-16-row"),
+        pytest.param(9, 4, "row", (1,), id="9-4-row"),
+    ],
+)
+def test_near_kernel_resolve_without_invariant_direction(
+    plane_torus, n, zeros, scaled, invariant
+):
+    """Site 9's block row of plane-torus scaled by 1 + 1e-9 breaks both
+    shift invariances, and the rows of grid row j = 2 scaled alike leave
+    only v invariant; a row scaling keeps the kernel exactly.  The
+    near-kernel modes' operator blocks return every zero mode at
     rounding, and the spectrum matches the dense solve."""
     op = assemble_grid_operator(plane_torus, n, n)
     stencil = op.stencil.copy()
-    stencil[9] *= 1 + 1e-9
+    rows = [9] if scaled == "site" else np.arange(2 * n, 3 * n)
+    stencil[rows] *= 1 + 1e-9
     perturbed = dataclasses.replace(op, stencil=stencil)
-    assert perturbed.invariant_directions == ()
+    assert perturbed.invariant_directions == invariant
     vals = eigenvalues(perturbed)
     assert int(np.sum(np.abs(vals) <= 1e-14)) == zeros
     assert multiset_distance(vals, dense_eigenvalues(perturbed.matrix.toarray())) <= 1e-12
@@ -468,35 +480,54 @@ def test_eigenvalues_reject_same_chirality_entry(clifford):
         eigenvalues(dataclasses.replace(op, stencil=stencil))
 
 
-def test_near_kernel_cluster_size_is_checked(plane_torus):
-    op = assemble_grid_operator(plane_torus, 9, 9)
-    X, Y = chiral_halves(op.matrix)
-    # the four zero modes square to two zero eigenvalues of XY
-    with pytest.raises(ArithmeticError, match="select 2 and 2"):
-        _near_kernel_eigenvalues(X.toarray()[None], Y.toarray()[None], 1e-3, 3)
-
-
-@pytest.mark.parametrize("n,zeros", [(8, 16), (9, 4), (16, 16)])
-def test_blockwise_near_kernel_matches_whole_matrix_oracle(plane_torus, n, zeros):
-    """The near-kernel re-solve mode block by mode block agrees with the
-    sorted Schur forms of the whole dense XY and YX."""
-    op = assemble_grid_operator(plane_torus, n, n)
-    X, Y = _chiral_stencils(op.stencil)
+def _near_kernel_blocks(op):
+    """The operator's blocks of the modes that hold near-kernel squares,
+    the cut and each such mode's count of them, as ``eigenvalues`` finds
+    them."""
     invariant = op.invariant_directions
-    assert invariant == (0, 1)
     modes = _modes(op, invariant)
     _, mu = eigenvalues(op, return_squares=True)
     size = np.abs(mu).reshape(len(modes), -1)
     small = size <= _NEAR_KERNEL * size.max()
     cut = 0.5 * (size[small].max() + size[~small].min())
-    count = int(small.sum())
-    modes = modes[small.any(axis=1)]
-    near = _near_kernel_eigenvalues(
-        _mode_blocks(X, _HOPS, op, invariant, modes),
-        _mode_blocks(Y, _HOPS, op, invariant, modes),
-        cut,
-        count,
-    )
+    near = small.any(axis=1)
+    D = np.moveaxis(op.stencil, (0, 1), (3, 2))
+    return _mode_blocks(D, _HOPS, op, invariant, modes[near]), cut, small[near].sum(axis=1)
+
+
+def test_near_kernel_cluster_size_is_checked(plane_torus):
+    """Each near mode's 2k-th least |lambda|^2 must lie at or below the
+    cut and the next one above it: a count one too small or one too
+    large fails that gap check."""
+    op = assemble_grid_operator(plane_torus, 9, 9)
+    D, cut, counts = _near_kernel_blocks(op)
+    # the four zero modes square to two zero eigenvalues of XY, all of
+    # the one-site cell's block of mode (0, 0)
+    assert counts.tolist() == [2]
+    assert np.max(np.abs(_near_kernel_roots(D, cut, counts))) <= 1e-14
+    with pytest.raises(SpectrumInvariantError, match="^near-kernel cluster of 1 squared"):
+        _near_kernel_roots(D, cut, counts - 1)
+    # grid row j = 2 scaled: the cell is a column of 9 sites, so the
+    # block of a near mode holds more than its cluster
+    stencil = op.stencil.copy()
+    stencil[18:27] *= 1 + 1e-9
+    D, cut, counts = _near_kernel_blocks(dataclasses.replace(op, stencil=stencil))
+    assert counts.tolist() == [2] and D.shape == (1, 36, 36)
+    assert np.max(np.abs(_near_kernel_roots(D, cut, counts))) <= 1e-14
+    for wrong in (counts - 1, counts + 1):
+        with pytest.raises(SpectrumInvariantError, match="^near-kernel cluster of"):
+            _near_kernel_roots(D, cut, wrong)
+
+
+@pytest.mark.parametrize("n,zeros", [(8, 16), (9, 4), (16, 16)])
+def test_blockwise_near_kernel_matches_whole_matrix_oracle(plane_torus, n, zeros):
+    """The near-kernel roots from the operator's mode blocks agree with
+    those from the sorted Schur forms of the whole dense XY and YX."""
+    op = assemble_grid_operator(plane_torus, n, n)
+    assert op.invariant_directions == (0, 1)
+    D, cut, counts = _near_kernel_blocks(op)
+    count = int(counts.sum())
+    near = _near_kernel_roots(D, cut, counts)
     whole = whole_near_kernel_eigenvalues(*chiral_halves(op.matrix), cut, count)
     assert near.shape == whole.shape == (2 * count,) == (zeros,)
     assert multiset_distance(near, whole) <= 1e-15
@@ -507,9 +538,10 @@ def test_near_kernel_labels_yx_blocks_on_its_own():
     """A one-mode chiral pair whose squares fall apart differently:
     XY = A has the blocks {0, 1} and {2, 3}, YX = P^T A P (P swaps
     indices 1 and 2) the blocks {0, 2} and {1, 3}, so the invariant
-    subspaces of the small squares differ.  Each square's own Schur form
-    gives its subspace, and the re-solve returns +-sqrt of the two small
-    squares, as the whole-matrix forms do."""
+    subspaces of the small squares differ.  The operator block
+    [[0, X], [Y, 0]] needs neither: its four eigenvalues of least
+    modulus are +-sqrt of the two small squares, as the whole-matrix
+    Schur forms give."""
     import scipy.linalg
     import scipy.sparse
 
@@ -525,7 +557,9 @@ def test_near_kernel_labels_yx_blocks_on_its_own():
     Y = scipy.sparse.csr_array(P.T @ A)
     assert np.bincount(decoupled_blocks(X @ Y)).tolist() == [2, 2]
     assert decoupled_blocks(Y @ X).tolist() == [0, 1, 0, 1]
-    near = _near_kernel_eigenvalues(X.toarray()[None], Y.toarray()[None], 1.0, 2)
+    zero = np.zeros((4, 4))
+    D = np.block([[zero, X.toarray()], [Y.toarray(), zero]])
+    near = _near_kernel_roots(D[None], 1.0, np.array([2]))
     roots = np.sqrt([1e-6, 4e-6j])
     assert multiset_distance(near, np.concatenate([roots, -roots])) <= 1e-12
     assert multiset_distance(near, whole_near_kernel_eigenvalues(X, Y, 1.0, 2)) <= 1e-12
