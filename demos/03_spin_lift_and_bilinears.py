@@ -7,7 +7,6 @@ produces 4-vectors that rotate exactly like the rows of R.
 """
 
 import numpy as np
-import scipy.linalg
 
 from dirac_surface import basis_round, cospinor, gamma, so4_pairing, spin_lift
 
@@ -29,7 +28,9 @@ print()
 # lift a random rotation and watch the bilinears rotate with it
 rng = np.random.default_rng(7)
 raw = rng.normal(size=(4, 4))
-R = scipy.linalg.expm(raw - raw.T)
+# exp of the skew raw - raw^T, from the eigenvectors of the Hermitian i (raw - raw^T)
+w, V = np.linalg.eigh(1j * (raw - raw.T))
+R = ((V * np.exp(-1j * w)) @ V.conj().T).real
 U = spin_lift(R).matrix
 print("random rotation row 1     :", np.round(R[0], 6))
 psi = U @ basis_round()[0]

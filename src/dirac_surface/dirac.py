@@ -42,7 +42,7 @@ row against the row one site before it
 (``DiscreteOperator.shift_defect``), and calls a direction invariant at
 or below 1e-13.  On the periodic corpus files and a ring torus at 8x8,
 16x16 and 32x32, plain and gauged, the invariant directions read at most
-6.2e-16 (a few rounding units of the site symbols, evaluated at
+7.1e-16 (a few rounding units of the site symbols, evaluated at
 different points) and every other direction at least 1.4e-2 (the ring
 torus across its tube at 32x32; a coefficient that varies smoothly moves
 by O(h) between sites, so the gap stays wide at every size under the
@@ -72,9 +72,9 @@ holds unequal counts from the two sides, or the groups' value exceeds
 w, w is doubled and the union regrouped.  The matching is numpy and
 plain Python.
 
-The spectrum and the pointwise symbols need numpy alone.
-``DiscreteOperator.matrix`` builds the sparse matrix, importing
-``scipy.sparse``, for callers that ask for it; the spectrum does not.
+Everything here needs numpy alone.  ``DiscreteOperator.matrix``
+writes the stencil into a dense array for callers that ask for it; the
+spectrum does not.
 """
 
 from __future__ import annotations
@@ -82,11 +82,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any
 
 import numpy as np
-# scipy is imported inside the sparse matrix property, the only code that
-# calls it, so no command pays for loading it.
 
 from .clifford import GAMMA, SIGMA34, TANGENT_SPIN_GENERATOR, gauge_rotation
 from .expr import ImmersionSpec
@@ -186,24 +183,17 @@ class DiscreteOperator:
         return 4 * self.n1 * self.n2
 
     @cached_property
-    def matrix(self) -> Any:
-        """The operator as a scipy.sparse.csr_array, (dim, dim) complex,
-        built from the stencil on first access (annotated Any so that
-        resolving the hints needs no scipy import).  The spectrum does
-        not read it."""
-        import scipy.sparse
-
+    def matrix(self) -> np.ndarray:
+        """The operator as a dense (dim, dim) complex array, 16 dim^2
+        bytes (256 MiB at the cap), built from the stencil on first
+        access.  The spectrum does not read it."""
         nsites = self.n1 * self.n2
         cols = _column_sites(self.n1, self.n2, _HOPS, np.arange(nsites)).T
-        # row 4 p + a holds row a of each of site p's five blocks
-        data = self.stencil.transpose(0, 2, 1, 3)
-        indices = np.broadcast_to(4 * cols[:, None, :, None] + np.arange(4), data.shape)
-        matrix = scipy.sparse.csr_array(
-            (data.ravel(), indices.ravel(), np.arange(0, 20 * 4 * nsites + 1, 20)),
-            shape=(self.dim, self.dim),
-        )
-        matrix.eliminate_zeros()
-        return matrix
+        # rows 4 p + a, columns 4 q + b; the five hops of a row reach
+        # distinct sites, and adding into zeros leaves no negative zero
+        matrix = np.zeros((nsites, 4, nsites, 4), dtype=complex)
+        matrix[np.arange(nsites)[:, None], :, cols] += self.stencil
+        return matrix.reshape(self.dim, self.dim)
 
     def inner(self, phi, psi) -> complex:
         """Weighted inner product sum_sites sqrt(det g) phi^dag psi dA."""
@@ -350,7 +340,11 @@ def assemble_grid_operator(
     hop2 = sym.A[:, 1] / (2.0 * h2)
     stencil = np.stack([sym.B, hop1, -hop1, hop2, -hop2], axis=1)
     if gauged:
-        V = gauge_rotation(gauge_angle(conn)[0] / 2.0).matrix
+        half = gauge_angle(conn)[0] / 2.0
+        V = gauge_rotation(half).matrix
+        # signed as spin_lift signs V's inverse, the lift of the normals'
+        # turn, so that theta = pi and the -pi rounding gives a neighbour agree
+        V[(np.cos(half) < 0.25) & (np.sin(half) < 0)] *= -1
         cols = _column_sites(n1, n2, _HOPS, np.arange(n1 * n2)).T
         stencil = np.swapaxes(V.conj(), -1, -2)[:, None] @ stencil @ V[cols]
 

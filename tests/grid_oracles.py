@@ -17,8 +17,8 @@ values every pairing tried.  The sublattice labelling is the split the library s
 invariant direction by before it reduced every surface by Fourier mode:
 the connected components of the squared operator once the rounding
 residues of its cancelling couplings are dropped.  The chiral halves
-are sliced from the sparse matrix by chirality, as the library did
-before it kept the operator as its stencil.
+are sliced by chirality from a sparse copy of the matrix, as the library
+did before it kept the operator as its stencil.
 """
 
 import itertools
@@ -70,7 +70,10 @@ def dense_grid_matrix(spec, n1, n2, gauged=False):
         A_site[p] = sym.A
         B_site[p] = sym.B
         if gauged:
-            V_site[p] = gauge_rotation(gauge_angle(connection_from_frame(fr))[0] / 2.0).matrix
+            half = gauge_angle(connection_from_frame(fr))[0] / 2.0
+            # the lift's sign as spin_lift picks it: sin(half) > 0 where cos(half) < 1/4
+            sign = -1.0 if math.cos(half) < 0.25 and math.sin(half) < 0.0 else 1.0
+            V_site[p] = sign * gauge_rotation(half).matrix
 
     M = np.zeros((dim, dim), dtype=complex)
     for j in range(n1):
@@ -114,9 +117,10 @@ def fourier_eigenvalues_by_mode(op):
 
 
 def chiral_halves(matrix):
-    """X and Y of the sparse operator [[0, X], [Y, 0]] in chiral order: the
-    first two components of each site spinor are +1 under gamma^5, the
-    last two -1."""
+    """X and Y of the operator [[0, X], [Y, 0]] in chiral order, as sparse
+    arrays: the first two components of each site spinor are +1 under
+    gamma^5, the last two -1."""
+    matrix = scipy.sparse.csr_array(matrix)
     index = np.arange(matrix.shape[0])
     plus = index[index % 4 < 2]
     minus = index[index % 4 >= 2]

@@ -259,24 +259,40 @@ def test_spectrum_conjugation_check_fails_on_complex_coefficient(tmp_path, monke
 )
 def test_spectrum_reports_the_mode_reduction(tmp_path, name, invariant):
     """Every periodic corpus file, the three test tori included, exits 0
-    at 8x8.  The summary names the invariant directions and the shift
-    defect of both; the lifted residual is a check exactly when some
-    direction is invariant, and null otherwise."""
-    code, text = run(tmp_path, "spectrum", str(corpus_path(name)), "--grid", "8x8")
+    at 8x8, and gauged at 16x16, where a gauged grid keeps the invariant
+    directions of its plain one.  The summary names the invariant
+    directions and the shift defect of both; the lifted residual is a
+    check exactly when some direction is invariant, and null otherwise."""
+    for options, records in ((["--grid", "8x8"], 256), (["--grid", "16x16", "--gauged"], 1024)):
+        code, text = run(tmp_path, "spectrum", str(corpus_path(name)), *options)
+        assert code == 0
+        report = json.loads(text)
+        assert len(report["records"]) == records
+        summary = report["summary"]
+        assert summary["invariant_directions"] == invariant, options
+        defect = dict(zip("uv", summary["shift_defect"]))
+        assert all(defect[a] <= 1e-15 for a in invariant)
+        assert all(d >= 1e-2 for a, d in defect.items() if a not in invariant)
+        checks = {c["name"]: c for c in report["checks"]}
+        if invariant:
+            assert checks["mode_residual"]["pass"]
+            assert summary["mode_residual"] == checks["mode_residual"]["value"] <= 1e-14
+        else:
+            assert summary["mode_residual"] is None and "mode_residual" not in checks
+
+
+def test_gauged_moebius_spectrum_at_32x32_is_reduced_along_v(tmp_path):
+    """Rounding puts the gauge angle of gauged moebius-clifford at pi on
+    some sites of the row u = 3 pi / 2 and at -pi on others; both lift to
+    one gauge rotation, so the grid keeps its invariance along v, and the
+    spectrum is solved per mode and passes its checks."""
+    code, text = run(tmp_path, "spectrum", str(corpus_path("moebius-clifford")), "--grid", "32x32", "--gauged")
     assert code == 0
     report = json.loads(text)
-    assert len(report["records"]) == 256
-    summary = report["summary"]
-    assert summary["invariant_directions"] == invariant
-    defect = dict(zip("uv", summary["shift_defect"]))
-    assert all(defect[a] <= 1e-15 for a in invariant)
-    assert all(d >= 1e-2 for a, d in defect.items() if a not in invariant)
+    assert report["summary"]["invariant_directions"] == ["v"]
     checks = {c["name"]: c for c in report["checks"]}
-    if invariant:
-        assert checks["mode_residual"]["pass"]
-        assert summary["mode_residual"] == checks["mode_residual"]["value"] <= 1e-14
-    else:
-        assert summary["mode_residual"] is None and "mode_residual" not in checks
+    assert checks["conjugation_symmetry"]["value"] <= 1e-10
+    assert all(c["pass"] for c in checks.values())
 
 
 def _phase_mutation(fault):
@@ -788,10 +804,11 @@ def test_unseparated_near_kernel_cluster_exits_1(tmp_path, capsys, monkeypatch):
 
 _SCIPY_PROBE = """
 import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises
 from dirac_surface.cli import main
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m.startswith("scipy."))
 
 seen = [["import", 0, scipy_modules()]]
 for argv in json.loads(sys.argv[1]):
@@ -801,30 +818,37 @@ print(json.dumps(seen))
 
 
 def test_pointwise_commands_do_not_import_scipy(tmp_path):
-    """No command loads scipy: a fresh interpreter that imports the CLI
-    and runs every command, the spectrum of plane-torus last, whose zero
-    modes are solved from the operator's own mode blocks, has no scipy
-    module loaded."""
+    """No command needs scipy: a fresh interpreter in which importing
+    scipy raises imports the CLI and runs every command, in JSON and
+    CSV, plain and gauged spectra (the zero modes of plane-torus come
+    from the operator's own mode blocks), and runs that exit with an
+    error, each with its exit code, and loads no scipy module."""
     out = str(tmp_path / "report")
     argvs = [
-        ["frame", CLIFFORD_ROTATED, "--at", "0.3", "0.2", "--out", out],
-        ["verify", CLIFFORD_ROTATED, "--grid", "3x3", "--gauged", "--out", out],
-        ["tube", SPHERE, "--at", "1.0", "0.7", "--out", out],
-        ["parse-check", CLIFFORD_ROTATED, "--out", out],
-        ["spectrum", CLIFFORD, "--grid", "4x4", "--out", out],
-        ["spectrum", PLANE_TORUS, "--grid", "8x8", "--out", out],
+        (["frame", CLIFFORD_ROTATED, "--at", "0.3", "0.2", "--out", out], 0),
+        (["frame", CLIFFORD_ROTATED, "--grid", "3x3", "--csv", "--out", out], 0),
+        (["verify", CLIFFORD_ROTATED, "--grid", "3x3", "--gauged", "--out", out], 0),
+        (["verify", SPHERE, "--at", "1.0", "0.7", "--gauged", "--csv", "--out", out], 0),
+        (["tube", SPHERE, "--at", "1.0", "0.7", "--out", out], 0),
+        (["parse-check", CLIFFORD_ROTATED, "--out", out], 0),
+        (["spectrum", CLIFFORD, "--grid", "4x4", "--out", out], 0),
+        (["spectrum", CLIFFORD_ROTATED, "--grid", "8x8", "--gauged", "--csv", "--out", out], 0),
+        (["spectrum", str(corpus_path("moebius-clifford")), "--grid", "16x16", "--gauged", "--out", out], 0),
+        (["spectrum", PLANE_TORUS, "--grid", "8x8", "--gauged", "--out", out], 0),
+        (["spectrum", PLANE_TORUS, "--grid", "8x8", "--out", out], 0),
+        (["frame", str(tmp_path / "missing.imm"), "--at", "0.3", "0.2", "--out", out], 2),
+        (["spectrum", SPHERE, "--out", out], 2),
+        (["spectrum", CLIFFORD, "--grid", "64x64", "--out", out], 3),
+        (["verify", str(corpus_path("bump-torus")), "--grid", "3x3", "--out", out], 1),
     ]
     src = str(Path(dirac.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps([argv for argv, _ in argvs])],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     seen = json.loads(child.stdout)
-    assert [name for name, _, _ in seen] == ["import"] + [argv[0] for argv in argvs]
-    for name, exit_code, loaded in seen:
-        assert exit_code == 0, name
-        assert loaded == [], name
+    assert seen == [["import", 0, []]] + [[argv[0], code, []] for argv, code in argvs]
 
 
 _NUMPY_MA_PROBE = """

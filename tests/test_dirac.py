@@ -28,7 +28,7 @@ from dirac_surface.dirac import (
     multiset_distance,
 )
 from dirac_surface.corpus import load_corpus
-from dirac_surface.geometry import connection_from_frame, frames_at, gauge_at
+from dirac_surface.geometry import connection_from_frame, frames_at, gauge_angle, gauge_at
 from conftest import interior_lattice, rng_seed
 from fd_oracles import random_points
 from grid_oracles import (
@@ -230,7 +230,7 @@ def test_dimension_cap(plane_torus):
 def test_plane_torus_structure(plane_torus):
     op = assemble_grid_operator(plane_torus, 8, 8)
     n = op.dim // 4
-    blocks = op.matrix.toarray().reshape(n, 4, n, 4)
+    blocks = op.matrix.reshape(n, 4, n, 4)
     nonzero = np.abs(blocks).max(axis=(1, 3)) > 0
     per_row = nonzero.sum(axis=1)
     assert np.all(per_row <= 5)
@@ -269,10 +269,23 @@ def test_sparse_assembly_matches_dense_oracle(name, gauged, request):
     dense = dense_grid_matrix(spec, 8, 8, gauged=gauged)
     if gauged:
         # the conjugation V_p^dag M_pq V_q sums in another order
-        assert np.max(np.abs(op.matrix.toarray() - dense)) <= 1e-15
+        assert np.max(np.abs(op.matrix - dense)) <= 1e-15
     else:
-        assert np.array_equal(op.matrix.toarray(), dense)
-    assert op.matrix.nnz <= 6 * op.dim
+        assert np.array_equal(op.matrix, dense)
+    assert np.count_nonzero(op.matrix) <= 6 * op.dim
+
+
+def test_gauged_assembly_signs_each_lift_as_spin_lift(clifford_rotated):
+    """Gauged clifford-rotated at 16x16 puts the gauge angle below
+    -2 acos(1/4) on 32 sites, where the lift of the gauge rotation is
+    minus the half-angle rotation: the assembly matches the dense oracle,
+    which signs each site's lift on its own."""
+    frames, _, _ = dirac._aligned_grid_frames(clifford_rotated, 16, 16)
+    theta = gauge_angle(connection_from_frame(frames))[0]
+    assert np.sum(theta < -2.0 * math.acos(0.25)) == 32
+    op = assemble_grid_operator(clifford_rotated, 16, 16, gauged=True)
+    dense = dense_grid_matrix(clifford_rotated, 16, 16, gauged=True)
+    assert np.max(np.abs(op.matrix - dense)) <= 1e-15 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("name", ["clifford", "clifford_rotated", "ring_torus"])
@@ -315,7 +328,7 @@ def test_chiral_eigenvalues_match_dense_oracle(name, n, gauged, zeros, request):
     op = assemble_grid_operator(spec, n, n, gauged=gauged)
     vals, squares = eigenvalues(op, return_squares=True)
     assert vals.shape == (op.dim,) and squares.shape == (op.dim // 2,)
-    assert multiset_distance(vals, dense_eigenvalues(op.matrix.toarray())) <= 1e-12
+    assert multiset_distance(vals, dense_eigenvalues(op.matrix)) <= 1e-12
     near_zero = np.abs(vals) < 1e-10
     assert int(np.sum(near_zero)) == zeros
     assert np.all(np.abs(vals[near_zero]) <= 1e-14)
@@ -359,7 +372,7 @@ def test_real_coupling_is_never_dropped(clifford):
     X, Y = chiral_halves(op.matrix)
     Xp, Yp = chiral_halves(perturbed.matrix)
     assert len(np.bincount(decoupled_blocks(Xp @ Yp))) < len(np.bincount(decoupled_blocks(X @ Y)))
-    dense = dense_eigenvalues(perturbed.matrix.toarray())
+    dense = dense_eigenvalues(perturbed.matrix)
     assert multiset_distance(eigenvalues(perturbed), dense) <= 1e-12
 
 
@@ -406,7 +419,7 @@ def test_mode_reduction_on_a_non_square_grid(name, n1, n2, request):
     vals, residual = eigenvalues(op, return_residual=True)
     assert op.invariant_directions
     assert residual <= 1e-14
-    assert multiset_distance(vals, dense_eigenvalues(op.matrix.toarray())) <= 1e-12
+    assert multiset_distance(vals, dense_eigenvalues(op.matrix)) <= 1e-12
 
 
 def test_broken_shift_invariance_is_never_reduced(clifford_rotated):
@@ -424,7 +437,7 @@ def test_broken_shift_invariance_is_never_reduced(clifford_rotated):
     assert perturbed.invariant_directions == ()
     vals, residual = eigenvalues(perturbed, return_residual=True)
     assert residual is None
-    dense = dense_eigenvalues(perturbed.matrix.toarray())
+    dense = dense_eigenvalues(perturbed.matrix)
     assert multiset_distance(vals, dense) <= 1e-12
 
 
@@ -440,7 +453,7 @@ def test_one_mode_solve_matches_dense_oracle(name, n1, n2, gauged, request):
     assert op.invariant_directions == ()
     vals, residual = eigenvalues(op, return_residual=True)
     assert residual is None
-    assert multiset_distance(vals, dense_eigenvalues(op.matrix.toarray())) <= 1e-12
+    assert multiset_distance(vals, dense_eigenvalues(op.matrix)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -468,7 +481,7 @@ def test_near_kernel_resolve_without_invariant_direction(
     assert perturbed.invariant_directions == invariant
     vals = eigenvalues(perturbed)
     assert int(np.sum(np.abs(vals) <= 1e-14)) == zeros
-    assert multiset_distance(vals, dense_eigenvalues(perturbed.matrix.toarray())) <= 1e-12
+    assert multiset_distance(vals, dense_eigenvalues(perturbed.matrix)) <= 1e-12
 
 
 def test_eigenvalues_reject_same_chirality_entry(clifford):
@@ -869,9 +882,8 @@ def test_integration_by_parts_flat_exact(clifford):
 
 
 def test_operator_type_hints_resolve():
-    """The annotations of the grid operator resolve without scipy bound
-    in the module, which loads it only where the sparse matrix is built."""
+    """The annotations of the grid operator resolve, to numpy arrays."""
     hints = typing.get_type_hints(dirac.DiscreteOperator)
-    assert typing.get_type_hints(dirac.DiscreteOperator.matrix.func)["return"] is typing.Any
+    assert typing.get_type_hints(dirac.DiscreteOperator.matrix.func)["return"] is np.ndarray
     assert hints["stencil"] is np.ndarray
     assert hints["weight"] is np.ndarray
