@@ -52,6 +52,7 @@ from .dirac import (
     fourier_eigenvalues,
     is_constant_coefficient,
     multiset_distance,
+    self_mirror_squares,
 )
 from .expr import ExprError, ImmersionSpec, load_immersion, unparse
 from .geometry import (
@@ -83,6 +84,7 @@ TOL = {
     "spinor_orthonormality": 1e-12,
     "residual_ratio": 3.5,
     "fourier_match": 1e-10,
+    "antiunitary_defect": 1e-13,
     "conjugation_symmetry": 1e-10,
     "mode_residual": 1e-12,
     "tube_slope": 1.9,
@@ -560,14 +562,15 @@ def _cmd_spectrum(spec, args):
     op = assemble_grid_operator(spec, n1, n2, gauged=args.gauged)
     vals, squares, residual = eigenvalues(op, return_squares=True, return_residual=True)
     # every coefficient of the operator is real, so the antiunitary
-    # J = (i tau_3 (x) tau_2) K commutes with it and the spectrum is closed
-    # under conjugation; the squares mu = lambda^2 carry the same closure
+    # J = (i tau_3 (x) tau_2) K commutes with it, which eigenvalues
+    # assumes when it copies the conjugated squares of mode m to mode -m;
+    # the solved squares of a self-mirror mode are closed under conjugation
+    own = self_mirror_squares(op, squares)
     checks = [
+        _check("antiunitary_defect", op.antiunitary_defect, TOL["antiunitary_defect"]),
         _check(
-            "conjugation_symmetry",
-            multiset_distance(squares, squares.conj()),
-            TOL["conjugation_symmetry"],
-        )
+            "conjugation_symmetry", multiset_distance(own, own.conj()), TOL["conjugation_symmetry"]
+        ),
     ]
     constant = is_constant_coefficient(op)
     fourier_dist = None

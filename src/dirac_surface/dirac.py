@@ -52,15 +52,29 @@ rows of one cell of sites (the sites at 0 along them; the whole grid
 when no direction is invariant) are split by the translation t of each
 column's site, and mode m gets the block sum_t exp(2 pi i m.t / n)
 XY_t, the exact restriction of XY to the Bloch waves of that mode.  With
-no invariant direction the one mode is the whole XY.  Every mode's block
-is solved in one stacked call, except that when some direction is
-invariant the mode 1 along every invariant direction is solved with its
-eigenvectors, which are lifted to the whole grid and checked against the
-stencil of XY (the mode residual).  The squares near zero, whose root
-loses precision, are found again without a root: the operator's own
-stencil is reduced, the same way, for the modes that hold them, and
-each such mode block D_m = [[0, X_m], [Y_m, 0]] keeps its 2k least
-eigenvalues, for its k near-zero squares.
+no invariant direction the one mode is the whole XY.
+
+Every coefficient of the symbol is real, so the antiunitary
+J = (i tau_3 (x) tau_2) K commutes with the operator, and J = i tau_2 K,
+with J^2 = -1, commutes with XY: the quaternionic class of Dyson's
+threefold way.  J is sitewise, so it commutes with the grid shifts; it
+conjugates a Bloch phase, so it maps mode m to its mirror -m (mod n),
+and the squares of mode -m are the conjugates of those of mode m.  One
+mode of each mirror pair is solved, with the self-mirror modes (m = -m:
+0 and n/2 along each invariant direction), and each mirror's squares
+are its partner's, conjugated.  Whether J commutes is measured on the
+stencil without a solve (``DiscreteOperator.antiunitary_defect``): it
+does exactly when every 2x2 block of X and of Y has the quaternion form
+x_11 = -conj x_22, x_12 = conj x_21.  On the periodic corpus files at
+8x8, 12x8, 16x16 and 32x32, plain and gauged, it reads exactly 0.  The
+solved modes' blocks go to one stacked call, except that when some
+direction is invariant the mode 1 along every invariant direction is
+solved with its eigenvectors, which are lifted to the whole grid and
+checked against the stencil of XY (the mode residual).  The squares
+near zero, whose root loses precision, are found again without a root:
+the operator's own stencil is reduced, the same way, for the modes that
+hold them, and each such mode block D_m = [[0, X_m], [Y_m, 0]] keeps
+its 2k least eigenvalues, for its k near-zero squares.
 
 ``multiset_distance`` returns the bottleneck distance, the least
 largest pair over all matchings, per tolerance group: the union of the
@@ -111,6 +125,7 @@ __all__ = [
     "is_constant_coefficient",
     "fourier_eigenvalues",
     "multiset_distance",
+    "self_mirror_squares",
     "DEFAULT_EIG_CAP",
 ]
 
@@ -216,6 +231,28 @@ class DiscreteOperator:
         """The directions (0 for the first parameter, 1 for the second)
         whose shift defect is at or below ``_SHIFT_INVARIANT``."""
         return tuple(a for a, d in enumerate(self.shift_defect) if d <= _SHIFT_INVARIANT)
+
+    @cached_property
+    def chiral_stencils(self) -> tuple:
+        """X and Y of the operator [[0, X], [Y, 0]] in chiral order, as
+        ``_chiral_stencils`` returns them."""
+        return _chiral_stencils(self.stencil)
+
+    @cached_property
+    def antiunitary_defect(self) -> float:
+        """How far the antiunitary J = (i tau_3 (x) tau_2) K is from
+        commuting with the operator, relative to |D|_max.
+
+        J commutes with D exactly when every 2x2 block x of X and of Y
+        has the quaternion form x_11 = -conj x_22, x_12 = conj x_21;
+        this is the largest miss of either equation over all blocks.
+        """
+        X, Y = self.chiral_stencils
+        miss = max(
+            max(np.abs(H[0, 0] + H[1, 1].conj()).max(), np.abs(H[0, 1] - H[1, 0].conj()).max())
+            for H in (X, Y)
+        )
+        return float(miss) / float(np.abs(self.stencil).max())
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +497,25 @@ def _modes(op: DiscreteOperator, invariant) -> np.ndarray:
     return np.stack(np.meshgrid(m1, m2, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
+def _mirrors(op: DiscreteOperator, invariant) -> np.ndarray:
+    """The index among ``_modes(op, invariant)`` of each mode's mirror,
+    the mode -m (mod n) along each invariant direction."""
+    n1 = op.n1 if 0 in invariant else 1
+    n2 = op.n2 if 1 in invariant else 1
+    m1, m2 = np.divmod(np.arange(n1 * n2), n2)
+    return -m1 % n1 * n2 + -m2 % n2
+
+
+def self_mirror_squares(op: DiscreteOperator, squares) -> np.ndarray:
+    """The squares, as ``eigenvalues`` returns them, of the modes that
+    are their own mirror (m = -m: 0 and n/2 along each invariant
+    direction).  J maps each such mode to itself, so its solved squares
+    are closed under conjugation, which no copy makes them."""
+    mirror = _mirrors(op, op.invariant_directions)
+    own = mirror == np.arange(mirror.size)
+    return np.asarray(squares).reshape(mirror.size, -1)[own].ravel()
+
+
 def _bloch_phases(modes, offsets, n1: int, n2: int) -> np.ndarray:
     """exp(2 pi i (m1 t1 / n1 + m2 t2 / n2)) for each mode (M, 2) and
     translation (T, 2): the (M, T) weights of the translations."""
@@ -533,11 +589,16 @@ def eigenvalues(
     +-sqrt(mu) over the eigenvalues mu of the half-size product XY.  XY
     is formed once, as the 13-point product of the stencils of X and Y,
     and reduced by Fourier mode of the invariant directions
-    (``_mode_blocks``; with none the one mode is the whole XY).  Every
-    mode's block is solved in one stacked ``eigvals`` call, except that
-    when some direction is invariant the mode 1 along every invariant
-    direction is solved by ``eig``, and its eigenvectors are checked
-    against the stencil XY (``_lifted_residual``).
+    (``_mode_blocks``; with none the one mode is the whole XY).  The
+    blocks of the lower mode of each mirror pair (m and -m mod n along
+    the invariant directions) and of the self-mirror modes are solved in
+    one stacked ``eigvals`` call, except that when some direction is
+    invariant the mode 1 along every invariant direction is solved by
+    ``eig``, and its eigenvectors are checked against the stencil XY
+    (``_lifted_residual``).  Each mirror gets the conjugates of its
+    partner's squares: that takes the antiunitary J to commute with the
+    operator, which is measured as ``op.antiunitary_defect`` and not
+    checked here.
     Squares with |mu| <= 1e-4 max|mu| over all modes, whose root would
     lose precision, are taken from their modes' blocks of the operator
     itself, [[0, X_m], [Y_m, 0]], whose eigenvalues are +-sqrt(mu):
@@ -545,28 +606,42 @@ def eigenvalues(
     gap to the rest.
 
     With ``return_squares`` the eigenvalues mu of XY (unsorted, 2 n1 n2
-    of them, mode after mode) are returned as well, and with
+    of them, mode after mode, the copied ones included) are returned as
+    well (``self_mirror_squares`` picks those of the self-mirror modes),
+    and with
     ``return_residual`` the lifted residual (None with no invariant
     direction).
     """
-    X, Y = _chiral_stencils(op.stencil)
+    X, Y = op.chiral_stencils
     offsets, XY = _stencil_product(X, Y, op.n1, op.n2)
     invariant = op.invariant_directions
     modes = _modes(op, invariant)
-    blocks = _mode_blocks(XY, offsets, op, invariant, modes)
+    index = np.arange(len(modes))
+    mirror = _mirrors(op, invariant)
+    # one mode of each mirror pair, the lower, and the self-mirror modes
+    solved = np.flatnonzero(index <= mirror)
+    blocks = _mode_blocks(XY, offsets, op, invariant, modes[solved])
     residual = None
     if invariant:
-        # the mode 1 along every invariant direction: m = 0 and m = n/2
-        # have real phases, which a conjugated phase leaves unchanged
-        (sample,) = np.flatnonzero(np.all(modes == np.isin((0, 1), invariant), axis=1))
+        # the mode 1 along every invariant direction, below its mirror
+        # n - 1: m = 0 and m = n/2 have real phases, which a conjugated
+        # phase leaves unchanged
+        (sample,) = np.flatnonzero(np.all(modes[solved] == np.isin((0, 1), invariant), axis=1))
         mu = np.empty(blocks.shape[:2], dtype=complex)
         mu[:sample] = np.linalg.eigvals(blocks[:sample])
         mu[sample + 1:] = np.linalg.eigvals(blocks[sample + 1:])
         mu[sample], vectors = np.linalg.eig(blocks[sample])
-        residual = _lifted_residual(XY, offsets, op, invariant, modes[sample], mu[sample], vectors)
+        residual = _lifted_residual(
+            XY, offsets, op, invariant, modes[solved[sample]], mu[sample], vectors
+        )
     else:
         mu = np.linalg.eigvals(blocks)
     del blocks  # before any near-kernel blocks are built
+    # J maps mode m to -m, so each mirror's squares are the conjugates of
+    # its partner's
+    mu = mu[np.searchsorted(solved, np.minimum(index, mirror))]
+    copied = mirror < index
+    mu[copied] = np.conj(mu[copied])
     size = np.abs(mu)
     small = size <= _NEAR_KERNEL * size.max()
     roots = np.sqrt(mu[~small])

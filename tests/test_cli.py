@@ -246,6 +246,39 @@ def test_spectrum_conjugation_check_fails_on_complex_coefficient(tmp_path, monke
     assert not check["pass"]
 
 
+@pytest.mark.parametrize("mutation", ["complex-mass", "complex-hop"])
+def test_spectrum_antiunitary_check_fails_on_complex_coefficient(
+    tmp_path, monkeypatch, capsys, mutation
+):
+    """0.3 i gamma^3 added to every B, or site 0's hop along +u scaled by
+    1 + 0.1 i: J no longer commutes with the operator, the report names
+    the failed antiunitary_defect check, and the run exits 1 without a
+    traceback."""
+    if mutation == "complex-mass":
+        symbol = dirac._symbol
+
+        def mutated(*args, **kwargs):
+            sym = symbol(*args, **kwargs)
+            return dataclasses.replace(sym, B=sym.B + 0.3j * GAMMA[2])
+
+        monkeypatch.setattr(dirac, "_symbol", mutated)
+    else:
+        assemble = cli.assemble_grid_operator
+
+        def mutated(*args, **kwargs):
+            op = assemble(*args, **kwargs)
+            stencil = op.stencil.copy()
+            stencil[0, 1] *= 1 + 0.1j
+            return dataclasses.replace(op, stencil=stencil)
+
+        monkeypatch.setattr(cli, "assemble_grid_operator", mutated)
+    code, text = run(tmp_path, "spectrum", CLIFFORD_ROTATED, "--grid", "8x8")
+    assert code == 1 and capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert not checks["antiunitary_defect"]["pass"]
+    assert checks["antiunitary_defect"]["value"] >= 0.15
+
+
 @pytest.mark.parametrize(
     "name,invariant",
     [
@@ -261,8 +294,9 @@ def test_spectrum_reports_the_mode_reduction(tmp_path, name, invariant):
     """Every periodic corpus file, the three test tori included, exits 0
     at 8x8, and gauged at 16x16, where a gauged grid keeps the invariant
     directions of its plain one.  The summary names the invariant
-    directions and the shift defect of both; the lifted residual is a
-    check exactly when some direction is invariant, and null otherwise."""
+    directions and the shift defect of both; the antiunitary defect is at
+    rounding; the lifted residual is a check exactly when some direction
+    is invariant, and null otherwise."""
     for options, records in ((["--grid", "8x8"], 256), (["--grid", "16x16", "--gauged"], 1024)):
         code, text = run(tmp_path, "spectrum", str(corpus_path(name)), *options)
         assert code == 0
@@ -274,6 +308,8 @@ def test_spectrum_reports_the_mode_reduction(tmp_path, name, invariant):
         assert all(defect[a] <= 1e-15 for a in invariant)
         assert all(d >= 1e-2 for a, d in defect.items() if a not in invariant)
         checks = {c["name"]: c for c in report["checks"]}
+        assert checks["antiunitary_defect"]["pass"]
+        assert checks["antiunitary_defect"]["value"] <= 1e-15
         if invariant:
             assert checks["mode_residual"]["pass"]
             assert summary["mode_residual"] == checks["mode_residual"]["value"] <= 1e-14
@@ -863,8 +899,8 @@ print(json.dumps(seen))
 def test_no_command_imports_numpy_ma(tmp_path):
     """numpy.ma takes about 10 ms to import, and np.unique loads it: a
     fresh interpreter that runs every command, the spectrum last, of a
-    degenerate spectrum and of plane-torus's zero modes too, has not
-    loaded it."""
+    degenerate spectrum, of the 16x16 spectra whose mirror modes are
+    paired and of plane-torus's zero modes too, has not loaded it."""
     out = str(tmp_path / "report")
     argvs = [
         ["frame", CLIFFORD_ROTATED, "--grid", "3x3", "--out", out],
@@ -873,6 +909,8 @@ def test_no_command_imports_numpy_ma(tmp_path):
         ["parse-check", CLIFFORD_ROTATED, "--out", out],
         ["spectrum", CLIFFORD, "--grid", "4x4", "--out", out],
         ["spectrum", CLIFFORD_ROTATED, "--grid", "8x8", "--gauged", "--csv", "--out", out],
+        ["spectrum", CLIFFORD, "--grid", "16x16", "--out", out],
+        ["spectrum", CLIFFORD_ROTATED, "--grid", "16x16", "--gauged", "--out", out],
         ["spectrum", PLANE_TORUS, "--grid", "9x9", "--out", out],
     ]
     src = str(Path(dirac.__file__).resolve().parents[1])

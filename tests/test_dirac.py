@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 import typing
 
 import numpy as np
@@ -439,6 +440,111 @@ def test_broken_shift_invariance_is_never_reduced(clifford_rotated):
     assert residual is None
     dense = dense_eigenvalues(perturbed.matrix)
     assert multiset_distance(vals, dense) <= 1e-12
+
+
+def _counted_solves(monkeypatch):
+    """Wrap numpy's ``eigvals`` and ``eig`` to count the blocks each
+    call receives, one per matrix of a stack."""
+    seen = {"eigvals": 0, "eig": 0}
+    for name in seen:
+        solve = getattr(np.linalg, name)
+
+        def counted(a, solve=solve, name=name):
+            seen[name] += int(np.prod(np.shape(a)[:-2]))
+            return solve(a)
+
+        monkeypatch.setattr(dirac.np.linalg, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name,n1,n2,solved,modes",
+    [
+        ("clifford_rotated", 16, 16, 9, 16),
+        ("moebius_clifford", 32, 32, 17, 32),
+        ("clifford", 16, 16, 130, 256),
+        ("bump_torus", 8, 8, 1, 1),
+    ],
+)
+def test_each_mirror_pair_of_modes_is_solved_once(
+    name, n1, n2, solved, modes, request, monkeypatch
+):
+    """J maps mode m to -m, so the solver sees one mode of each mirror
+    pair and the self-mirror modes (0 and n/2 along each invariant
+    direction): the sampled mode 1 by ``eig``, the others by
+    ``eigvals``.  With no invariant direction the one mode is solved."""
+    op = assemble_grid_operator(request.getfixturevalue(name), n1, n2)
+    assert len(_modes(op, op.invariant_directions)) == modes
+    seen = _counted_solves(monkeypatch)
+    eigenvalues(op)
+    assert seen == {"eigvals": solved - (modes > 1), "eig": int(modes > 1)}
+
+
+@pytest.mark.parametrize("gauged", [False, True], ids=["plain", "gauged"])
+@pytest.mark.parametrize("n1,n2", [(8, 8), (12, 8)])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "clifford",
+        "plane-torus",
+        "clifford-rotated",
+        "moebius-clifford",
+        "inverted-clifford",
+        "bump-torus",
+    ],
+)
+def test_paired_modes_match_a_solve_of_every_mode(name, n1, n2, gauged, monkeypatch):
+    """The spectrum with each mirror's squares copied as its partner's
+    conjugates, against the same solve with every mode its own mirror,
+    so that every mode is solved; the copied squares match their mode's
+    own, mode by mode."""
+    op = assemble_grid_operator(load_corpus(name), n1, n2, gauged=gauged)
+    assert op.antiunitary_defect <= 1e-15
+    vals, squares = eigenvalues(op, return_squares=True)
+    with monkeypatch.context() as m:
+        m.setattr(dirac, "_mirrors", lambda op, invariant: np.arange(len(_modes(op, invariant))))
+        every_vals, every_squares = eigenvalues(op, return_squares=True)
+    assert multiset_distance(vals, every_vals) <= 1e-13 * np.abs(every_vals).max()
+    per_mode = len(_modes(op, op.invariant_directions))
+    scale = np.abs(every_squares).max()
+    for mine, theirs in zip(squares.reshape(per_mode, -1), every_squares.reshape(per_mode, -1)):
+        assert multiset_distance(mine, theirs) <= 1e-13 * scale
+
+
+def _quaternion_rows(op, rng):
+    """``op`` with the X half of every site's row multiplied from the left
+    by a random quaternion [[a, b], [-conj b, conj a]], one per grid row
+    along u.  The product keeps the form that makes J commute with the
+    operator, and the invariance along v, but no other symmetry."""
+    a, b = rng.normal(size=(2, op.n1)) + 1j * rng.normal(size=(2, op.n1))
+    Q = np.stack([np.stack([a, b], -1), np.stack([-b.conj(), a.conj()], -1)], 1)
+    Q = np.repeat(Q, op.n2, axis=0)  # site p = j n2 + k takes row j's
+    stencil = op.stencil.copy()
+    stencil[:, :, :2, 2:] = Q[:, None] @ stencil[:, :, :2, 2:]
+    return dataclasses.replace(op, stencil=stencil)
+
+
+def test_mirror_copied_without_conjugation_fails_the_dense_oracle(moebius_clifford, monkeypatch):
+    """A mirror's squares copied from its partner without conjugation.
+    On moebius-clifford itself every mode's squares are closed under
+    conjugation, although the mirror blocks differ, so the fault moves
+    nothing there.  With one random quaternion per u-row it misses the
+    dense solve by far, while the antiunitary defect, the sampled mode's
+    residual and the conjugation symmetry of the self-mirror modes all
+    stay at rounding: no in-run check sees it."""
+    plain = assemble_grid_operator(moebius_clifford, 8, 8)
+    mixed = _quaternion_rows(plain, np.random.default_rng(rng_seed()))
+    assert mixed.invariant_directions == (1,) and mixed.antiunitary_defect <= 1e-15
+    dense_plain, dense_mixed = dense_eigenvalues(plain.matrix), dense_eigenvalues(mixed.matrix)
+    assert multiset_distance(eigenvalues(mixed), dense_mixed) <= 1e-12
+    unconjugated = types.SimpleNamespace(**vars(np))
+    unconjugated.conj = lambda x: x
+    monkeypatch.setattr(dirac, "np", unconjugated)
+    assert multiset_distance(eigenvalues(plain), dense_plain) <= 1e-12
+    vals, squares, residual = eigenvalues(mixed, return_squares=True, return_residual=True)
+    assert multiset_distance(vals, dense_mixed) > 1e-2
+    own = dirac.self_mirror_squares(mixed, squares)
+    assert residual <= 1e-13 and multiset_distance(own, own.conj()) <= 1e-12
 
 
 @pytest.mark.parametrize(
