@@ -151,130 +151,121 @@ FUNCTIONS = {
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
+# a token is kept as its text, and its kind read off that: an operator is
+# one of _OPERATORS, an identifier starts with a letter or "_", and any
+# other token is a number
+_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+_TOKEN = rf"{_NUMBER}|[A-Za-z_][A-Za-z_0-9]*|[-+*/^(),]"
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+_SCAN_RE = re.compile(rf"\s*(?:({_TOKEN})|(\S))")
+_OPERATORS = frozenset("-+*/^(),")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
+def _columns(text: str):
+    """The 1-based column of each token of ``text`` and of its end."""
+    return [m.start(1) + 1 for m in _TOKEN_RE.finditer(text)] + [len(text) + 1]
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", col)
-        col = m.start(m.lastgroup) + 1
-        tokens.append((m.lastgroup, m.group(m.lastgroup), col))
-        pos = m.end()
-    tokens.append(("end", "", len(text) + 1))
+    """The token texts of ``text``, then ``""`` for its end."""
+    tokens = _TOKEN_RE.findall(text)
+    # findall skips what no token matches: a text it covers only in part
+    # holds a character that starts no token
+    if sum(map(len, tokens)) != sum(map(len, text.split())):
+        for m in _SCAN_RE.finditer(text):
+            if m[2]:
+                raise ExprSyntaxError(f"unexpected character {m[2]!r}", m.start(2) + 1)
+    tokens.append("")
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, param_names):
-        self.tokens = tokens
+    """Recursive descent over the token texts, one method per rule but
+    ``unary`` and ``power`` in one; a token's column is found only for an
+    error."""
+
+    def __init__(self, text, param_names):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.param_names = tuple(param_names)
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def column(self, index):
+        return _columns(self.text)[index]
 
     def expect(self, text):
-        kind, val, col = self.peek()
-        if kind != "op" or val != text:
-            shown = val if val else "end of input"
-            raise ExprSyntaxError(f"expected {text!r}, found {shown!r}", col)
-        return self.advance()
+        tok = self.tokens[self.pos]
+        if tok != text:
+            shown = tok or "end of input"
+            raise ExprSyntaxError(f"expected {text!r}, found {shown!r}", self.column(self.pos))
+        self.pos += 1
 
     def parse(self):
         node = self.expr()
-        kind, val, col = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {val!r}", col)
+        tok = self.tokens[self.pos]
+        if tok:
+            raise ExprSyntaxError(f"unexpected {tok!r}", self.column(self.pos))
         return node
 
     def expr(self):
         node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
+        while (op := self.tokens[self.pos]) == "+" or op == "-":
+            self.pos += 1
+            node = BinOp(op, node, self.term())
+        return node
 
     def term(self):
         node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.unary())
-            else:
-                return node
+        while (op := self.tokens[self.pos]) == "*" or op == "/":
+            self.pos += 1
+            node = BinOp(op, node, self.unary())
+        return node
 
     def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
+        if self.tokens[self.pos] == "-":
+            self.pos += 1
             return Neg(self.unary())
-        return self.power()
-
-    def power(self):
         node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
             return BinOp("^", node, self.unary())  # right-associative
         return node
 
     def atom(self):
-        kind, val, col = self.advance()
-        if kind == "num":
-            return Num(float(val))
-        if kind == "ident":
-            nk, nv, _ = self.peek()
-            if nk == "op" and nv == "(":
-                return self.call(val, col)
-            if val == "pi":
+        index = self.pos
+        tok = self.tokens[index]
+        self.pos += 1
+        if tok[:1] in _IDENT_START:
+            if self.tokens[self.pos] == "(":
+                return self.call(tok, index)
+            if tok == "pi":
                 return Const("pi")
-            if val in self.param_names:
-                return Param(self.param_names.index(val))
-            raise ExprSyntaxError(f"unknown identifier {val!r}", col)
-        if kind == "op" and val == "(":
+            if tok in self.param_names:
+                return Param(self.param_names.index(tok))
+            raise ExprSyntaxError(f"unknown identifier {tok!r}", self.column(index))
+        if tok == "(":
             node = self.expr()
             self.expect(")")
             return node
-        shown = val if val else "end of input"
-        raise ExprSyntaxError(f"unexpected {shown!r}", col)
+        if tok and tok not in _OPERATORS:
+            return Num(float(tok))
+        shown = tok or "end of input"
+        raise ExprSyntaxError(f"unexpected {shown!r}", self.column(index))
 
-    def call(self, name, col):
+    def call(self, name, index):
         if name not in FUNCTIONS:
-            raise ExprSyntaxError(f"unknown function {name!r}", col)
-        self.expect("(")
+            raise ExprSyntaxError(f"unknown function {name!r}", self.column(index))
+        self.pos += 1  # the "(" that made this a call
         args = [self.expr()]
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == ",":
-                self.advance()
-                args.append(self.expr())
-            else:
-                break
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            args.append(self.expr())
         self.expect(")")
         if len(args) != FUNCTIONS[name]:
             raise ExprSyntaxError(
-                f"{name} takes {FUNCTIONS[name]} argument(s), got {len(args)}", col
+                f"{name} takes {FUNCTIONS[name]} argument(s), got {len(args)}",
+                self.column(index),
             )
         return Call(name, tuple(args))
 
@@ -283,7 +274,7 @@ def parse_expression(text: str, param_names) -> ExprAst:
     """Parse ``text`` into an AST over the two named parameters."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 1)
-    return _Parser(_tokenize(text), param_names).parse()
+    return _Parser(text, param_names).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +379,8 @@ def _j_chain(a, f, df, d2f, d3f):
 
 def _check_domain(bad, detail, node, s):
     """Raise DomainEvalError if ``bad`` holds at any point of ``s``."""
-    if not np.count_nonzero(bad):
+    # at one point ``bad`` is a plain bool, which needs no numpy call
+    if bad is False or not np.count_nonzero(bad):
         return
     u, v = np.broadcast_arrays(*s)
     i = int(np.argmax(np.broadcast_to(bad, u.shape)))
@@ -560,6 +552,15 @@ def _eval_or_refuse(ast, s):
         _check_domain(True, _NOT_FINITE, ast, s)
 
 
+def _point_jet(ast, s):
+    """The 10-slot jet at one point ``s`` of plain floats, refused unless
+    every slot is finite."""
+    jet = _eval_or_refuse(ast, s)
+    if not all(map(math.isfinite, jet)):
+        _check_domain(True, _NOT_FINITE, ast, s)
+    return jet
+
+
 def eval_jets(ast: ExprAst, S) -> np.ndarray:
     """The 3-jet of ``ast`` at the points S (..., 2) as an array (..., 10).
 
@@ -571,11 +572,7 @@ def eval_jets(ast: ExprAst, S) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim == 1:
         # one point is evaluated on plain floats
-        s = (S[0].item(), S[1].item())
-        jet = _eval_or_refuse(ast, s)
-        if not all(map(math.isfinite, jet)):
-            _check_domain(True, _NOT_FINITE, ast, s)
-        return np.array(jet)
+        return np.array(_point_jet(ast, (S[0].item(), S[1].item())))
     s = (S[..., 0], S[..., 1])
     # numpy answers an overflow with inf, which is refused below
     with np.errstate(all="ignore"):
@@ -616,13 +613,20 @@ class ImmersionSpec:
 
 
 _REQUIRED_KEYS = ("name", "params", "x1", "x2", "x3", "x4", "domain", "periodic")
+_KNOWN_KEYS = frozenset(_REQUIRED_KEYS + ("frame_rotation",))
+_SIGNED_NUMBER_RE = re.compile(rf"-?(?:{_NUMBER})")
 
 
 def _const_value(text: str, line_no: int) -> float:
     """Parse a parameter-free constant expression (used for domain bounds)."""
+    # a number, negated or not, is the float it parses to, unless that
+    # overflows: the expression path then refuses it
+    if _SIGNED_NUMBER_RE.fullmatch(text):
+        value = float(text)
+        if math.isfinite(value):
+            return value
     try:
-        ast = parse_expression(text, ("_a", "_b"))
-        return eval_jet2(ast, (0.0, 0.0)).value
+        return _point_jet(parse_expression(text, ()), (0.0, 0.0))[0]
     except DomainEvalError as exc:
         # a constant depends on no parameter point
         raise ImmersionFileError(f"line {line_no}: bad constant {text!r}: {exc._without_point}")
@@ -635,12 +639,13 @@ def parse_immersion_file(text: str) -> ImmersionSpec:
     entries = {}
     lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.partition("#")[0]
+        if not line or line.isspace():
             continue
-        if ":" not in line:
+        key, colon, value = line.partition(":")
+        if not colon:
             raise ImmersionFileError(f"line {line_no}: expected 'key: value'")
-        key, value = (part.strip() for part in line.split(":", 1))
+        key, value = key.strip(), value.strip()
         if key in entries:
             raise ImmersionFileError(f"line {line_no}: duplicate key: {key}")
         entries[key] = value
@@ -649,16 +654,15 @@ def parse_immersion_file(text: str) -> ImmersionSpec:
     for key in _REQUIRED_KEYS:
         if key not in entries:
             raise ImmersionFileError(f"missing key: {key}")
-    known = set(_REQUIRED_KEYS) | {"frame_rotation"}
     for key in entries:
-        if key not in known:
+        if key not in _KNOWN_KEYS:
             raise ImmersionFileError(f"line {lines[key]}: unknown key: {key}")
 
     params = tuple(entries["params"].split())
     if len(params) != 2 or len(set(params)) != 2:
         raise ImmersionFileError("params must name two distinct identifiers")
     for p in params:
-        if p == "pi" or not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", p):
+        if p == "pi" or not (p.isascii() and p.isidentifier()):
             raise ImmersionFileError(f"bad parameter name: {p!r}")
 
     coords = []
@@ -680,7 +684,7 @@ def parse_immersion_file(text: str) -> ImmersionSpec:
     dom_line = lines["domain"]
     lo1, hi1 = (_const_value(t, dom_line) for t in dom_tokens[1:3])
     lo2, hi2 = (_const_value(t, dom_line) for t in dom_tokens[4:6])
-    # a constant is finite, or eval_jets has refused it
+    # _const_value refuses a constant that is not finite
     for lo, hi in ((lo1, hi1), (lo2, hi2)):
         if not lo < hi:
             raise ImmersionFileError("malformed domain: need lo < hi")
@@ -711,8 +715,10 @@ def parse_immersion_file(text: str) -> ImmersionSpec:
 
 def load_immersion(path) -> ImmersionSpec:
     """Read and parse an immersion file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    # splitlines() ends a line at "\r" and "\r\n" too, so the file needs no
+    # newline translation and is decoded in one step
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
     try:
         return parse_immersion_file(text)
     except ImmersionFileError as exc:

@@ -19,6 +19,7 @@ from dirac_surface.expr import (
     Param,
     eval_jet2,
     eval_jets,
+    load_immersion,
     parse_expression,
     parse_immersion_file,
     unparse,
@@ -40,6 +41,34 @@ def test_syntax_error_column():
         parse_expression("u + * v", ("u", "v"))
     assert exc.value.column == 5
     assert "column 5" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, column, detail",
+    [
+        # a character that starts no token is found before any parse error
+        ("u + ) $", 7, "unexpected character '$'"),
+        ("u +\u3000$", 5, "unexpected character '$'"),
+        ("u . v", 3, "unexpected character '.'"),
+        ("w + u", 1, "unknown identifier 'w'"),
+        ("sin u", 1, "unknown identifier 'sin'"),
+        ("foo(u)", 1, "unknown function 'foo'"),
+        ("\tsin(u,\tv)", 2, "sin takes 1 argument(s), got 2"),
+        ("sin(u, v", 9, "expected ')', found 'end of input'"),
+        ("(u", 3, "expected ')', found 'end of input'"),
+        ("u +", 4, "unexpected 'end of input'"),
+        ("u v", 3, "unexpected 'v'"),
+        ("  )", 3, "unexpected ')'"),
+        ("1.5e", 4, "unexpected 'e'"),
+        ("u ^ ^ v", 5, "unexpected '^'"),
+        ("u,v", 2, "unexpected ','"),
+    ],
+)
+def test_syntax_errors_name_their_column(text, column, detail):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expression(text, ("u", "v"))
+    assert exc.value.column == column
+    assert str(exc.value) == f"syntax error at column {column}: {detail}"
 
 
 def test_power_right_associative():
@@ -349,6 +378,61 @@ def test_domain_accepts_constant_expressions():
     spec = parse_immersion_file(text)
     assert spec.domain[0][1] == pytest.approx(2 * math.pi)
     assert spec.domain[1][0] == pytest.approx(-math.pi)
+
+
+@pytest.mark.parametrize("bounds", ["0 1+_b v _a 1", "0 1+u v 0 1", "0 1 v v 1"])
+def test_domain_refuses_identifiers_in_bounds(bounds):
+    """A bound is a constant: no name but ``pi`` resolves in it, neither a
+    parameter nor a name the parser might use internally."""
+    text = "name: c\nparams: u v\nx1: u\nx2: v\nx3: 0\nx4: 0\n" \
+        f"domain: u {bounds}\nperiodic: true true\n"
+    with pytest.raises(ImmersionFileError, match="line 7: bad constant .*unknown identifier"):
+        parse_immersion_file(text)
+
+
+@pytest.mark.parametrize("bound", ["0", "-1", "0.3", "-.5", "5.", "1e-3", "-0", "1e-400"])
+def test_number_bounds_read_as_their_expressions(bound):
+    """A bound that is a number, negated or not, is the value its expression
+    evaluates to, down to the sign of zero."""
+    text = "name: c\nparams: u v\nx1: u\nx2: v\nx3: 0\nx4: 0\n" \
+        f"domain: u {bound} 9 v 0 1\nperiodic: false false\n"
+    lo = parse_immersion_file(text).domain[0][0]
+    expected = eval_jet2(parse_expression(bound, ()), (0.0, 0.0)).value
+    assert (lo, math.copysign(1.0, lo)) == (expected, math.copysign(1.0, expected))
+
+
+@pytest.mark.parametrize(
+    "bound, detail",
+    [
+        # float() reads these, the grammar does not
+        ("+1", "syntax error at column 1: unexpected '+'"),
+        ("inf", "syntax error at column 1: unknown identifier 'inf'"),
+        ("-nan", "syntax error at column 2: unknown identifier 'nan'"),
+        ("1_0", "syntax error at column 2: unexpected '_0'"),
+        ("0x1", "syntax error at column 2: unexpected 'x1'"),
+        # a number that overflows is refused as its expression is
+        ("1e999", "domain error in 'inf': the 3-jet is not finite"),
+        ("-1e999", "domain error in '(-inf)': the 3-jet is not finite"),
+        ("--1e999", "domain error in '(-(-inf))': the 3-jet is not finite"),
+    ],
+)
+def test_number_like_bounds_are_refused_as_expressions(bound, detail):
+    text = "name: c\nparams: u v\nx1: u\nx2: v\nx3: 0\nx4: 0\n" \
+        f"domain: u 0 1 v {bound} 2\nperiodic: false false\n"
+    with pytest.raises(ImmersionFileError) as info:
+        parse_immersion_file(text)
+    assert str(info.value) == f"line 7: bad constant '{bound}': {detail}"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_file_lines_may_end_in_carriage_returns(tmp_path, newline):
+    text = corpus_path("clifford-rotated").read_text()
+    path = tmp_path / "surface.imm"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    assert load_immersion(path) == parse_immersion_file(text)
+    path.write_bytes(text.replace("x4:", "x5:").replace("\n", newline).encode("utf-8"))
+    with pytest.raises(ImmersionFileError, match=r"surface\.imm: missing key: x4"):
+        load_immersion(path)
 
 
 def test_comments_and_blank_lines():
