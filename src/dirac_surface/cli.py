@@ -49,10 +49,9 @@ from .dirac import (
     SpectrumInvariantError,
     assemble_grid_operator,
     eigenvalues,
-    fourier_eigenvalues,
+    fourier_mode_distance,
     is_constant_coefficient,
-    multiset_distance,
-    self_mirror_squares,
+    trace_identity_defect,
 )
 from .expr import ExprError, ImmersionSpec, load_immersion, unparse
 from .geometry import (
@@ -83,9 +82,9 @@ TOL = {
     "bilinear_imag": 1e-10,
     "spinor_orthonormality": 1e-12,
     "residual_ratio": 3.5,
-    "fourier_match": 1e-10,
+    "fourier_match": 1e-11,
     "antiunitary_defect": 1e-13,
-    "conjugation_symmetry": 1e-10,
+    "trace_identity": 1e-11,
     "mode_residual": 1e-12,
     "tube_slope": 1.9,
     "tube_exact": 1e-12,
@@ -560,22 +559,20 @@ def _cmd_verify(spec, args):
 def _cmd_spectrum(spec, args):
     n1, n2 = args.grid if args.grid is not None else (8, 8)
     op = assemble_grid_operator(spec, n1, n2, gauged=args.gauged)
-    vals, squares, residual = eigenvalues(op, return_squares=True, return_residual=True)
+    vals, by_mode, residual = eigenvalues(op, return_squares=True, return_residual=True)
     # every coefficient of the operator is real, so the antiunitary
     # J = (i tau_3 (x) tau_2) K commutes with it, which eigenvalues
     # assumes when it copies the conjugated squares of mode m to mode -m;
-    # the solved squares of a self-mirror mode are closed under conjugation
-    own = self_mirror_squares(op, squares)
+    # every mode's squares, the copies included, against its own block
     checks = [
         _check("antiunitary_defect", op.antiunitary_defect, TOL["antiunitary_defect"]),
-        _check(
-            "conjugation_symmetry", multiset_distance(own, own.conj()), TOL["conjugation_symmetry"]
-        ),
+        _check("trace_identity", trace_identity_defect(by_mode), TOL["trace_identity"]),
     ]
     constant = is_constant_coefficient(op)
     fourier_dist = None
-    if constant:
-        fourier_dist = multiset_distance(vals, fourier_eigenvalues(op))
+    # one site per cell: each mode is one plane wave of the symbol
+    if constant and len(op.invariant_directions) == 2:
+        fourier_dist = fourier_mode_distance(op, by_mode)
         checks.append(
             _check("fourier_oracle_match", fourier_dist, TOL["fourier_match"])
         )

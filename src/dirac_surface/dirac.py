@@ -32,59 +32,41 @@ conjugates the stencil alone, block by block, and keeps the plain symbol.
 
 The operator is first order, so on the periodic grid each site's row is
 five 4x4 blocks, the site's and its four neighbours': the grid operator
-is kept as that 5-point stencil, and its neighbour sites are implied by
-the grid.  It is [[0, X], [Y, 0]] in chiral order, and its spectrum is
-+-sqrt of that of the half-size square XY.  Where the surface is
-symmetric along a parameter cycle, the assembled operator D commutes
-with the one-site grid shift S along it.  ``eigenvalues`` measures
-|S D S^T - D|_max / |D|_max per direction on the stencil, each site's
-row against the row one site before it
-(``DiscreteOperator.shift_defect``), and calls a direction invariant at
-or below 1e-13.  On the periodic corpus files and a ring torus at 8x8,
-16x16 and 32x32, plain and gauged, the invariant directions read at most
-7.1e-16 (a few rounding units of the site symbols, evaluated at
-different points) and every other direction at least 1.4e-2 (the ring
-torus across its tube at 32x32; a coefficient that varies smoothly moves
-by O(h) between sites, so the gap stays wide at every size under the
-cap).  XY is formed once, as the 13-point product of the stencils of X
-and Y, and reduced by Fourier mode along the invariant directions.  The
-rows of one cell of sites (the sites at 0 along them; the whole grid
-when no direction is invariant) are split by the translation t of each
-column's site, and mode m gets the block sum_t exp(2 pi i m.t / n)
-XY_t, the exact restriction of XY to the Bloch waves of that mode.  With
-no invariant direction the one mode is the whole XY.
+is kept as that 5-point stencil.  It is [[0, X], [Y, 0]] in chiral
+order, and its spectrum is +-sqrt of that of the half-size square XY,
+formed once as the 13-point product of the stencils of X and Y.  Where
+the surface is symmetric along a parameter cycle, D commutes with the
+one-site grid shift S along it: a direction is invariant when
+|S D S^T - D|_max / |D|_max is at or below 1e-13
+(``DiscreteOperator.shift_defect``).  On the periodic corpus files and a
+ring torus at 8x8, 16x16 and 32x32, plain and gauged, invariant
+directions read at most 7.1e-16 and all others at least 1.4e-2 (a
+coefficient that varies smoothly moves by O(h) between sites).  Along
+the invariant directions XY is reduced by Fourier mode, to the exact
+restriction of XY to the Bloch waves of each mode (``_mode_blocks``).
 
 Every coefficient of the symbol is real, so the antiunitary
 J = (i tau_3 (x) tau_2) K commutes with the operator, and J = i tau_2 K,
 with J^2 = -1, commutes with XY: the quaternionic class of Dyson's
-threefold way.  J is sitewise, so it commutes with the grid shifts; it
-conjugates a Bloch phase, so it maps mode m to its mirror -m (mod n),
-and the squares of mode -m are the conjugates of those of mode m.  One
-mode of each mirror pair is solved, with the self-mirror modes (m = -m:
-0 and n/2 along each invariant direction), and each mirror's squares
-are its partner's, conjugated.  Whether J commutes is measured on the
-stencil without a solve (``DiscreteOperator.antiunitary_defect``): it
-does exactly when every 2x2 block of X and of Y has the quaternion form
-x_11 = -conj x_22, x_12 = conj x_21.  On the periodic corpus files at
-8x8, 12x8, 16x16 and 32x32, plain and gauged, it reads exactly 0.  The
-solved modes' blocks go to one stacked call, except that when some
-direction is invariant the mode 1 along every invariant direction is
-solved with its eigenvectors, which are lifted to the whole grid and
-checked against the stencil of XY (the mode residual).  The squares
-near zero, whose root loses precision, are found again without a root:
-the operator's own stencil is reduced, the same way, for the modes that
-hold them, and each such mode block D_m = [[0, X_m], [Y_m, 0]] keeps
-its 2k least eigenvalues, for its k near-zero squares.
+threefold way.  J conjugates a Bloch phase, so it maps mode m to its
+mirror -m (mod n), whose squares are the conjugates of those of m: one
+mode of each mirror pair is solved.  Whether J commutes is measured on
+the stencil without a solve (``DiscreteOperator.antiunitary_defect``);
+on the periodic corpus files it reads exactly 0.
 
-``multiset_distance`` returns the bottleneck distance, the least
-largest pair over all matchings, per tolerance group: the union of the
-two multisets is split where its sorted real parts jump by more than a
-width w (at first 1e-8 max|z|), and each part where its sorted
-imaginary parts do.  Values that close always share a group, and no
-pairwise array of the whole multisets is built.  While some group
-holds unequal counts from the two sides, or the groups' value exceeds
-w, w is doubled and the union regrouped.  The matching is numpy and
-plain Python.
+The spectrum is checked per mode, against data the solve already holds
+(``ModeSpectrum``), each mode relative to its own scale |XY_m|_F,
+raised to 1e-4 of the largest (the near-kernel cut), so that the checks
+hold at any size and under any scaling of the surface: the trace
+identities of every mode, the copied mirrors included
+(``trace_identity_defect``), the closed-form symbol of each mode of a
+constant-coefficient grid (``fourier_mode_distance``), and the
+eigenvectors of one mode lifted to the grid (the mode residual).  A
+block summed from the stencil carries rounding of about
+eps max_k |XY_k|_F, 0.5 to 9 times that on the periodic corpus files up
+to 32x32, plain and gauged, so relative to a mode at the floor the
+first two checks read at most about 2e-12; on those files they read at
+most 1.7e-14 and 1.0e-14.
 
 Everything here needs numpy alone.  ``DiscreteOperator.matrix``
 writes the stencil into a dense array for callers that ask for it; the
@@ -93,6 +75,7 @@ spectrum does not.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -118,14 +101,14 @@ __all__ = [
     "SpectrumInvariantError",
     "OperatorSymbol",
     "DiscreteOperator",
+    "ModeSpectrum",
     "dirac_symbol",
     "gauged_dirac_symbol",
     "assemble_grid_operator",
     "eigenvalues",
     "is_constant_coefficient",
-    "fourier_eigenvalues",
-    "multiset_distance",
-    "self_mirror_squares",
+    "trace_identity_defect",
+    "fourier_mode_distance",
     "DEFAULT_EIG_CAP",
 ]
 
@@ -420,6 +403,15 @@ def _chiral_stencils(stencil):
     return np.ascontiguousarray(halves[:2, 2:]), np.ascontiguousarray(halves[2:, :2])
 
 
+def _distinct(x) -> np.ndarray:
+    """The distinct values of ``x``, rising: ``np.unique`` without its
+    import of ``numpy.ma``."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _stencil_product(X, Y, n1: int, n2: int) -> tuple:
     """The stencil of the product XY of two chiral stencils on the 5 hops.
 
@@ -506,16 +498,6 @@ def _mirrors(op: DiscreteOperator, invariant) -> np.ndarray:
     return -m1 % n1 * n2 + -m2 % n2
 
 
-def self_mirror_squares(op: DiscreteOperator, squares) -> np.ndarray:
-    """The squares, as ``eigenvalues`` returns them, of the modes that
-    are their own mirror (m = -m: 0 and n/2 along each invariant
-    direction).  J maps each such mode to itself, so its solved squares
-    are closed under conjugation, which no copy makes them."""
-    mirror = _mirrors(op, op.invariant_directions)
-    own = mirror == np.arange(mirror.size)
-    return np.asarray(squares).reshape(mirror.size, -1)[own].ravel()
-
-
 def _bloch_phases(modes, offsets, n1: int, n2: int) -> np.ndarray:
     """exp(2 pi i (m1 t1 / n1 + m2 t2 / n2)) for each mode (M, 2) and
     translation (T, 2): the (M, T) weights of the translations."""
@@ -580,15 +562,38 @@ def _lifted_residual(
     return float(np.max(residual / (scale * np.abs(vectors).max(axis=0))))
 
 
+@dataclass(frozen=True)
+class ModeSpectrum:
+    """The spectrum of a grid operator by Fourier mode of its invariant
+    directions, row i for the mode ``modes[i]``, the copied mirrors
+    included (with no invariant direction the one mode is the whole XY).
+    The traces and the norm are those of each mode's own block."""
+
+    modes: np.ndarray    # (M, 2) int, (m1, m2), 0 along a direction that is not invariant
+    squares: np.ndarray  # (M, s) complex, the eigenvalues mu of XY_m
+    roots: np.ndarray    # (M, 2 s) complex, the operator's: +-sqrt(mu), or the near-kernel roots
+    traces: np.ndarray   # (M, 2) complex, tr XY_m and tr XY_m^2
+    norms: np.ndarray    # (M,) |XY_m|_F
+
+
+def _block_traces(blocks) -> tuple:
+    """tr B and tr B^2, (K, 2), and |B|_F, (K,), of each block of a stack
+    (K, s, s), with no temporary the size of the stack."""
+    flat = blocks.reshape(len(blocks), -1).view(float)
+    traces = np.stack(
+        [np.trace(blocks, axis1=1, axis2=2), np.einsum("kij,kji->k", blocks, blocks)], axis=1
+    )
+    return traces, np.sqrt(np.einsum("kx,kx->k", flat, flat))
+
+
 def eigenvalues(
     op: DiscreteOperator, return_squares: bool = False, return_residual: bool = False
 ):
     """Full spectrum of the grid operator, sorted by real then imaginary part.
 
     The operator is [[0, X], [Y, 0]] in chiral order, so its spectrum is
-    +-sqrt(mu) over the eigenvalues mu of the half-size product XY.  XY
-    is formed once, as the 13-point product of the stencils of X and Y,
-    and reduced by Fourier mode of the invariant directions
+    +-sqrt(mu) over the eigenvalues mu of the half-size product XY,
+    reduced by Fourier mode of the invariant directions
     (``_mode_blocks``; with none the one mode is the whole XY).  The
     blocks of the lower mode of each mirror pair (m and -m mod n along
     the invariant directions) and of the self-mirror modes are solved in
@@ -598,19 +603,19 @@ def eigenvalues(
     (``_lifted_residual``).  Each mirror gets the conjugates of its
     partner's squares: that takes the antiunitary J to commute with the
     operator, which is measured as ``op.antiunitary_defect`` and not
-    checked here.
+    checked here.  The mirrors' own blocks are built for their traces
+    alone, so that ``trace_identity_defect`` measures every mode against
+    its own block.
     Squares with |mu| <= 1e-4 max|mu| over all modes, whose root would
     lose precision, are taken from their modes' blocks of the operator
     itself, [[0, X_m], [Y_m, 0]], whose eigenvalues are +-sqrt(mu):
     ``_near_kernel_roots`` keeps each block's 2k least and checks their
     gap to the rest.
 
-    With ``return_squares`` the eigenvalues mu of XY (unsorted, 2 n1 n2
-    of them, mode after mode, the copied ones included) are returned as
-    well (``self_mirror_squares`` picks those of the self-mirror modes),
-    and with
-    ``return_residual`` the lifted residual (None with no invariant
-    direction).
+    With ``return_squares`` the squares are returned as well, by mode,
+    as a ``ModeSpectrum`` that also holds each mode's values, unsorted,
+    and the traces of its block, and with ``return_residual`` the lifted
+    residual (None with no invariant direction).
     """
     X, Y = op.chiral_stencils
     offsets, XY = _stencil_product(X, Y, op.n1, op.n2)
@@ -620,7 +625,15 @@ def eigenvalues(
     mirror = _mirrors(op, invariant)
     # one mode of each mirror pair, the lower, and the self-mirror modes
     solved = np.flatnonzero(index <= mirror)
+    copied = mirror < index
+    traces = np.empty((len(modes), 2), dtype=complex)
+    norms = np.empty(len(modes))
+    if copied.any():
+        traces[copied], norms[copied] = _block_traces(
+            _mode_blocks(XY, offsets, op, invariant, modes[copied])
+        )
     blocks = _mode_blocks(XY, offsets, op, invariant, modes[solved])
+    traces[solved], norms[solved] = _block_traces(blocks)
     residual = None
     if invariant:
         # the mode 1 along every invariant direction, below its mirror
@@ -640,12 +653,11 @@ def eigenvalues(
     # J maps mode m to -m, so each mirror's squares are the conjugates of
     # its partner's
     mu = mu[np.searchsorted(solved, np.minimum(index, mirror))]
-    copied = mirror < index
     mu[copied] = np.conj(mu[copied])
+    roots = np.sqrt(mu)
+    roots = np.concatenate([roots, -roots], axis=1)
     size = np.abs(mu)
     small = size <= _NEAR_KERNEL * size.max()
-    roots = np.sqrt(mu[~small])
-    vals = np.concatenate([roots, -roots])
     if small.any():
         # cut half way between the cluster and the rest of the spectrum
         cut = 0.5 * (size[small].max() + size[~small].min())
@@ -653,250 +665,88 @@ def eigenvalues(
         # the operator's own stencil, laid out as X and Y are
         D = np.moveaxis(op.stencil, (0, 1), (3, 2))
         D = _mode_blocks(D, _HOPS, op, invariant, modes[near])
-        vals = np.concatenate([vals, _near_kernel_roots(D, cut, small[near].sum(axis=1))])
+        # each near mode's 2k roots in place of the roots of its k squares
+        held = roots[near]
+        held[np.concatenate([small[near], small[near]], axis=1)] = _near_kernel_roots(
+            D, cut, small[near].sum(axis=1)
+        )
+        roots[near] = held
+    vals = roots.ravel()
     vals = vals[np.lexsort((vals.imag, vals.real))]
     out = [vals]
     if return_squares:
-        out.append(mu.ravel())
+        out.append(ModeSpectrum(modes=modes, squares=mu, roots=roots, traces=traces, norms=norms))
     if return_residual:
         out.append(residual)
     return tuple(out) if len(out) > 1 else vals
 
 
+# largest relative spread of the site symbols, against their largest
+# entry, at which a grid is constant-coefficient
 _CONSTANT_TOL = 1e-10
 
 
 def is_constant_coefficient(op: DiscreteOperator) -> bool:
     """True when the per-site symbol blocks agree across the whole grid,
-    entry by entry to ``_CONSTANT_TOL``."""
-    return (
-        float(np.max(np.abs(op.site_A - op.site_A[0]))) <= _CONSTANT_TOL
-        and float(np.max(np.abs(op.site_B - op.site_B[0]))) <= _CONSTANT_TOL
+    entry by entry to ``_CONSTANT_TOL`` of their largest entry: A against
+    max|site_A|, B against max|site_B|."""
+    return all(
+        float(np.abs(site - site[0]).max()) <= _CONSTANT_TOL * float(np.abs(site).max())
+        for site in (op.site_A, op.site_B)
     )
 
 
-def fourier_eigenvalues(op: DiscreteOperator) -> np.ndarray:
-    """Predicted spectrum of a constant-coefficient grid operator.
+def _floored(norms) -> np.ndarray:
+    """Each mode's |XY_m|_F, raised to 1e-4 of the largest, the
+    near-kernel cut of ``eigenvalues``."""
+    return np.maximum(norms, _NEAR_KERNEL * norms.max(initial=0.0))
 
-    Plane waves diagonalize the periodic central difference, so the full
-    spectrum is the union over discrete modes (m, n) of the eigenvalues
-    of  i [sin(m h1 k1)/h1 A^1 + sin(n h2 k2)/h2 A^2] + B  with
-    k_alpha = 2 pi / (N_alpha h_alpha).
-    """
+
+def trace_identity_defect(spectrum: ModeSpectrum) -> float:
+    """How far each mode's squares are from the traces of its block, as
+    the backward error of the solve they imply: the largest over the
+    modes of
+
+        |sum mu - tr XY_m| / (sqrt(s) |XY_m|_F)   and
+        |sum mu^2 - tr XY_m^2| / (2 |XY_m|_F^2),
+
+    s squares per mode, |XY_m|_F floored by ``_floored``.  Eigenvalues
+    computed with backward error E, exact for XY_m + E, miss the first
+    identity by |tr E| <= sqrt(s) |E|_F and the second by
+    |2 tr(XY_m E) + tr E^2| <= 2 |XY_m|_F |E|_F + |E|_F^2, so both read
+    |E|_F / |XY_m|_F to first order.  A copied mirror's squares are held
+    against the traces of its own block, so a mirror copied wrong fails
+    here, whatever the copy got wrong."""
+    mu = spectrum.squares
+    scale = _floored(spectrum.norms)
+    first = np.abs(mu.sum(axis=1) - spectrum.traces[:, 0]) / (math.sqrt(mu.shape[1]) * scale)
+    second = np.abs((mu * mu).sum(axis=1) - spectrum.traces[:, 1]) / (2.0 * scale**2)
+    return float(np.maximum(first, second).max())
+
+
+def _mode_symbols(op: DiscreteOperator, modes) -> np.ndarray:
+    """The closed-form 4x4 symbols i [sin(2 pi m1 / n1)/h1 A^1 +
+    sin(2 pi m2 / n2)/h2 A^2] + B of site 0 at the given modes: plane
+    waves diagonalize the periodic central difference of a
+    constant-coefficient grid."""
     A = op.site_A[0]
-    B = op.site_B[0]
-    k1 = np.sin(2.0 * math.pi * np.arange(op.n1) / op.n1) / op.h1
-    k2 = np.sin(2.0 * math.pi * np.arange(op.n2) / op.n2) / op.h2
-    # the (n1, n2) stack of mode symbols, solved in one call
-    sym = 1j * (_scaled(k1[:, None], A[0]) + _scaled(k2, A[1])) + B
-    vals = np.linalg.eigvals(sym).ravel()
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    k1 = np.sin(2.0 * math.pi * modes[:, 0] / op.n1) / op.h1
+    k2 = np.sin(2.0 * math.pi * modes[:, 1] / op.n2) / op.h2
+    return 1j * (_scaled(k1, A[0]) + _scaled(k2, A[1])) + op.site_B[0]
 
 
-def _distinct(x) -> np.ndarray:
-    """The distinct values of ``x``, rising: ``np.unique`` without its
-    import of ``numpy.ma``."""
-    x = np.sort(x, axis=None)
-    keep = np.ones(x.size, dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
-
-
-def _tolerance_groups(z, width: float) -> list:
-    """Split the indices of the values z into groups that no pair within
-    ``width`` of each other straddles.
-
-    The values are split where their sorted real parts jump by more than
-    ``width``, and each part where its sorted imaginary parts do: a
-    coarsening of the connected components of the "closer than width"
-    graph, found with two sorts and no pairwise array.
-    """
-    order = np.argsort(z.real, kind="stable")
-    real = z.real[order]
-    part = np.cumsum(np.diff(real, prepend=real[:1]) > width)
-    regroup = np.lexsort((z.imag[order], part))
-    order, part = order[regroup], part[regroup]
-    cuts = (np.diff(part) != 0) | (np.diff(z.imag[order]) > width)
-    return np.split(order, np.flatnonzero(cuts) + 1)
-
-
-class _Matching:
-    """Perfect matchings of a square cost matrix within one bound after
-    another, each search started from the pairs of the last.
-
-    ``order`` holds each row's columns by rising cost, built once, so the
-    columns of row i within a bound are a prefix of it; a row's prefix is
-    listed only when a search visits the row.  A search keeps the last
-    matching's pairs that lie within the bound (a matching found within
-    one bound, complete or not, stays one within any larger bound) and
-    matches only the rows left free: a nearest-first pass, then Kuhn's
-    augmenting paths, iterative to bound the stack.  Each row tries its
-    nearest columns first, so the matching found is often tighter than
-    the bound.
-    """
-
-    def __init__(self, cost):
-        self.cost = cost
-        self.order = np.argsort(cost, axis=1)
-        self.owner = np.full(len(cost), -1)  # the row matched to each column
-
-    def within(self, bound: float) -> float:
-        """Largest pair of a perfect matching that uses only pairs of cost
-        at most ``bound``; inf when none exists."""
-        counts = (self.cost <= bound).sum(axis=1)
-        if not counts.all():
-            return math.inf
-        columns = np.arange(len(counts))
-        kept = (self.owner >= 0) & (self.cost[self.owner, columns] <= bound)
-        owner = np.where(kept, self.owner, -1).tolist()
-        adj = {}
-
-        def neighbours(i):
-            if i not in adj:
-                adj[i] = self.order[i, : counts[i]].tolist()
-            return adj[i]
-
-        taken = np.zeros(len(counts), dtype=bool)
-        taken[self.owner[kept]] = True
-        free = np.flatnonzero(~taken).tolist()
-        unmatched = []
-        for i in free:
-            for j in neighbours(i):
-                if owner[j] < 0:
-                    owner[j] = i
-                    break
-            else:
-                unmatched.append(i)
-        for root in unmatched:
-            seen = set()
-            stack, iters, via = [root], [iter(neighbours(root))], []
-            while stack:
-                for j in iters[-1]:
-                    if j not in seen:
-                        seen.add(j)
-                        break
-                else:
-                    stack.pop()
-                    iters.pop()
-                    if via:
-                        via.pop()
-                    continue
-                via.append(j)
-                if owner[j] < 0:
-                    for i, jj in zip(stack, via):
-                        owner[jj] = i
-                    break
-                stack.append(owner[j])
-                iters.append(iter(neighbours(owner[j])))
-            else:
-                self.owner = np.array(owner)
-                return math.inf
-        self.owner = np.array(owner)
-        return float(self.cost[owner, columns].max())
-
-
-def _bottleneck(a, b, rows: list, cols: list) -> float:
-    """Largest over the groups of the least largest pair distance of a
-    perfect matching between a[rows[g]] and b[cols[g]] (equal sizes).
-
-    Groups of one size are stacked and bounded in numpy: no matching
-    pairs closer than ``low``, the largest of every value's distance to
-    its nearest partner, and the better of two pairings in order reaches
-    ``high``.  A group is settled at ``low`` when ``high`` is no larger,
-    or when the rows' nearest columns are all different.  The others are
-    taken by falling ``high``; each is tested first for a matching within
-    the larger of ``low`` and the running maximum, which most pass, and
-    otherwise bisected over its own pair distances above that.
-    """
-    best = 0.0
-    open_groups = []
-    sizes = np.array([len(r) for r in rows])
-    for k in _distinct(sizes[sizes > 0]):
-        pick = np.flatnonzero(sizes == k)
-        R = np.array([rows[g] for g in pick])
-        C = np.array([cols[g] for g in pick])
-        cost = np.abs(a[R][:, :, None] - b[C][:, None, :])
-        low = np.maximum(cost.min(axis=2).max(axis=1), cost.min(axis=1).max(axis=1))
-        # two pairings in order: the groups' own (by imaginary part) and
-        # the lexicographic one (by real part); either bounds from above
-        stack = np.arange(len(pick))[:, None]
-        by_real = cost[
-            stack,
-            np.lexsort((a[R].imag, a[R].real), axis=-1),
-            np.lexsort((b[C].imag, b[C].real), axis=-1),
-        ]
-        high = np.minimum(
-            np.diagonal(cost, axis1=1, axis2=2).max(axis=1), by_real.max(axis=1)
-        )
-        distinct = (np.sort(cost.argmin(axis=2), axis=1) == np.arange(k)).all(axis=1)
-        settled = (high <= low) | distinct
-        best = max(best, float(low[settled].max(initial=0.0)))
-        open_groups += [(high[g], low[g], cost[g]) for g in np.flatnonzero(~settled)]
-    open_groups.sort(key=lambda group: -group[0])
-    for high, low, cost in open_groups:
-        if high <= best:
-            break
-        matching = _Matching(cost)
-        floor = max(best, low)
-        if matching.within(floor) <= floor:
-            best = floor
-            continue
-        # the least largest pair lies in (floor, high]; a matching found
-        # within a bound is often tighter, and its largest pair is a bound
-        values = _distinct(cost[(cost > floor) & (cost <= high)])
-        lo, hi = 0, values.size - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            reach = matching.within(values[mid])
-            if reach <= values[mid]:
-                hi = int(np.searchsorted(values, reach))
-            else:
-                lo = mid + 1
-        best = float(values[lo])
-    return best
-
-
-# initial width of the tolerance groups that multiset_distance matches
-# within, relative to the largest magnitude of either multiset
-_MATCH_WIDTH = 1e-8
-
-
-def multiset_distance(a, b) -> float:
-    """Bottleneck distance between two eigenvalue multisets: the least,
-    over all one-to-one pairings of a with b, of the largest pair
-    distance |a_i - b_j| (Bhatia, Matrix Analysis, ch. VI).
-
-    Lexicographic sorting alone can pair distinct eigenvalues whose real
-    parts differ only by rounding noise; the optimal matching is robust
-    to that.  The value is a quantity of the two multisets alone, one of
-    their pair distances, whatever their order.
-
-    It is found per tolerance group of the union, of width w = 1e-8
-    max|z| at first: values w apart or closer always share a group.  A
-    matching within each group is a matching of the whole, so the
-    largest group value v is never below the distance; when it is at
-    most w, the optimal pairs all lie within groups, and v is the
-    distance.  While some group holds unequal counts from the two sides
-    or v exceeds w, the width is doubled and the union regrouped, unless
-    one group is left.  No pairwise array of the whole multisets is
-    built unless the width covers them.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError("multisets must have equal cardinality")
-    z = np.concatenate([a, b])
-    if not np.isfinite(z).all():
-        raise ValueError("multisets must be finite")
-    width = _MATCH_WIDTH * np.abs(z).max(initial=0.0)
-    while True:
-        groups = _tolerance_groups(z, width)
-        rows = [group[group < a.size] for group in groups]
-        cols = [group[group >= a.size] - a.size for group in groups]
-        if all(len(r) == len(c) for r, c in zip(rows, cols)):
-            value = _bottleneck(a, b, rows, cols)
-            if value <= width or len(groups) == 1:
-                return value
-        # from the least normal float if the first width underflowed
-        width = max(2.0 * width, np.finfo(float).tiny)
+def fourier_mode_distance(op: DiscreteOperator, spectrum: ModeSpectrum) -> float:
+    """Each mode's values against the eigenvalues of the closed-form
+    symbol at that mode, on a constant-coefficient grid reduced along
+    both directions (one site per cell, four values per mode): the
+    largest over the modes of their bottleneck distance, every pairing
+    tried, so that ties cannot mislead it, relative to the mode's root
+    scale sqrt(|XY_m|_F), floored by ``_floored``."""
+    if spectrum.roots.shape[1] != 4:
+        raise ValueError("the Fourier oracle needs one site per mode")
+    predicted = np.linalg.eigvals(_mode_symbols(op, spectrum.modes))
+    # the largest pair of every pairing of each mode's values, tried all
+    cost = np.abs(spectrum.roots[:, :, None] - predicted[:, None, :])
+    pairings = np.array(list(itertools.permutations(range(4))))
+    distance = cost[:, np.arange(4), pairings].max(axis=2).min(axis=1)
+    return float((distance / np.sqrt(_floored(spectrum.norms))).max())

@@ -26,8 +26,8 @@ from dirac_surface.dirac import (
     assemble_grid_operator,
     dirac_symbol,
     eigenvalues,
+    fourier_mode_distance,
     gauged_dirac_symbol,
-    multiset_distance,
 )
 from dirac_surface.geometry import (
     connection_from_frame,
@@ -269,18 +269,16 @@ def test_criterion_7_spectra():
         clifford = load_corpus("clifford")
         op = assemble_grid_operator(clifford, 8, 8)
         c.check(op.dim == 256, f"dimension {op.dim}")
-        vals = eigenvalues(op)
+        _, by_mode = eigenvalues(op, return_squares=True)
+        # each mode (m, n) holds the double square 1 - 2 (sin^2(m h) +
+        # sin^2(n h)) / h^2 and its four roots
         h = 2.0 * math.pi / 8
-        predicted = []
-        for m in range(-4, 4):
-            for n in range(-4, 4):
-                lam2 = 1.0 - 2.0 * (
-                    (math.sin(m * h) / h) ** 2 + (math.sin(n * h) / h) ** 2
-                )
-                root = complex(lam2) ** 0.5
-                predicted.extend([root, root, -root, -root])
-        dist = multiset_distance(vals, predicted)
-        c.check(dist <= 1e-10, f"clifford closed form {dist:.2e}")
+        m, n = by_mode.modes.T
+        lam2 = 1.0 - 2.0 * ((np.sin(m * h) / h) ** 2 + (np.sin(n * h) / h) ** 2)
+        dist = float(np.abs(by_mode.squares - lam2[:, None]).max())
+        c.check(dist <= 1e-10, f"clifford closed form per mode {dist:.2e}")
+        dist = fourier_mode_distance(op, by_mode)
+        c.check(dist <= 1e-11, f"clifford Fourier oracle per mode {dist:.2e}")
 
         # flat periodic plane on an odd grid: purely imaginary spectrum with
         # exactly the four zero modes of the constant spinor components

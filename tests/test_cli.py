@@ -175,10 +175,13 @@ def test_spectrum_plane_torus(tmp_path):
     ids=["clifford", "clifford-rotated", "clifford-rotated-gauged"],
 )
 def test_spectrum_conjugation_check(tmp_path, name, extra):
+    """Each mirror mode's squares are its partner's, conjugated, and the
+    trace identities hold them against the mirror's own block: the check
+    passes at rounding."""
     code, text = run(tmp_path, "spectrum", str(corpus_path(name)), "--grid", "8x8", *extra)
     assert code == 0
-    (check,) = [c for c in json.loads(text)["checks"] if c["name"] == "conjugation_symmetry"]
-    assert check["pass"] and check["value"] <= 1e-12
+    (check,) = [c for c in json.loads(text)["checks"] if c["name"] == "trace_identity"]
+    assert check["pass"] and check["value"] <= 1e-14
 
 
 @pytest.mark.parametrize("path", [CLIFFORD, PLANE_TORUS], ids=["clifford", "plane-torus"])
@@ -209,30 +212,57 @@ def test_gauged_spectrum_fails_on_non_unitary_gauge(tmp_path, monkeypatch):
     assert failed == ["fourier_oracle_match"]
 
 
-@pytest.mark.parametrize("shift", [1e-9, 1e-3], ids=["within-group", "across-groups"])
-def test_perturbed_spectrum_fails_both_checks(tmp_path, monkeypatch, shift):
-    """One eigenvalue and one square moved by ``shift``: inside its
-    tolerance group, where the group's own assignment measures it, or out
-    of it, where the unbalanced groups send the match to the whole
-    assignment.  Both checks fail either way."""
+def _perturbed_solve(monkeypatch, square=0.0, root=0.0):
+    """``cli.eigenvalues`` with the first square of mode (0, 0) moved by
+    ``square`` and its first value by ``root``, in the report as well:
+    returns the list that receives the spectrum by mode."""
     solve = cli.eigenvalues
+    seen = []
 
     def perturbed(op, **kwargs):
-        vals, squares, *rest = solve(op, **kwargs)
-        vals[0] += shift
-        squares[0] += 1j * shift
-        return vals, squares, *rest
+        vals, by_mode, *rest = solve(op, **kwargs)
+        vals[np.flatnonzero(vals == by_mode.roots[0, 0])[0]] += root
+        by_mode.roots[0, 0] += root
+        by_mode.squares[0, 0] += square
+        seen.append(by_mode)
+        return vals, by_mode, *rest
 
     monkeypatch.setattr(cli, "eigenvalues", perturbed)
+    return seen
+
+
+@pytest.mark.parametrize("shift", [1e-9, 1e-3])
+def test_perturbed_spectrum_fails_both_checks(tmp_path, monkeypatch, shift):
+    """One value and one square of clifford's mode (0, 0) moved by
+    ``shift``: the trace identities and the Fourier oracle of that mode
+    both fail, each by the shift over the mode's own scale."""
+    seen = _perturbed_solve(monkeypatch, square=1j * shift, root=shift)
     code, text = run(tmp_path, "spectrum", CLIFFORD, "--grid", "8x8")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(text)["checks"]}
-    assert not checks["conjugation_symmetry"]["pass"]
-    assert not checks["fourier_oracle_match"]["pass"]
-    assert checks["fourier_oracle_match"]["value"] == pytest.approx(shift, rel=1e-4)
+    failed = [name for name, c in checks.items() if not c["pass"]]
+    assert failed == ["trace_identity", "fourier_oracle_match"]
+    (by_mode,) = seen
+    scale = by_mode.norms[0]
+    assert checks["fourier_oracle_match"]["value"] == pytest.approx(shift / math.sqrt(scale), rel=1e-4)
+    assert checks["trace_identity"]["value"] == pytest.approx(shift / (math.sqrt(2) * scale), rel=1e-4)
+
+
+def test_one_value_moved_alone_fails_the_fourier_oracle(tmp_path, monkeypatch):
+    """One value of clifford's mode (0, 0) moved by 1e-9 with its square
+    left as it was: the squares keep their traces, and the per-mode
+    Fourier oracle, which compares the values themselves, fails."""
+    _perturbed_solve(monkeypatch, root=1e-9)
+    code, text = run(tmp_path, "spectrum", CLIFFORD, "--grid", "8x8")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(text)["checks"] if not c["pass"]]
+    assert failed == ["fourier_oracle_match"]
 
 
 def test_spectrum_conjugation_check_fails_on_complex_coefficient(tmp_path, monkeypatch):
+    """0.3 i gamma^3 added to every B: J no longer maps mode m to -m, so
+    the conjugated squares copied to the mirrors miss the traces of the
+    mirrors' own blocks."""
     symbol = dirac._symbol
 
     def complex_mass(*args, **kwargs):
@@ -242,7 +272,7 @@ def test_spectrum_conjugation_check_fails_on_complex_coefficient(tmp_path, monke
     monkeypatch.setattr(dirac, "_symbol", complex_mass)
     code, text = run(tmp_path, "spectrum", CLIFFORD_ROTATED, "--grid", "8x8")
     assert code == 1
-    (check,) = [c for c in json.loads(text)["checks"] if c["name"] == "conjugation_symmetry"]
+    (check,) = [c for c in json.loads(text)["checks"] if c["name"] == "trace_identity"]
     assert not check["pass"]
 
 
@@ -327,8 +357,52 @@ def test_gauged_moebius_spectrum_at_32x32_is_reduced_along_v(tmp_path):
     report = json.loads(text)
     assert report["summary"]["invariant_directions"] == ["v"]
     checks = {c["name"]: c for c in report["checks"]}
-    assert checks["conjugation_symmetry"]["value"] <= 1e-10
+    assert checks["trace_identity"]["value"] <= 1e-14
     assert all(c["pass"] for c in checks.values())
+
+
+@pytest.mark.parametrize("gauged", [False, True], ids=["plain", "gauged"])
+def test_moebius_spectrum_at_64x64_with_the_cap_raised(tmp_path, monkeypatch, gauged):
+    """Past the cap (dimension 16384) the values grow to |lambda| of
+    about 150, and every check, relative to each mode's scale, still
+    passes at rounding."""
+    monkeypatch.setattr(dirac, "DEFAULT_EIG_CAP", 4 * 64 * 64)
+    extra = ("--gauged",) if gauged else ()
+    code, text = run(tmp_path, "spectrum", str(corpus_path("moebius-clifford")), "--grid", "64x64", *extra)
+    assert code == 0
+    report = json.loads(text)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert sorted(checks) == ["antiunitary_defect", "mode_residual", "trace_identity"]
+    assert all(c["pass"] for c in checks.values())
+    assert checks["trace_identity"]["value"] <= 1e-14
+
+
+def _scaled_corpus_file(tmp_path, name):
+    """The corpus file ``name`` with its immersion scaled by 1e-6."""
+    lines = corpus_path(name).read_text().splitlines()
+    scaled = [
+        f"{line[:3]} 1e-6*({line[3:].strip()})" if line.startswith(("x1:", "x2:", "x3:", "x4:")) else line
+        for line in lines
+    ]
+    path = tmp_path / f"{name}-scaled.imm"
+    path.write_text("\n".join(scaled) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("name,grid", [("clifford", "8x8"), ("plane-torus", "9x9")])
+def test_scaled_surfaces_keep_the_fourier_oracle(tmp_path, name, grid):
+    """Scaling the immersion by 1e-6 scales the operator by 1e6, and its
+    rounding with it: the symbol still reads as constant-coefficient, so
+    the Fourier oracle runs, and every check, relative to its mode's
+    scale, passes."""
+    code, text = run(tmp_path, "spectrum", _scaled_corpus_file(tmp_path, name), "--grid", grid)
+    assert code == 0
+    report = json.loads(text)
+    assert report["summary"]["constant_coefficient"] is True
+    assert report["summary"]["max_abs"] >= 1e6
+    checks = {c["name"]: c for c in report["checks"]}
+    assert "fourier_oracle_match" in checks
+    assert all(c["pass"] and c["value"] <= 1e-13 for c in checks.values())
 
 
 def _phase_mutation(fault):

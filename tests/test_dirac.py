@@ -12,27 +12,28 @@ from dirac_surface.dirac import (
     DimensionCapError,
     NonPeriodicDomainError,
     SpectrumInvariantError,
-    _MATCH_WIDTH,
     _NEAR_KERNEL,
     _HOPS,
     _chiral_stencils,
     _mode_blocks,
     _modes,
     _near_kernel_roots,
-    _tolerance_groups,
     assemble_grid_operator,
     dirac_symbol,
     eigenvalues,
-    fourier_eigenvalues,
+    fourier_mode_distance,
     gauged_dirac_symbol,
     is_constant_coefficient,
-    multiset_distance,
+    trace_identity_defect,
 )
 from dirac_surface.corpus import load_corpus
 from dirac_surface.geometry import connection_from_frame, frames_at, gauge_angle, gauge_at
 from conftest import interior_lattice, rng_seed
 from fd_oracles import random_points
+import grid_oracles
 from grid_oracles import (
+    MATCH_WIDTH,
+    Matching,
     aligned_grid_frames_by_site,
     chiral_halves,
     decoupled_blocks,
@@ -41,6 +42,8 @@ from grid_oracles import (
     brute_force_multiset_distance,
     dense_multiset_distance,
     fourier_eigenvalues_by_mode,
+    multiset_distance,
+    tolerance_groups,
     whole_near_kernel_eigenvalues,
 )
 from pointwise_oracles import _wrap_angle, apply_pointwise, hatted_symbol
@@ -327,8 +330,8 @@ def test_gauged_operator_keeps_plain_site_symbol(name, request):
 def test_chiral_eigenvalues_match_dense_oracle(name, n, gauged, zeros, request):
     spec = request.getfixturevalue(name)
     op = assemble_grid_operator(spec, n, n, gauged=gauged)
-    vals, squares = eigenvalues(op, return_squares=True)
-    assert vals.shape == (op.dim,) and squares.shape == (op.dim // 2,)
+    vals, by_mode = eigenvalues(op, return_squares=True)
+    assert vals.shape == (op.dim,) and by_mode.squares.size == op.dim // 2
     assert multiset_distance(vals, dense_eigenvalues(op.matrix)) <= 1e-12
     near_zero = np.abs(vals) < 1e-10
     assert int(np.sum(near_zero)) == zeros
@@ -500,15 +503,14 @@ def test_paired_modes_match_a_solve_of_every_mode(name, n1, n2, gauged, monkeypa
     own, mode by mode."""
     op = assemble_grid_operator(load_corpus(name), n1, n2, gauged=gauged)
     assert op.antiunitary_defect <= 1e-15
-    vals, squares = eigenvalues(op, return_squares=True)
+    vals, mine = eigenvalues(op, return_squares=True)
     with monkeypatch.context() as m:
         m.setattr(dirac, "_mirrors", lambda op, invariant: np.arange(len(_modes(op, invariant))))
-        every_vals, every_squares = eigenvalues(op, return_squares=True)
+        every_vals, theirs = eigenvalues(op, return_squares=True)
     assert multiset_distance(vals, every_vals) <= 1e-13 * np.abs(every_vals).max()
-    per_mode = len(_modes(op, op.invariant_directions))
-    scale = np.abs(every_squares).max()
-    for mine, theirs in zip(squares.reshape(per_mode, -1), every_squares.reshape(per_mode, -1)):
-        assert multiset_distance(mine, theirs) <= 1e-13 * scale
+    scale = np.abs(theirs.squares).max()
+    for a, b in zip(mine.squares, theirs.squares):
+        assert multiset_distance(a, b) <= 1e-13 * scale
 
 
 def _quaternion_rows(op, rng):
@@ -529,22 +531,30 @@ def test_mirror_copied_without_conjugation_fails_the_dense_oracle(moebius_cliffo
     On moebius-clifford itself every mode's squares are closed under
     conjugation, although the mirror blocks differ, so the fault moves
     nothing there.  With one random quaternion per u-row it misses the
-    dense solve by far, while the antiunitary defect, the sampled mode's
-    residual and the conjugation symmetry of the self-mirror modes all
-    stay at rounding: no in-run check sees it."""
+    dense solve by far, while the antiunitary defect and the sampled
+    mode's residual stay at rounding.  The trace identities see it: tr
+    XY_m is real there to rounding, so the sums of the squares match
+    their mirrors' traces, but the sums of their squares do not."""
     plain = assemble_grid_operator(moebius_clifford, 8, 8)
     mixed = _quaternion_rows(plain, np.random.default_rng(rng_seed()))
     assert mixed.invariant_directions == (1,) and mixed.antiunitary_defect <= 1e-15
     dense_plain, dense_mixed = dense_eigenvalues(plain.matrix), dense_eigenvalues(mixed.matrix)
-    assert multiset_distance(eigenvalues(mixed), dense_mixed) <= 1e-12
+    vals, by_mode = eigenvalues(mixed, return_squares=True)
+    assert multiset_distance(vals, dense_mixed) <= 1e-12
+    assert trace_identity_defect(by_mode) <= 1e-14
+    assert np.abs(by_mode.traces[:, 0].imag).max() <= 1e-13 * by_mode.norms.max()
     unconjugated = types.SimpleNamespace(**vars(np))
     unconjugated.conj = lambda x: x
     monkeypatch.setattr(dirac, "np", unconjugated)
-    assert multiset_distance(eigenvalues(plain), dense_plain) <= 1e-12
-    vals, squares, residual = eigenvalues(mixed, return_squares=True, return_residual=True)
+    vals, by_mode = eigenvalues(plain, return_squares=True)
+    assert multiset_distance(vals, dense_plain) <= 1e-12
+    assert trace_identity_defect(by_mode) <= 1e-14
+    vals, by_mode, residual = eigenvalues(mixed, return_squares=True, return_residual=True)
     assert multiset_distance(vals, dense_mixed) > 1e-2
-    own = dirac.self_mirror_squares(mixed, squares)
-    assert residual <= 1e-13 and multiset_distance(own, own.conj()) <= 1e-12
+    assert residual <= 1e-13
+    mu, traces, scale = by_mode.squares, by_mode.traces, by_mode.norms
+    assert (np.abs(mu.sum(axis=1) - traces[:, 0]) / scale).max() <= 1e-14
+    assert trace_identity_defect(by_mode) >= 1e-3
 
 
 @pytest.mark.parametrize(
@@ -605,8 +615,8 @@ def _near_kernel_blocks(op):
     them."""
     invariant = op.invariant_directions
     modes = _modes(op, invariant)
-    _, mu = eigenvalues(op, return_squares=True)
-    size = np.abs(mu).reshape(len(modes), -1)
+    _, by_mode = eigenvalues(op, return_squares=True)
+    size = np.abs(by_mode.squares)
     small = size <= _NEAR_KERNEL * size.max()
     cut = 0.5 * (size[small].max() + size[~small].min())
     near = small.any(axis=1)
@@ -701,7 +711,7 @@ def test_grouped_distance_matches_dense_oracle_on_planted_clusters(rng, trial):
     for noise in (0.0, 1e-14, 1e-11):
         b = _shuffled_copy(rng, a, noise)
         z = np.concatenate([a, b])
-        assert len(_tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max())) >= 32
+        assert len(tolerance_groups(z, MATCH_WIDTH * np.abs(z).max())) >= 32
         assert multiset_distance(a, b) == dense_multiset_distance(a, b)
 
 
@@ -710,7 +720,7 @@ def test_grouped_distance_on_purely_imaginary_spectrum(rng):
     a = 1j * np.repeat(rng.normal(size=30), 4)
     b = _shuffled_copy(rng, a, 1e-13).imag * 1j
     z = np.concatenate([a, b])
-    groups = _tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max())
+    groups = tolerance_groups(z, MATCH_WIDTH * np.abs(z).max())
     assert len(groups) == 30
     assert multiset_distance(a, b) == dense_multiset_distance(a, b)
 
@@ -720,10 +730,10 @@ def test_grouped_distance_on_a_chain(spacing, groups):
     """Values spaced just under the group width w chain into one group
     however long the chain; just over w they split into singletons,
     every one unbalanced, and the widened groups give the distance."""
-    w = _MATCH_WIDTH * (1.0 + 80 * 1e-8)
+    w = MATCH_WIDTH * (1.0 + 80 * 1e-8)
     z = 1.0 + spacing * w * np.arange(80)
     a, b = z[0::2], z[1::2]
-    assert len(_tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max())) == groups
+    assert len(tolerance_groups(z, MATCH_WIDTH * np.abs(z).max())) == groups
     assert multiset_distance(a, b) == dense_multiset_distance(a, b)
     assert multiset_distance(a, b) == pytest.approx(spacing * w, rel=1e-6)
 
@@ -751,11 +761,11 @@ def test_unbalanced_groups_are_widened_several_times(monkeypatch):
 
     def counted(z, width):
         widths.append(width)
-        return _tolerance_groups(z, width)
+        return tolerance_groups(z, width)
 
     a = np.array([1.0, 2.0, 3.0 + 1j, 2.0 - 0.5j])
     b = a + 1e-5
-    monkeypatch.setattr(dirac, "_tolerance_groups", counted)
+    monkeypatch.setattr(grid_oracles, "tolerance_groups", counted)
     distance = multiset_distance(a, b)
     assert len(widths) >= 8
     assert widths[-1] >= distance > widths[-2]
@@ -774,11 +784,11 @@ def test_balanced_groups_wider_than_their_width_are_widened():
     """Balanced tolerance groups whose own matchings need pairs wider
     than the width prove nothing: pairs across the groups do better, so
     the groups are widened until they hold them."""
-    step = 0.3 * _MATCH_WIDTH
+    step = 0.3 * MATCH_WIDTH
     a = 1.0 + step * np.array([10 + 5j, 9 + 2j, 3 + 11j])
     b = 1.0 + step * np.array([1 + 5j, 8 + 0j, 5 + 9j])
     z = np.concatenate([a, b])
-    groups = _tolerance_groups(z, _MATCH_WIDTH * np.abs(z).max())
+    groups = tolerance_groups(z, MATCH_WIDTH * np.abs(z).max())
     assert [np.sum(g < a.size) * 2 for g in groups] == [len(g) for g in groups] == [4, 2]
     within = max(
         brute_force_multiset_distance(a[g[g < a.size]], b[g[g >= a.size] - a.size])
@@ -818,8 +828,9 @@ def test_plane_torus_distances_are_bit_identical_when_shuffled(rng, plane_torus)
     well: the value is a quantity of the two multisets, the same bits in
     any order, and the dense oracle's."""
     op = assemble_grid_operator(plane_torus, 8, 8)
-    vals, squares = eigenvalues(op, return_squares=True)
-    oracle = fourier_eigenvalues(op)
+    vals, by_mode = eigenvalues(op, return_squares=True)
+    squares = by_mode.squares.ravel()
+    oracle = fourier_eigenvalues_by_mode(op)
     fourier = multiset_distance(vals, oracle)
     conjugate = multiset_distance(squares, squares.conj())
     assert fourier == dense_multiset_distance(vals, oracle)
@@ -858,12 +869,12 @@ def test_warm_started_matching_agrees_with_a_fresh_one(rng):
         n = int(rng.integers(1, 25))
         # a coarse lattice of costs, so that pairs tie
         cost = rng.random((n, n)).round(1)
-        warm = dirac._Matching(cost)
+        warm = Matching(cost)
         for bound in rng.choice(cost.ravel(), size=10):
             within = scipy.sparse.csr_array(cost <= bound)
             exists = (maximum_bipartite_matching(within, perm_type="column") >= 0).all()
             reach = warm.within(bound)
-            assert (reach <= bound) == exists == (dirac._Matching(cost).within(bound) <= bound)
+            assert (reach <= bound) == exists == (Matching(cost).within(bound) <= bound)
             if exists:
                 assert sorted(warm.owner) == list(range(n))
                 assert reach == cost[warm.owner, np.arange(n)].max()
@@ -877,10 +888,28 @@ def test_grossly_different_spectra_match_dense_oracle(clifford_rotated, gauged):
     warm-started matchings: the distance is the dense oracle's, bit for
     bit."""
     op = assemble_grid_operator(clifford_rotated, 8, 8, gauged=gauged)
-    vals, oracle = eigenvalues(op), fourier_eigenvalues(op)
+    vals, oracle = eigenvalues(op), fourier_eigenvalues_by_mode(op)
     distance = multiset_distance(vals, oracle)
     assert distance > 0.5
     assert distance == dense_multiset_distance(vals, oracle)
+
+
+def test_values_in_the_wrong_mode_fail_the_per_mode_checks(clifford):
+    """The values by mode are the sorted spectrum, unsorted.  Two modes'
+    values, or two modes' squares, swapped: the whole multiset is
+    unchanged, so a global match sees nothing, but each mode's values
+    miss its symbol and each mode's squares miss its traces."""
+    op = assemble_grid_operator(clifford, 8, 8)
+    vals, by_mode = eigenvalues(op, return_squares=True)
+    flat = by_mode.roots.ravel()
+    assert np.array_equal(flat[np.lexsort((flat.imag, flat.real))], vals)
+    assert trace_identity_defect(by_mode) <= 1e-15 and fourier_mode_distance(op, by_mode) <= 1e-15
+    # modes (0, 1) and (0, 2), rows 1 and 2, hold different values
+    roots, squares = by_mode.roots.copy(), by_mode.squares.copy()
+    roots[[1, 2]], squares[[1, 2]] = roots[[2, 1]], squares[[2, 1]]
+    assert multiset_distance(roots.ravel(), by_mode.roots.ravel()) == 0.0
+    assert fourier_mode_distance(op, dataclasses.replace(by_mode, roots=roots)) >= 0.1
+    assert trace_identity_defect(dataclasses.replace(by_mode, squares=squares)) >= 0.1
 
 
 def test_clifford_grid_constant_coefficients(clifford):
@@ -900,15 +929,19 @@ def test_clifford_spectrum_closed_form(clifford):
             predicted.extend([root, root, -root, -root])
     assert multiset_distance(vals, predicted) <= 1e-10
     # and the general Fourier oracle agrees
-    assert multiset_distance(vals, fourier_eigenvalues(op)) <= 1e-10
+    assert multiset_distance(vals, fourier_eigenvalues_by_mode(op)) <= 1e-10
 
 
 @pytest.mark.parametrize(
     "name,n1,n2", [("clifford", 16, 16), ("clifford", 8, 12), ("plane_torus", 9, 9)]
 )
 def test_fourier_eigenvalues_match_mode_loop(name, n1, n2, request):
+    """The library's symbols of every mode, solved as one stack, against
+    the oracle's loop of one 4x4 solve per mode."""
     op = assemble_grid_operator(request.getfixturevalue(name), n1, n2)
-    stacked = fourier_eigenvalues(op)
+    assert op.invariant_directions == (0, 1)
+    stacked = np.linalg.eigvals(dirac._mode_symbols(op, _modes(op, (0, 1)))).ravel()
+    stacked = stacked[np.lexsort((stacked.imag, stacked.real))]
     by_mode = fourier_eigenvalues_by_mode(op)
     assert stacked.shape == by_mode.shape == (op.dim,)
     assert np.max(np.abs(stacked - by_mode)) <= 1e-14
@@ -921,7 +954,7 @@ def test_plane_torus_spectrum(plane_torus):
     vals = eigenvalues(op)
     assert np.max(np.abs(vals.real)) <= 1e-10
     assert int(np.sum(np.abs(vals) < 1e-10)) == 4
-    assert multiset_distance(vals, fourier_eigenvalues(op)) <= 1e-10
+    assert multiset_distance(vals, fourier_eigenvalues_by_mode(op)) <= 1e-10
 
 
 def test_zero_mode_eigenvalues_insensitive_to_spacing(clifford):
